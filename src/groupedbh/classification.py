@@ -11,14 +11,33 @@ depth-1 trees recover the unclassified and S-way special cases.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 
+def _sorted_unique(arr: np.ndarray) -> np.ndarray:
+    """Sorted distinct values; a sort and a neighbour compare, which is far
+    cheaper than ``np.unique`` on large integer arrays."""
+    arr = np.sort(arr)
+    keep = np.ones(arr.size, dtype=bool)
+    keep[1:] = arr[1:] != arr[:-1]
+    return arr[keep]
+
+
+def _isin_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
+    """Elementwise ``values in sorted_arr`` by binary search."""
+    if sorted_arr.size == 0:
+        return np.zeros(np.shape(values), dtype=bool)
+    return sorted_arr[np.minimum(np.searchsorted(sorted_arr, values), sorted_arr.size - 1)] == values
+
+
 def _as_index_array(members) -> np.ndarray:
-    arr = np.unique(np.asarray(list(members) if not isinstance(members, np.ndarray) else members, dtype=np.int64))
-    return arr
+    if not isinstance(members, np.ndarray):
+        members = list(members)
+    return _sorted_unique(np.asarray(members, dtype=np.int64).ravel())
 
 
 @dataclass(eq=False)
@@ -140,7 +159,7 @@ def tree_from_groups(n: int, levels: list[list[np.ndarray]]) -> HierTree:
             mem = _as_index_array(mem)
             placed = False
             for i, parent in enumerate(current):
-                if np.isin(mem, parent.members).all():
+                if _isin_sorted(mem, parent.members).all():
                     assigned[i].append(mem)
                     placed = True
                     break
@@ -174,38 +193,120 @@ def forest_from_grid(shape: tuple[int, ...]) -> ClassificationForest:
 
 
 # ---------------------------------------------------------------------------
+# compiled form
+
+
+@dataclass
+class _CompiledTree:
+    """A tree as flat arrays, nodes in level order (root = node 0).
+
+    Node k's members are ``indices[indptr[k]:indptr[k + 1]]`` (CSR layout),
+    ``sizes[k]`` of them; ``parent[k]`` is its parent's node id (-1 for the
+    root), ``level[k]`` its depth, ``m[k]`` its number of children and
+    ``mult[k]`` the product of its ancestors' ``m``. ``levels`` holds the
+    node ids of levels 1..depth as slices; the deepest level's nodes,
+    ``leaves``, form the tail of the level order.
+    """
+
+    n: int
+    nodes: list
+    indptr: np.ndarray
+    indices: np.ndarray
+    sizes: np.ndarray
+    parent: np.ndarray
+    level: np.ndarray
+    m: np.ndarray
+    mult: np.ndarray
+    levels: list
+    leaves: np.ndarray
+
+    def counts(self, mask: np.ndarray) -> np.ndarray:
+        """Per-node number of members i with mask[i] set."""
+        hits = mask[self.indices]
+        counts = np.add.reduceat(hits, np.minimum(self.indptr[:-1], hits.size - 1), dtype=np.int64)
+        counts[self.sizes == 0] = 0  # reduceat leaves a value in empty rows
+        return counts
+
+    def leaf_rows(self) -> np.ndarray:
+        """Members of every leaf, concatenated in leaf order."""
+        return self.indices[self.indptr[self.leaves[0]] :]
+
+
+def _compile(tree: HierTree) -> _CompiledTree:
+    nodes, parent, level, m, mult, starts = [tree.root], [-1], [0], [], [1], [0]
+    for k, node in enumerate(nodes):  # grows while it is walked: breadth first
+        if k == starts[-1]:  # first node of its level, so the whole level is listed
+            starts.append(len(nodes))
+        m.append(len(node.children))
+        nodes.extend(node.children)
+        parent.extend([k] * m[k])
+        level.extend([level[k] + 1] * m[k])
+        mult.extend([mult[k] * m[k]] * m[k])
+    indptr = np.array(list(accumulate((node.members.size for node in nodes), initial=0)), dtype=np.int64)
+    return _CompiledTree(
+        n=tree.n,
+        nodes=nodes,
+        indptr=indptr,
+        indices=np.concatenate([node.members for node in nodes]),
+        sizes=indptr[1:] - indptr[:-1],
+        parent=np.array(parent, dtype=np.int64),
+        level=np.array(level, dtype=np.int64),
+        m=np.array(m, dtype=np.int64),
+        mult=np.array(mult, dtype=np.int64),
+        levels=[slice(a, b) for a, b in zip(starts[1:-1], starts[2:])],
+        leaves=np.arange(starts[-2], starts[-1]),
+    )
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
 def validate_tree(tree: HierTree) -> list[str]:
     """Structural invariant check; returns a list of violations (empty = ok)."""
+    n, c = tree.n, _compile(tree)
     violations = []
-    n = tree.n
-    root = tree.root
-    if root.members.size != n or (root.members != np.arange(n)).any():
+    if not np.array_equal(tree.root.members, np.arange(n)):
         violations.append(f"root members must be exactly 0..{n - 1}")
-    depths = set()
+    sizes = c.sizes
+    filled = np.flatnonzero(sizes)
+    low, high = c.indices[c.indptr[filled]], c.indices[c.indptr[filled + 1] - 1]
+    violations += [f"empty group at path {c.nodes[k].path}" for k in np.flatnonzero(sizes == 0)]
+    violations += [
+        f"index out of range [0, {n}) at path {c.nodes[k].path}"
+        for k in filled[(low < 0) | (high >= n)]
+    ]
+    for node in (c.nodes[k] for k in np.flatnonzero(c.m)):
+        paths = [child.path for child in node.children]
+        violations += [f"sibling groups share path {p}" for p, count in Counter(paths).items() if count > 1]
+        if paths != [node.path + (j,) for j in range(1, len(paths) + 1)]:
+            violations.append(f"children of {node.path} are not numbered 1..{len(paths)}")
+    # (node, member) keys; sorted members make one node's keys sorted
+    lo = min(int(c.indices.min(initial=0)), 0)
+    width = max(int(c.indices.max(initial=-1)) + 1, n) - lo
 
-    def visit(node: GroupNode, depth: int):
-        if node.members.size == 0:
-            violations.append(f"empty group at path {node.path}")
-        if node.members.size and (node.members[0] < 0 or node.members[-1] >= n):
-            violations.append(f"index out of range [0, {n}) at path {node.path}")
-        if not node.children:
-            depths.add(depth)
-            return
-        union = np.unique(np.concatenate([c.members for c in node.children]))
-        for c in node.children:
-            if not np.isin(c.members, node.members).all():
-                violations.append(f"child {c.path} not contained in parent {node.path}")
-        if union.size != node.members.size or (union != node.members).any():
-            violations.append(f"children of {node.path} do not cover the parent")
-        for c in node.children:
-            visit(c, depth + 1)
+    def keys(nodes: slice, owners: np.ndarray) -> np.ndarray:
+        members = c.indices[c.indptr[nodes.start] : c.indptr[nodes.stop]]
+        return np.repeat(owners, sizes[nodes]) * width + (members - lo)
 
-    visit(root, 0)
+    covered = np.zeros(len(c.nodes), dtype=np.int64)
+    for level in c.levels:  # one level and its parents at a time
+        parents = slice(int(c.parent[level.start]), int(c.parent[level.stop - 1]) + 1)
+        held = keys(parents, np.arange(parents.start, parents.stop))
+        up = keys(level, c.parent[level])  # each child's members, keyed under its parent
+        outside = np.flatnonzero(~_isin_sorted(up, held)) + c.indptr[level.start]
+        for k in _sorted_unique(np.searchsorted(c.indptr, outside, side="right") - 1):
+            violations.append(f"child {c.nodes[k].path} not contained in parent {c.nodes[c.parent[k]].path}")
+        union = _sorted_unique(up)
+        del up
+        covered += np.bincount(union[_isin_sorted(union, held)] // width, minlength=len(c.nodes))
+    violations += [
+        f"children of {c.nodes[k].path} do not cover the parent"
+        for k in np.flatnonzero((c.m > 0) & (covered != sizes))
+    ]
+    depths = sorted(set(c.level[c.m == 0].tolist()))
     if len(depths) > 1:
-        violations.append(f"leaves at unequal depths: {sorted(depths)}")
+        violations.append(f"leaves at unequal depths: {depths}")
     return violations
 
 
@@ -239,8 +340,9 @@ def leaf_memberships(forest: ClassificationForest, i: int) -> list[list[tuple[in
         raise IndexError(f"hypothesis index {i} out of range [0, {forest.n})")
     out = []
     for tree in forest.trees:
-        paths = [leaf.path for leaf in tree.leaves if np.isin(i, leaf.members)]
-        out.append(paths)
+        c = _compile(tree)
+        hits = np.flatnonzero(c.leaf_rows() == i) + c.indptr[c.leaves[0]]
+        out.append([c.nodes[k].path for k in np.searchsorted(c.indptr, hits, side="right") - 1])
     return out
 
 
@@ -253,18 +355,13 @@ def leaf_memberships(forest: ClassificationForest, i: int) -> list[list[tuple[in
 
 
 def _encode_members(members: np.ndarray) -> list:
+    cuts = (np.flatnonzero(members[1:] - members[:-1] != 1) + 1).tolist()
     out = []
-    i = 0
-    m = members
-    while i < m.size:
-        j = i
-        while j + 1 < m.size and m[j + 1] == m[j] + 1:
-            j += 1
-        if j - i >= 2:
-            out.append([int(m[i]), int(m[j]) + 1])
+    for a, b in zip([0] + cuts, cuts + [members.size]):
+        if b - a >= 3:
+            out.append([int(members[a]), int(members[b - 1]) + 1])
         else:
-            out.extend(int(v) for v in m[i : j + 1])
-        i = j + 1
+            out.extend(members[a:b].tolist())
     return out
 
 
@@ -276,9 +373,7 @@ def _decode_members(encoded: list) -> np.ndarray:
             parts.append(np.arange(start, stop, dtype=np.int64))
         else:
             parts.append(np.array([item], dtype=np.int64))
-    if not parts:
-        return np.array([], dtype=np.int64)
-    return np.unique(np.concatenate(parts))
+    return _as_index_array(np.concatenate(parts) if parts else [])
 
 
 def forest_to_dict(forest: ClassificationForest) -> dict:

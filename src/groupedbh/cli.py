@@ -21,7 +21,7 @@ from .classification import (
     tree_from_levels,
     validate_forest,
 )
-from .stepup import outcome_metrics, weighted_bh
+from .stepup import _check_inputs, outcome_metrics, weighted_bh
 from .weights import (
     da_flat_weights,
     da_gen_weights,
@@ -40,7 +40,7 @@ class InputError(Exception):
 
 def read_pvalues(path) -> np.ndarray:
     """One decimal per line, or CSV rows of index,value (any header row is
-    skipped); values must lie in [0, 1]."""
+    skipped, and each index must appear once); values must lie in [0, 1]."""
     values = {}
     plain = []
     try:
@@ -52,11 +52,14 @@ def read_pvalues(path) -> np.ndarray:
                 if "," in line:
                     idx_s, val_s = [f.strip() for f in line.split(",")[:2]]
                     try:
-                        values[int(idx_s)] = float(val_s)
+                        idx, val = int(idx_s), float(val_s)
                     except ValueError:
                         if lineno == 0:
                             continue  # header
                         raise InputError(f"{path}:{lineno + 1}: cannot parse {line!r}")
+                    if idx in values:
+                        raise InputError(f"{path}:{lineno + 1}: index {idx} appears twice")
+                    values[idx] = val
                 else:
                     try:
                         plain.append(float(line))
@@ -76,8 +79,10 @@ def read_pvalues(path) -> np.ndarray:
         arr = np.array(plain)
     if arr.size == 0:
         raise InputError(f"{path}: no p-values found")
-    if ((arr < 0) | (arr > 1)).any():
-        raise InputError(f"{path}: p-values must lie in [0, 1]")
+    try:
+        _check_inputs(arr)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}")
     return arr
 
 
@@ -116,6 +121,11 @@ def _compute_weights(args, pvalues, truth) -> np.ndarray:
         return da_flat_weights(pvalues, args.lam) if adaptive else oracle_flat_weights(truth)
     forest = _load_structure(args, pvalues.size)
     if method == "hier":
+        if forest.s_count != 1:
+            raise InputError(
+                f"--method hier needs a spec with exactly one tree, {args.spec} has "
+                f"{forest.s_count}; use --method gen for several"
+            )
         tree = forest.trees[0]
         return (
             da_hier_weights(tree, pvalues, args.lam)

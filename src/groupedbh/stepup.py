@@ -24,6 +24,15 @@ class OutcomeMetrics:
     power: float
 
 
+def _check_inputs(pvalues: np.ndarray, weights: np.ndarray | None = None) -> None:
+    """Raise ValueError unless every p-value lies in [0, 1] and every weight
+    is non-negative (+inf allowed); NaN fails both checks."""
+    if not ((pvalues >= 0.0) & (pvalues <= 1.0)).all():
+        raise ValueError("p-values must lie in [0, 1]")
+    if weights is not None and not (weights >= 0.0).all():
+        raise ValueError("weights must be non-negative and not NaN")
+
+
 def weighted_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestOutcome:
     """Step-up rule on the weighted p-values W_i * P_i.
 
@@ -41,6 +50,7 @@ def weighted_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestO
         )
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_inputs(pvalues, weights)
     n = pvalues.size
     with np.errstate(invalid="ignore"):
         wp = weights * pvalues
@@ -58,10 +68,13 @@ def brute_force_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> Te
     """Independent O(N^2) evaluation of the step-up rule, used as an oracle.
 
     For each candidate rank j it recounts how many weighted p-values fall
-    at or below j * alpha / N, instead of sorting once.
+    at or below j * alpha / N, instead of sorting once. Exactly k of them
+    fall at or below k * alpha / N, so no tie needs breaking: were there
+    more than k, rank k + 1 would qualify too.
     """
     pvalues = np.asarray(pvalues, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    _check_inputs(pvalues, weights)
     n = pvalues.size
     with np.errstate(invalid="ignore"):
         wp = weights * pvalues
@@ -70,12 +83,7 @@ def brute_force_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> Te
     counts = (wp[None, :] <= thresholds[:, None]).sum(axis=1)
     satisfied = np.flatnonzero(counts >= np.arange(1, n + 1))
     k = int(satisfied[-1]) + 1 if satisfied.size else 0
-    rejected = wp <= (k * alpha / n) if k else np.zeros(n, dtype=bool)
-    # break ties at the cutoff so exactly k hypotheses are rejected
-    if k and rejected.sum() > k:
-        order = np.lexsort((np.arange(n), wp))
-        rejected = np.zeros(n, dtype=bool)
-        rejected[order[:k]] = True
+    rejected = wp <= thresholds[k - 1] if k else np.zeros(n, dtype=bool)
     return TestOutcome(rejected=rejected, threshold_index=k, alpha=alpha)
 
 

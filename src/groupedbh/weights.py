@@ -19,25 +19,55 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classification import ClassificationForest, GroupNode, HierTree, group_stats
+from .classification import ClassificationForest, HierTree, _as_index_array, _compile, _CompiledTree
 
 
-def _ratio(pi0: float) -> float:
-    """pi0 / (1 - pi0) on the extended positive reals."""
-    if pi0 >= 1.0:
-        return math.inf
-    return pi0 / (1.0 - pi0)
+def _assemble(
+    n: int,
+    rows: np.ndarray,
+    sizes: np.ndarray,
+    leaf_effects: np.ndarray,
+    leaf_null_mass: np.ndarray,
+) -> np.ndarray:
+    """Turn per-leaf effects into per-hypothesis weights.
+
+    ``rows`` lists every leaf's members, leaf after leaf, and ``sizes`` the
+    leaf sizes. W_i = A / sum_{leaves containing i} 1/w_leaf, where the
+    normalizer A = (1/N) * sum_leaves (null mass)/w_leaf makes Condition 1
+    hold for the null mass used (exact counts for oracle, estimates for
+    adaptive). A leaf with w = 0 zeroes its members' weights; one with
+    w = +inf adds nothing, so members of no other leaf get +inf.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / leaf_effects
+        terms = leaf_null_mass / leaf_effects
+    inv_sum = np.bincount(rows, weights=np.repeat(inv, sizes), minlength=n)
+    norm = math.fsum(terms[(leaf_null_mass > 0.0) & ~np.isinf(leaf_effects)]) / n
+    weights = np.full(n, math.inf)
+    weights[np.isinf(inv_sum)] = 0.0
+    finite = ~np.isinf(inv_sum) & (inv_sum != 0.0)
+    weights[finite] = norm / inv_sum[finite]
+    return weights
 
 
-def _safe_div(a: float, b: float) -> float:
-    """a / b with 0/0 -> 0 and x/0 -> inf, x/inf -> 0."""
-    if a == 0.0:
-        return 0.0
-    if b == 0.0:
-        return math.inf
-    if math.isinf(b):
-        return 0.0
-    return a / b
+def _leaf_weights(c: _CompiledTree, effects: np.ndarray, null_mass: np.ndarray) -> np.ndarray:
+    return _assemble(c.n, c.leaf_rows(), c.sizes[c.leaves], effects[c.leaves], null_mass[c.leaves])
+
+
+def _by_path(c: _CompiledTree, effects: np.ndarray) -> dict[tuple[int, ...], float]:
+    return dict(zip((node.path for node in c.nodes), effects.tolist()))
+
+
+def _check_partitions(forest: ClassificationForest) -> None:
+    """The S-way precondition: every tree is a depth-1 partition."""
+    for tree in forest.trees:
+        if tree.depth != 1:
+            raise ValueError("S-way weights need depth-1 trees; use the generalized form otherwise")
+        hits = np.bincount(np.concatenate([leaf.members for leaf in tree.leaves]), minlength=forest.n)
+        if (hits > 1).any():
+            raise ValueError("S-way trees must not have overlapping groups")
+        if (hits == 0).any():
+            raise ValueError("every hypothesis must belong to a group in each tree")
 
 
 # ---------------------------------------------------------------------------
@@ -68,161 +98,62 @@ def oracle_overlap_oneway_weights(
         raise ValueError("one effect per group required")
     if (group_effects <= 0).any() or not np.isfinite(group_effects).all():
         raise ValueError("group effects must be finite and positive")
-    members = [np.asarray(g, dtype=np.int64) for g in groups]
+    members = [_as_index_array(g) for g in groups]
+    rows = np.concatenate(members) if members else np.zeros(0, dtype=np.int64)
     covered = np.zeros(n, dtype=bool)
-    for mem in members:
-        covered[mem] = True
+    covered[rows] = True
     if not covered.all():
         raise ValueError("every hypothesis must belong to at least one group")
     n0_g = np.array([is_null[mem].sum() for mem in members], dtype=float)
-    return _assemble(n, members, group_effects, n0_g)
+    return _assemble(n, rows, [mem.size for mem in members], group_effects, n0_g)
 
 
-def _assemble(
-    n: int,
-    leaf_members: list[np.ndarray],
-    leaf_effects: np.ndarray,
-    leaf_null_mass: np.ndarray,
-) -> np.ndarray:
-    """Turn per-leaf effects into per-hypothesis weights.
-
-    W_i = A / sum_{leaves containing i} 1/w_leaf, where the normalizer
-    A = (1/N) * sum_leaves (null mass)/w_leaf makes Condition 1 hold for
-    the null mass used (exact counts for oracle, estimates for adaptive).
-    """
-    inv_sum = np.zeros(n)
-    a_terms = []
-    for mem, w, mass in zip(leaf_members, leaf_effects, leaf_null_mass):
-        if w == 0.0:
-            inv_sum[mem] = math.inf
-        elif not math.isinf(w):
-            inv_sum[mem] += 1.0 / w
-        if mass > 0.0 and not math.isinf(w):
-            a_terms.append(_safe_div(mass, w))
-    norm = math.fsum(a_terms) / n
-    weights = np.empty(n)
-    zero = np.isinf(inv_sum)
-    never = inv_sum == 0.0
-    finite = ~zero & ~never
-    weights[zero] = 0.0
-    weights[never] = math.inf
-    if math.isinf(norm):
-        weights[finite] = math.inf
-    else:
-        weights[finite] = norm / inv_sum[finite]
-    return weights
-
-
-def oracle_hier_effects(
-    tree: HierTree, is_null: np.ndarray, recursion: str = "forward"
-) -> dict[tuple[int, ...], float]:
-    """Per-node grouping effects w_{g1...gl} under known truth.
-
-    ``recursion="forward"`` chains each level off its parent,
-    w_l = pi0 (1 - pi0) r_l / w_{l-1} with r_l = pi0_l / (1 - pi0_l);
-    ``recursion="alternate"`` uses the equivalent two-step form
-    w_l = w_{l-2} * r_l / r_{l-1}. Both seed w at the root with the global
-    null proportion.
-    """
-    if recursion not in ("forward", "alternate"):
-        raise ValueError(f"unknown recursion {recursion!r}")
-    is_null = np.asarray(is_null, dtype=bool)
+def _oracle_effects(c: _CompiledTree, is_null: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node effects and null counts. The root holds the global null
+    proportion pi0; below it w_l = pi0 (1 - pi0) r_l / w_{l-1} with the
+    null odds r_l = pi0_l / (1 - pi0_l), and r_l in {0, +inf} passes
+    straight through as the effect."""
+    n0 = c.counts(is_null)
     pi0 = float(is_null.mean())
-    effects: dict[tuple[int, ...], float] = {(): pi0}
-    ratios: dict[tuple[int, ...], float] = {}
-
-    def visit(node: GroupNode):
-        for child in node.children:
-            _, _, pi0_c = group_stats(child, is_null)
-            r = _ratio(pi0_c)
-            ratios[child.path] = r
-            if recursion == "forward":
-                if r == 0.0:
-                    w = 0.0
-                elif math.isinf(r):
-                    w = math.inf
-                else:
-                    w = pi0 * (1.0 - pi0) * _safe_div(r, effects[node.path])
-            else:
-                if len(child.path) == 1:
-                    w = 0.0 if r == 0.0 else (1.0 - pi0) * r
-                else:
-                    w_gp = effects[node.path[:-1]]
-                    r_parent = ratios[node.path]
-                    if r == 0.0:
-                        w = 0.0
-                    elif math.isinf(r):
-                        w = math.inf
-                    else:
-                        w = _safe_div(w_gp * r, r_parent) if not math.isinf(w_gp) else math.inf
-            effects[child.path] = w
-            visit(child)
-
-    visit(tree.root)
-    return effects
+    effects = np.empty(n0.size)
+    effects[0] = pi0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pi0_g = n0 / c.sizes
+        r = pi0_g / (1.0 - pi0_g)
+        for s in c.levels:
+            chained = pi0 * (1.0 - pi0) * (r[s] / effects[c.parent[s]])
+            effects[s] = np.where((r[s] == 0.0) | np.isinf(r[s]), r[s], chained)
+    return effects, n0
 
 
-def oracle_hier_weights(
-    tree: HierTree, is_null: np.ndarray, recursion: str = "forward"
-) -> np.ndarray:
+def oracle_hier_effects(tree: HierTree, is_null: np.ndarray) -> dict[tuple[int, ...], float]:
+    """Per-node grouping effects w_{g1...gl} under known truth, by the
+    forward recursion w_l = pi0 (1 - pi0) r_l / w_{l-1} with
+    r_l = pi0_l / (1 - pi0_l), seeded at the root with the global null
+    proportion."""
+    c = _compile(tree)
+    return _by_path(c, _oracle_effects(c, np.asarray(is_null, dtype=bool))[0])
+
+
+def oracle_hier_weights(tree: HierTree, is_null: np.ndarray) -> np.ndarray:
     """Hierarchically grouped oracle weights (overlap-aware)."""
     is_null = np.asarray(is_null, dtype=bool)
     pi0 = float(is_null.mean())
     if pi0 == 0.0 or pi0 == 1.0 or tree.depth == 0:
         return np.full(tree.n, pi0)
-    effects = oracle_hier_effects(tree, is_null, recursion=recursion)
-    leaves = tree.leaves
-    members = [leaf.members for leaf in leaves]
-    w = np.array([effects[leaf.path] for leaf in leaves])
-    n0 = np.array([group_stats(leaf, is_null)[1] for leaf in leaves], dtype=float)
-    return _assemble(tree.n, members, w, n0)
-
-
-def _sway_marginal_effects(forest: ClassificationForest, is_null: np.ndarray) -> list[np.ndarray]:
-    is_null = np.asarray(is_null, dtype=bool)
-    pi0 = float(is_null.mean())
-    per_tree = []
-    for tree in forest.trees:
-        if tree.depth != 1:
-            raise ValueError("S-way weights need depth-1 trees; use the generalized form otherwise")
-        effects = []
-        for leaf in tree.leaves:
-            _, _, pi0_g = group_stats(leaf, is_null)
-            r = _ratio(pi0_g)
-            effects.append(0.0 if r == 0.0 else (1.0 - pi0) * r)
-        per_tree.append(np.array(effects))
-    return per_tree
+    c = _compile(tree)
+    return _leaf_weights(c, *_oracle_effects(c, is_null))
 
 
 def oracle_sway_weights(forest: ClassificationForest, is_null: np.ndarray) -> np.ndarray:
-    """Simultaneous S-way oracle weights: per-cell harmonic mean of the
-    marginal group effects, each tree a non-overlapping partition."""
-    is_null = np.asarray(is_null, dtype=bool)
-    pi0 = float(is_null.mean())
-    if pi0 == 0.0 or pi0 == 1.0:
-        return np.full(forest.n, pi0)
-    inv_acc = np.zeros(forest.n)
-    for tree, effects in zip(forest.trees, _sway_marginal_effects(forest, is_null)):
-        seen = np.zeros(forest.n, dtype=bool)
-        for leaf, w in zip(tree.leaves, effects):
-            if seen[leaf.members].any():
-                raise ValueError("S-way trees must not have overlapping groups")
-            seen[leaf.members] = True
-            inv_acc[leaf.members] += _safe_div(1.0, w)
-        if not seen.all():
-            raise ValueError("every hypothesis must belong to a group in each tree")
-    inv_mean = inv_acc / forest.s_count
-    weights = np.empty(forest.n)
-    weights[np.isinf(inv_mean)] = 0.0
-    weights[inv_mean == 0.0] = math.inf
-    ok = np.isfinite(inv_mean) & (inv_mean > 0.0)
-    weights[ok] = 1.0 / inv_mean[ok]
-    return weights
+    """Simultaneous S-way oracle weights: the generalized weights of a
+    forest whose trees are depth-1, non-overlapping partitions, i.e. the
+    per-cell harmonic mean of the marginal group effects."""
+    _check_partitions(forest)
+    return oracle_gen_weights(forest, is_null)
 
 
-def oracle_gen_weights(
-    forest: ClassificationForest, is_null: np.ndarray, recursion: str = "forward"
-) -> np.ndarray:
+def oracle_gen_weights(forest: ClassificationForest, is_null: np.ndarray) -> np.ndarray:
     """Generalized oracle weights: harmonic mean over trees of the per-tree
     hierarchical weights."""
     is_null = np.asarray(is_null, dtype=bool)
@@ -230,17 +161,10 @@ def oracle_gen_weights(
     if pi0 == 0.0 or pi0 == 1.0:
         return np.full(forest.n, pi0)
     inv_acc = np.zeros(forest.n)
-    for tree in forest.trees:
-        w_tree = oracle_hier_weights(tree, is_null, recursion=recursion)
-        with np.errstate(divide="ignore"):
-            inv_acc += np.where(w_tree == 0.0, math.inf, 1.0 / w_tree)
-    inv_mean = inv_acc / forest.s_count
-    weights = np.empty(forest.n)
-    weights[np.isinf(inv_mean)] = 0.0
-    weights[inv_mean == 0.0] = math.inf
-    ok = np.isfinite(inv_mean) & (inv_mean > 0.0)
-    weights[ok] = 1.0 / inv_mean[ok]
-    return weights
+    with np.errstate(divide="ignore"):
+        for tree in forest.trees:
+            inv_acc += 1.0 / oracle_hier_weights(tree, is_null)
+        return 1.0 / (inv_acc / forest.s_count)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +196,34 @@ def da_flat_weights(pvalues: np.ndarray, lam: float) -> np.ndarray:
     return np.full(pvalues.size, est.n_hat0 / pvalues.size)
 
 
+def _da_effects(
+    c: _CompiledTree, pvalues: np.ndarray, lam: float, ancestor_mode: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node estimated effects and Storey null counts; see
+    :func:`da_hier_effects`."""
+    if ancestor_mode not in ("recursive", "direct"):
+        raise ValueError(f"unknown ancestor_mode {ancestor_mode!r}")
+    if pvalues.size != c.n:
+        raise ValueError("p-value vector length must equal the tree's n")
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
+    n = c.n
+    nhat = (c.sizes - c.counts(pvalues <= lam) + 1) / (1.0 - lam)
+    effects = np.empty(nhat.size)
+    effects[0] = nhat[0] / n
+    if ancestor_mode == "recursive":
+        up = c.parent[1:]
+        effects[1:] = nhat[1:] * c.mult[up] * c.m[up] / n
+        return effects, nhat
+    for s in c.levels:
+        up = c.parent[s]
+        if s.start == 1:
+            effects[s] = (nhat[s] / n) * c.m[up]
+        else:
+            effects[s] = effects[c.parent[up]] * (nhat[s] / nhat[up]) * c.m[up]
+    return effects, nhat
+
+
 def da_hier_effects(
     tree: HierTree,
     pvalues: np.ndarray,
@@ -289,57 +241,15 @@ def da_hier_effects(
     * ``"recursive"``: an ancestor's count is m_l times its descendant's,
       taken along each leaf's own lineage. This keeps every weight a
       non-decreasing function of every p-value, which is the hypothesis
-      the adaptive FDR guarantee rests on.
+      the adaptive FDR guarantee rests on. The chain then telescopes to
+      w_hat = n_hat0 * (product of branching factors) / N.
     * ``"direct"``: every node's count is the Storey estimate over its own
       member p-values. This matches how the two-level brain-region example
       is usually computed, but with three or more level-1 groups a deep
       chain loses coordinate-wise monotonicity.
     """
-    if ancestor_mode not in ("recursive", "direct"):
-        raise ValueError(f"unknown ancestor_mode {ancestor_mode!r}")
-    pvalues = np.asarray(pvalues, dtype=float)
-    if pvalues.size != tree.n:
-        raise ValueError("p-value vector length must equal the tree's n")
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-
-    n = tree.n
-    nhat_direct: dict[tuple[int, ...], float] = {}
-    for node in tree.root.walk():
-        nhat_direct[node.path] = storey_null_estimate(pvalues[node.members], lam).n_hat0
-
-    effects: dict[tuple[int, ...], float] = {}
-
-    if ancestor_mode == "direct":
-        effects[()] = nhat_direct[()] / n
-
-        def visit(node: GroupNode):
-            m_l = len(node.children)
-            for child in node.children:
-                if child.level == 1:
-                    w = (nhat_direct[child.path] / n) * m_l
-                else:
-                    w_gp = effects[node.path[:-1]]
-                    w = w_gp * (nhat_direct[child.path] / nhat_direct[node.path]) * m_l
-                effects[child.path] = w
-                visit(child)
-
-        visit(tree.root)
-        return effects
-
-    # recursive mode: chain each leaf's lineage with ancestor counts
-    # n_hat0_{l-1} = m_l * n_hat0_l, which telescopes to
-    # w_hat_leaf = n_hat0_leaf * (prod of branching factors) / N.
-    effects[()] = nhat_direct[()] / n
-
-    def visit_rec(node: GroupNode, mult: int):
-        m_l = len(node.children)
-        for child in node.children:
-            effects[child.path] = nhat_direct[child.path] * mult * m_l / n
-            visit_rec(child, mult * m_l)
-
-    visit_rec(tree.root, 1)
-    return effects
+    c = _compile(tree)
+    return _by_path(c, _da_effects(c, np.asarray(pvalues, dtype=float), lam, ancestor_mode)[0])
 
 
 def da_hier_weights(
@@ -352,39 +262,16 @@ def da_hier_weights(
     pvalues = np.asarray(pvalues, dtype=float)
     if tree.depth == 0:
         return da_flat_weights(pvalues, lam)
-    effects = da_hier_effects(tree, pvalues, lam, ancestor_mode=ancestor_mode)
-    leaves = tree.leaves
-    members = [leaf.members for leaf in leaves]
-    w = np.array([effects[leaf.path] for leaf in leaves])
-    nhat0 = np.array(
-        [storey_null_estimate(pvalues[leaf.members], lam).n_hat0 for leaf in leaves]
-    )
-    return _assemble(tree.n, members, w, nhat0)
+    c = _compile(tree)
+    return _leaf_weights(c, *_da_effects(c, pvalues, lam, ancestor_mode))
 
 
 def da_sway_weights(forest: ClassificationForest, pvalues: np.ndarray, lam: float) -> np.ndarray:
-    """Data-adaptive S-way weights: harmonic mean over classifications of
-    the estimated marginal effects."""
-    pvalues = np.asarray(pvalues, dtype=float)
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    n = forest.n
-    inv_acc = np.zeros(n)
-    for tree in forest.trees:
-        if tree.depth != 1:
-            raise ValueError("S-way weights need depth-1 trees; use the generalized form otherwise")
-        m_s = len(tree.leaves)
-        seen = np.zeros(n, dtype=bool)
-        for leaf in tree.leaves:
-            if seen[leaf.members].any():
-                raise ValueError("S-way trees must not have overlapping groups")
-            seen[leaf.members] = True
-            r = int(np.count_nonzero(pvalues[leaf.members] <= lam))
-            w = (leaf.members.size - r + 1) / (n * (1.0 - lam)) * m_s
-            inv_acc[leaf.members] += 1.0 / w
-        if not seen.all():
-            raise ValueError("every hypothesis must belong to a group in each tree")
-    return forest.s_count / inv_acc
+    """Data-adaptive S-way weights: the generalized adaptive weights of a
+    forest of depth-1, non-overlapping partitions, i.e. the harmonic mean
+    over classifications of the estimated marginal effects."""
+    _check_partitions(forest)
+    return da_gen_weights(forest, pvalues, lam)
 
 
 def da_gen_weights(

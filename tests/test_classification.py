@@ -6,6 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from groupedbh.classification import (
     ClassificationForest,
+    GroupNode,
+    HierTree,
+    _compile,
+    _decode_members,
+    _encode_members,
     flat_tree,
     forest_from_dict,
     forest_from_grid,
@@ -93,6 +98,58 @@ def test_validate_catches_unequal_leaf_depth():
     level2 = [((1, 1), np.arange(0, 3))]  # group (2,) keeps no children
     t = tree_from_levels(6, [level1, level2])
     assert any("unequal depths" in msg for msg in validate_tree(t))
+
+
+def test_validate_catches_siblings_sharing_a_path():
+    # both groups hang under the root as (1,), so path-keyed effects merge them
+    t = tree_from_levels(10, [[((1,), np.arange(0, 4)), ((1,), np.arange(4, 10))]])
+    problems = validate_tree(t)
+    assert "sibling groups share path (1,)" in problems
+    assert "children of () are not numbered 1..2" in problems
+    assert validate_forest(forest_from_dict(forest_to_dict(ClassificationForest(n=10, trees=(t,)))))
+
+
+def test_validate_catches_sibling_numbering_gap():
+    t = tree_from_levels(6, [[((1,), np.arange(0, 3)), ((3,), np.arange(3, 6))]])
+    assert validate_tree(t) == ["children of () are not numbered 1..2"]
+
+
+def test_validate_catches_path_outside_parent_lineage():
+    leaf = GroupNode(path=(2, 1), members=np.arange(4))
+    t = HierTree(n=4, root=GroupNode(path=(), members=np.arange(4), children=(
+        GroupNode(path=(1,), members=np.arange(4), children=(leaf,)),
+    )))
+    assert validate_tree(t) == ["children of (1,) are not numbered 1..1"]
+
+
+def test_validate_catches_empty_and_out_of_range_groups():
+    t = tree_from_levels(
+        4, [[((1,), np.arange(0, 4)), ((2,), np.array([], dtype=np.int64)), ((3,), np.array([2, 7]))]]
+    )
+    problems = validate_tree(t)
+    assert "empty group at path (2,)" in problems
+    assert "index out of range [0, 4) at path (3,)" in problems
+    assert "child (3,) not contained in parent ()" in problems
+
+
+def test_compiled_form_is_level_ordered_csr():
+    c = _compile(two_level_overlap_tree())
+    assert [node.path for node in c.nodes] == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
+    assert c.parent.tolist() == [-1, 0, 0, 1, 1, 2, 2]
+    assert c.level.tolist() == [0, 1, 1, 2, 2, 2, 2]
+    assert c.m.tolist() == [2, 2, 2, 0, 0, 0, 0]
+    assert c.leaves.tolist() == [3, 4, 5, 6]
+    assert c.indptr.tolist() == [0, 12, 20, 28, 32, 36, 40, 44]
+    assert (c.indices[c.indptr[2] : c.indptr[3]] == np.arange(4, 12)).all()
+    assert (c.leaf_rows() == np.r_[0:8, 4:12]).all()
+    assert c.counts(np.arange(12) < 6).tolist() == [6, 6, 2, 4, 2, 2, 0]
+
+
+def test_member_runs_encode_from_three():
+    members = np.array([0, 1, 2, 5, 7, 8, 10, 11, 12, 13])
+    assert _encode_members(members) == [[0, 3], 5, 7, 8, [10, 14]]
+    assert _encode_members(np.array([], dtype=np.int64)) == []
+    assert (_decode_members([[0, 3], 5, 7, 8, [10, 14]]) == members).all()
 
 
 def test_forest_from_grid():

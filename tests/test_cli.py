@@ -30,6 +30,24 @@ class TestReaders:
         with pytest.raises(InputError, match=r"\[0, 1\]"):
             read_pvalues(f)
 
+    def test_rejects_nan_line(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        write_lines(f, [0.1, "nan", 0.3])
+        from groupedbh.cli import InputError
+
+        with pytest.raises(InputError, match=r"\[0, 1\]"):
+            read_pvalues(f)
+        assert main(["test", "--pvalues", str(f), "--method", "flat", "--adaptive"]) == 2
+        assert "[0, 1]" in capsys.readouterr().err
+
+    def test_rejects_repeated_index(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text("index,pvalue\n0,0.1\n1,0.9\n1,0.5\n")
+        from groupedbh.cli import InputError
+
+        with pytest.raises(InputError, match="index 1 appears twice"):
+            read_pvalues(f)
+
     def test_truth_labels(self, tmp_path):
         f = tmp_path / "t.txt"
         write_lines(f, [1, 0, 1])
@@ -186,6 +204,17 @@ class TestCmdGenSpec:
             assert len(tree.nodes_at_level(1)) == 6
         # boundary electrodes sit in two regions: more leaf slots than electrodes
         assert len(forest.trees[0].leaves) == 61 + 7
+
+    def test_hier_rejects_a_spec_of_several_trees(self, tmp_path, capsys):
+        spec = tmp_path / "eeg.json"
+        main(["gen-spec", "--layout", "eeg", "--out", str(spec)])
+        pfile = tmp_path / "p.txt"
+        write_lines(pfile, np.random.default_rng(0).uniform(size=61 * 256).round(6).tolist())
+        rc = main(
+            ["test", "--pvalues", str(pfile), "--method", "hier", "--adaptive", "--spec", str(spec)]
+        )
+        assert rc == 2
+        assert "exactly one tree" in capsys.readouterr().err
 
     def test_round_trip_through_test_command(self, tmp_path):
         spec = tmp_path / "sim.json"

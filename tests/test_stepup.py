@@ -135,3 +135,33 @@ class TestOutcomeMetrics:
         out = weighted_bh(np.array([0.5]), np.ones(1), 0.05)
         with pytest.raises(ValueError, match="length"):
             outcome_metrics(out, np.array([True, False]))
+
+
+@pytest.mark.parametrize("rule", [weighted_bh, brute_force_bh])
+@pytest.mark.parametrize("p", [[-1.0, 0.5, 0.9], [0.1, 1.5, 0.2], [0.1, np.nan, 0.2]])
+def test_pvalues_outside_unit_interval_rejected(rule, p):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        rule(np.array(p), np.ones(3), 0.05)
+
+
+@pytest.mark.parametrize("rule", [weighted_bh, brute_force_bh])
+@pytest.mark.parametrize("w", [[1.0, -0.5, 1.0], [1.0, np.nan, 1.0]])
+def test_negative_or_nan_weights_rejected(rule, w):
+    with pytest.raises(ValueError, match="weights"):
+        rule(np.array([0.1, 0.2, 0.3]), np.array(w), 0.05)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.01, 0.02, 0.05, 0.5]), min_size=1, max_size=30),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, np.inf]), min_size=30, max_size=30),
+    st.sampled_from([0.05, 0.1, 0.2]),
+)
+def test_matches_brute_force_under_heavy_ties(pvals, weights, alpha):
+    # brute_force_bh rejects every wp <= k alpha / N with no tie-break
+    p = np.array(pvals)
+    w = np.array(weights[: p.size])
+    a = weighted_bh(p, w, alpha)
+    b = brute_force_bh(p, w, alpha)
+    assert a.threshold_index == b.threshold_index == b.n_rejected
+    assert (a.rejected == b.rejected).all()

@@ -10,6 +10,7 @@ from groupedbh.classification import (
     forest_from_grid,
     tree_from_levels,
 )
+from groupedbh.identities import _alternate_hier_effects
 from groupedbh.weights import (
     da_flat_weights,
     da_gen_weights,
@@ -89,17 +90,13 @@ class TestOracleHier:
             truth = rng.uniform(size=20) < rng.uniform(0.2, 0.8)
             if truth.all() or not truth.any():
                 continue
-            fwd = oracle_hier_effects(tree, truth, recursion="forward")
-            alt = oracle_hier_effects(tree, truth, recursion="alternate")
+            fwd = oracle_hier_effects(tree, truth)
+            alt = _alternate_hier_effects(tree, truth)
             for path in fwd:
                 if math.isinf(fwd[path]):
                     assert math.isinf(alt[path])
                 else:
                     assert fwd[path] == pytest.approx(alt[path], rel=1e-12)
-
-    def test_unknown_recursion_rejected(self):
-        with pytest.raises(ValueError):
-            oracle_hier_effects(ten_hypothesis_tree(), TEN_TRUTH, recursion="bogus")
 
     def test_all_null_group_never_rejected(self):
         truth = np.array([1, 1, 1, 1, 1, 1, 0, 0, 0, 0], dtype=bool)
@@ -166,6 +163,15 @@ class TestOracleSway:
         assert w[2] == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert w[3] == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert w[4] == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert math.fsum(1.0 / w[truth]) == pytest.approx(6.0, rel=1e-12)
+
+    def test_condition1_with_a_group_without_nulls(self):
+        # column 0 holds no null, so its cells get weight 0; the other
+        # weights still normalize to N over the nulls
+        forest = forest_from_grid((2, 3))
+        truth = np.array([0, 1, 1, 0, 1, 0], dtype=bool)
+        w = oracle_sway_weights(forest, truth)
+        assert (w[[0, 3]] == 0.0).all()
         assert math.fsum(1.0 / w[truth]) == pytest.approx(6.0, rel=1e-12)
 
     def test_equal_marginals_give_equal_weights(self):
