@@ -405,7 +405,7 @@ def forest_from_dict(data: dict) -> ClassificationForest:
 
 def save_forest(forest: ClassificationForest, path) -> None:
     with open(path, "w") as fh:
-        json.dump(forest_to_dict(forest), fh, indent=1)
+        json.dump(forest_to_dict(forest), fh, separators=(",", ":"))
         fh.write("\n")
 
 

@@ -154,8 +154,11 @@ def cmd_test(args) -> int:
         raise InputError(
             f"{truth.size} truth labels but {pvalues.size} p-values"
         )
-    weights = _compute_weights(args, pvalues, truth)
-    outcome = weighted_bh(pvalues, weights, args.alpha)
+    try:
+        weights = _compute_weights(args, pvalues, truth)
+        outcome = weighted_bh(pvalues, weights, args.alpha)
+    except ValueError as exc:  # the library's rejection of bad input
+        raise InputError(str(exc))
     lines = [
         f"# method={args.method}",
         f"# adaptive={args.adaptive}",

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from .classification import HierTree, tree_from_levels
 from .stepup import outcome_metrics, weighted_bh
@@ -69,6 +68,8 @@ class SimulationPlan:
             problems.append(f"lambda must lie in (0, 1), got {self.lam}")
         if not 0.0 < self.alpha < 1.0:
             problems.append(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not self.one_minus_pi0_grid:
+            problems.append("density grid must not be empty")
         if any(not 0.0 <= d <= 1.0 for d in self.one_minus_pi0_grid):
             problems.append("density grid values must lie in [0, 1]")
         if self.replicates < 1:
@@ -159,7 +160,9 @@ def generate_statistics(
 
 def pvalues_from_statistics(x: np.ndarray) -> np.ndarray:
     """One-sided upper-tail p-values, p_i = P(Z > x_i) for Z ~ N(0, 1)."""
-    return norm.sf(np.asarray(x, dtype=float).reshape(-1))
+    from scipy.special import ndtr  # imported here so other commands start without scipy
+
+    return ndtr(-np.asarray(x, dtype=float).reshape(-1))
 
 
 def simulation_tree(m: int = 50, n: int = 100) -> HierTree:

@@ -38,9 +38,20 @@ def weighted_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestO
 
     Rejects the hypotheses at sorted ranks 1..k where k is the largest j
     with the j-th smallest weighted p-value <= j * alpha / N (k = 0 when no
-    rank qualifies). Ties sort stably by original index; infinite weighted
-    p-values sort last and never qualify. Weighted p-values are compared
-    raw, without clipping to 1.
+    rank qualifies). Infinite weighted p-values never qualify. Weighted
+    p-values are compared raw, without clipping to 1.
+
+    No sort is needed, only counts. For each hypothesis, ceil(wp * N / alpha)
+    guesses the first rank j whose threshold j * alpha / N it meets; exact
+    ``<=`` comparisons against the thresholds then move each guess until it
+    is exact. The j-th smallest weighted p-value is <= j * alpha / N exactly
+    when at least j weighted p-values are, and that count is the cumulative
+    sum of the first ranks, so k is the last rank j where the sum reaches j.
+
+    Rejecting ``wp <= k * alpha / N`` is exactly rejecting sorted ranks 1..k:
+    were more than k weighted p-values at or below k * alpha / N, rank k + 1
+    would qualify too, so exactly k are, and they are the k smallest (ties
+    with the k-th fall on the same side of the threshold).
     """
     pvalues = np.asarray(pvalues, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -55,13 +66,23 @@ def weighted_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestO
     with np.errstate(invalid="ignore"):
         wp = weights * pvalues
     wp[np.isinf(weights)] = np.inf  # never rejectable, even at p = 0
-    order = np.lexsort((np.arange(n), wp))
     thresholds = alpha * np.arange(1, n + 1) / n
-    ok = wp[order] <= thresholds
-    k = int(np.flatnonzero(ok)[-1]) + 1 if ok.any() else 0
-    rejected = np.zeros(n, dtype=bool)
-    rejected[order[:k]] = True
-    return TestOutcome(rejected=rejected, threshold_index=k, alpha=alpha)
+    # first[i] = j - 1 for the first rank j with wp[i] <= thresholds[j - 1],
+    # or n if none; it is exact once bounds[first] < wp <= bounds[first + 1]
+    bounds = np.concatenate(([-np.inf], thresholds, [np.inf]))
+    with np.errstate(over="ignore"):
+        first = np.clip(np.ceil(wp * (n / alpha)) - 1.0, 0, n).astype(np.intp)
+    while True:
+        up = wp > bounds[first + 1]
+        down = wp <= bounds[first]
+        if not (up.any() or down.any()):
+            break
+        first += up
+        first -= down
+    at_or_below = np.cumsum(np.bincount(first, minlength=n + 1)[:n])
+    satisfied = np.flatnonzero(at_or_below >= np.arange(1, n + 1))
+    k = int(satisfied[-1]) + 1 if satisfied.size else 0
+    return TestOutcome(rejected=first < k, threshold_index=k, alpha=alpha)
 
 
 def brute_force_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestOutcome:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import groupedbh
 from groupedbh.classification import load_forest, validate_forest
 from groupedbh.cli import main, read_pvalues, read_truth
 
@@ -131,6 +136,16 @@ class TestCmdTest:
         assert rc == 2
         assert "malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, message", [(["--alpha", "2"], "alpha"), (["--lambda", "1.5"], "lambda")]
+    )
+    def test_out_of_range_level_exits_2(self, tmp_path, capsys, option, message):
+        pfile = tmp_path / "p.txt"
+        write_lines(pfile, [0.01, 0.5, 0.9])
+        rc = main(["test", "--pvalues", str(pfile), "--method", "flat", "--adaptive"] + option)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCmdSimulate:
     def test_deterministic_csv_bytes(self, tmp_path):
@@ -163,6 +178,13 @@ class TestCmdSimulate:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 4
         assert [line.split(",")[1] for line in lines[1:]] == ["0.0", "0.5", "1.0"]
+
+    def test_empty_grid_rejected(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        rc = main(["simulate", "--out", str(out), "--grid", "0", "--replicates", "2"])
+        assert rc == 2
+        assert "grid must not be empty" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCmdValidate:
@@ -216,6 +238,17 @@ class TestCmdGenSpec:
         assert rc == 2
         assert "exactly one tree" in capsys.readouterr().err
 
+    def test_sway_rejects_a_deep_tree(self, tmp_path, capsys):
+        spec = tmp_path / "sim.json"
+        main(["gen-spec", "--layout", "simulation", "--out", str(spec)])
+        pfile = tmp_path / "p.txt"
+        write_lines(pfile, np.random.default_rng(0).uniform(size=5000).round(6).tolist())
+        rc = main(
+            ["test", "--pvalues", str(pfile), "--method", "sway", "--adaptive", "--spec", str(spec)]
+        )
+        assert rc == 2
+        assert "error: S-way weights need depth-1 trees" in capsys.readouterr().err
+
     def test_round_trip_through_test_command(self, tmp_path):
         spec = tmp_path / "sim.json"
         main(["gen-spec", "--layout", "simulation", "--out", str(spec)])
@@ -229,3 +262,17 @@ class TestCmdGenSpec:
         )
         assert rc == 0
         assert out.read_text().count("\n") == 8 + 5000  # header block + rows
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.stats alone costs about a second at start-up; only simulate
+    # needs scipy, and it imports scipy.special when it runs
+    src = str(Path(groupedbh.__file__).resolve().parents[1])
+    code = (
+        "import sys, groupedbh.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

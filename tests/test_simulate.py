@@ -151,6 +151,12 @@ class TestPvalues:
         expected = np.array([0.5 * math.erfc(x / math.sqrt(2.0)) for x in xs])
         assert np.abs(p - expected).max() < 1e-14
 
+    def test_bit_identical_to_norm_sf(self):
+        from scipy.stats import norm
+
+        xs = np.concatenate([np.linspace(-40.0, 40.0, 200_001), [-np.inf, np.inf, -0.0]])
+        assert np.array_equal(pvalues_from_statistics(xs), norm.sf(xs))
+
     def test_flattens_row_major(self):
         x = np.array([[0.0, 10.0], [-10.0, 0.0]])
         p = pvalues_from_statistics(x)

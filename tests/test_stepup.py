@@ -73,15 +73,35 @@ def test_alpha_range(alpha):
         weighted_bh(np.array([0.1]), np.array([1.0]), alpha)
 
 
+@st.composite
+def weighted_instances(draw):
+    """(p, w, alpha) in one of three shapes, N from 0 to a few thousand:
+    drawn p-values under random finite weights; weighted p-values exactly on
+    a threshold alpha * j / N or one ulp either side of it; and p-values
+    under a mix of finite, zero and infinite weights."""
+    alpha = draw(st.sampled_from([0.05, 0.1, 1 / 3]) | st.floats(0.01, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["drawn", "on_thresholds", "inf_and_zero"]))
+    if shape == "drawn":
+        p = np.array(draw(st.lists(st.floats(0.0, 1.0), max_size=60)), dtype=float)
+        return p, rng.uniform(0.05, 5.0, size=p.size), alpha
+    n = draw(st.integers(0, 3000))
+    if shape == "on_thresholds":
+        # a power-of-two weight scales exactly, so W_i * P_i hits the threshold
+        wp = alpha * rng.integers(1, n + 1, size=n) / n if n else np.empty(0)
+        nudge = rng.integers(-1, 2, size=n)
+        wp = np.where(nudge == 0, wp, np.nextafter(wp, 2.0 * nudge))
+        w = rng.choice([0.5, 1.0, 2.0, 4.0], size=n)
+        return np.minimum(wp / w, 1.0), w, alpha
+    p = rng.uniform(size=n) ** 4
+    p[rng.uniform(size=n) < 0.05] = 0.0
+    return p, rng.choice([0.0, 0.5, 1.0, 3.0, np.inf], size=n), alpha
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
-    st.floats(0.01, 0.5),
-    st.integers(0, 2**32 - 1),
-)
-def test_matches_brute_force(pvals, alpha, seed):
-    p = np.array(pvals)
-    w = np.random.default_rng(seed).uniform(0.05, 5.0, size=p.size)
+@given(weighted_instances())
+def test_matches_brute_force(instance):
+    p, w, alpha = instance
     a = weighted_bh(p, w, alpha)
     b = brute_force_bh(p, w, alpha)
     assert a.threshold_index == b.threshold_index
@@ -155,7 +175,7 @@ def test_negative_or_nan_weights_rejected(rule, w):
 @given(
     st.lists(st.sampled_from([0.0, 0.01, 0.02, 0.05, 0.5]), min_size=1, max_size=30),
     st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, np.inf]), min_size=30, max_size=30),
-    st.sampled_from([0.05, 0.1, 0.2]),
+    st.sampled_from([0.05, 0.1, 0.2, 1 / 3]),
 )
 def test_matches_brute_force_under_heavy_ties(pvals, weights, alpha):
     # brute_force_bh rejects every wp <= k alpha / N with no tie-break
