@@ -9,7 +9,6 @@ and the weighted step-up rule is applied at level alpha.
 
 from .classification import (
     ClassificationForest,
-    GroupNode,
     HierTree,
     flat_tree,
     forest_from_dict,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassificationForest",
-    "GroupNode",
     "HierTree",
     "NullCountEstimate",
     "OutcomeMetrics",

@@ -2,10 +2,12 @@
 
 A study has N hypotheses indexed 0..N-1. A :class:`HierTree` organizes them
 into nested levels of groups; sibling groups at any level must jointly cover
-their parent but are allowed to overlap. A :class:`ClassificationForest`
-holds S such trees over the same index set, one per simultaneous
-classification criterion. Depth-0 trees (a single root group) and forests of
-depth-1 trees recover the unclassified and S-way special cases.
+their parent but are allowed to overlap. The groups are node ids in level
+order, the root first: node k has the path ``tree.paths[k]`` and the
+members ``tree.members(k)``. A :class:`ClassificationForest` holds S such
+trees over the same index set, one per simultaneous classification
+criterion. Depth-0 trees (a single root group) and forests of depth-1 trees
+recover the unclassified and S-way special cases.
 """
 
 from __future__ import annotations
@@ -41,62 +43,71 @@ def _as_index_array(members) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class GroupNode:
-    """One group in a hierarchy.
-
-    ``path`` is the positional lineage (g1, ..., gl), 1-based within each
-    parent; the root has the empty path. ``members`` is a sorted array of
-    hypothesis indices.
-    """
-
-    path: tuple[int, ...]
-    members: np.ndarray
-    children: tuple["GroupNode", ...] = ()
-
-    def __post_init__(self):
-        self.members = _as_index_array(self.members)
-        self.children = tuple(self.children)
-
-    @property
-    def level(self) -> int:
-        return len(self.path)
-
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-
-@dataclass(eq=False)
 class HierTree:
-    """A hierarchy of groups over indices 0..n-1.
+    """A hierarchy of groups over indices 0..n-1, stored as flat arrays.
 
-    All leaves sit at the same depth; depth 0 means the root is the only
-    group. Hypotheses may belong to several sibling groups (overlap), but
-    every hypothesis must be covered at every level.
+    Nodes are ids in level order with the root as node 0; within a level
+    they are ordered by parent id, then path. ``paths[k]`` is node k's
+    positional lineage (g1, ..., gl), 1-based within its parent (the root's
+    is empty), ``parent[k]`` its parent's id (-1 for the root), and its
+    sorted, distinct members are ``indices[indptr[k]:indptr[k + 1]]`` (CSR
+    layout), also given by ``members(k)``.
+
+    Derived on construction: ``sizes[k]`` (member count), ``level[k]``
+    (depth of node k), ``m[k]`` (number of children), ``mult[k]`` (product
+    of the ancestors' ``m``), ``levels`` (node ids of levels 1..depth as
+    slices), ``leaves`` (the deepest level's ids, the tail of the order) and
+    ``depth``. In a valid tree all leaves sit at the same depth, and every
+    hypothesis is covered at every level; sibling groups may overlap.
+    Depth 0 means the root is the only group.
     """
 
     n: int
-    root: GroupNode
+    paths: list
+    parent: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
-    @property
-    def depth(self) -> int:
-        d = 0
-        node = self.root
-        while node.children:
-            node = node.children[0]
-            d += 1
-        return d
+    def __post_init__(self):
+        parent = self.parent = np.asarray(self.parent, dtype=np.int64)
+        self.indptr = np.asarray(self.indptr, dtype=np.int64)
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        k = parent.size
+        if k == 0 or parent[0] != -1 or not (
+            (parent[1:] >= 0).all() and (parent[1:] < np.arange(1, k)).all() and (parent[2:] >= parent[1:-1]).all()
+        ):
+            raise ValueError("parent must be level-ordered: -1 at the root, then 0 <= parent[k] < k, non-decreasing")
+        if len(self.paths) != k or self.indptr.shape != (k + 1,) or self.indptr[0] != 0:
+            raise ValueError(f"{k} nodes need {k} paths and an indptr of {k + 1} offsets from 0")
+        self.sizes = self.indptr[1:] - self.indptr[:-1]
+        if (self.sizes < 0).any() or self.indptr[-1] != self.indices.size:
+            raise ValueError("indptr must rise to the length of indices")
+        self.m = np.bincount(parent[1:], minlength=k)
+        starts = [0, 1]
+        while starts[-1] < k:  # a level ends where the children of its last node end
+            starts.append(int(np.searchsorted(parent, starts[-1])))
+        self.levels = [slice(a, b) for a, b in zip(starts[1:-1], starts[2:])]
+        self.leaves = np.arange(starts[-2], starts[-1])
+        self.depth = len(self.levels)
+        self.level, self.mult = np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64)
+        for depth, s in enumerate(self.levels, start=1):
+            self.level[s] = depth
+            self.mult[s] = self.mult[parent[s]] * self.m[parent[s]]
 
-    def nodes_at_level(self, level: int) -> list[GroupNode]:
-        out = [self.root]
-        for _ in range(level):
-            out = [c for node in out for c in node.children]
-        return out
+    def members(self, k: int) -> np.ndarray:
+        """Sorted member indices of node k."""
+        return self.indices[self.indptr[k] : self.indptr[k + 1]]
 
-    @property
-    def leaves(self) -> list[GroupNode]:
-        return self.nodes_at_level(self.depth)
+    def counts(self, mask: np.ndarray) -> np.ndarray:
+        """Per-node number of members i with mask[i] set."""
+        hits = mask[self.indices]
+        counts = np.add.reduceat(hits, np.minimum(self.indptr[:-1], hits.size - 1), dtype=np.int64)
+        counts[self.sizes == 0] = 0  # reduceat leaves a value in empty rows
+        return counts
+
+    def leaf_rows(self) -> np.ndarray:
+        """Members of every leaf, concatenated in leaf order."""
+        return self.indices[self.indptr[self.leaves[0]] :]
 
 
 @dataclass(eq=False)
@@ -116,7 +127,7 @@ class ClassificationForest:
 
 def flat_tree(n: int) -> HierTree:
     """Depth-0 tree: one root group over all n indices."""
-    return HierTree(n=n, root=GroupNode(path=(), members=np.arange(n)))
+    return tree_from_levels(n, [])
 
 
 def tree_from_levels(n: int, levels: list[list[tuple[tuple[int, ...], np.ndarray]]]) -> HierTree:
@@ -126,21 +137,24 @@ def tree_from_levels(n: int, levels: list[list[tuple[tuple[int, ...], np.ndarray
     appear at the previous level. Overlapping siblings are allowed, and the
     same member set may appear under several parents (distinct paths).
     """
-    root = GroupNode(path=(), members=np.arange(n))
-    by_path: dict[tuple[int, ...], GroupNode] = {(): root}
+    paths, parent, members = [()], [-1], [np.arange(n, dtype=np.int64)]
+    above = {(): 0}  # path -> node id, over the previous level
     for level_groups in levels:
-        new_kids: dict[tuple[int, ...], list[GroupNode]] = {}
-        for path, members in level_groups:
+        level = []
+        for path, mem in level_groups:
             path = tuple(int(v) for v in path)
-            parent_path = path[:-1]
-            if parent_path not in by_path:
-                raise ValueError(f"group {path} has no parent {parent_path}")
-            node = GroupNode(path=path, members=members)
-            by_path[path] = node
-            new_kids.setdefault(parent_path, []).append(node)
-        for parent_path, nodes in new_kids.items():
-            by_path[parent_path].children = tuple(sorted(nodes, key=lambda nd: nd.path))
-    return HierTree(n=n, root=root)
+            if path[:-1] not in above:
+                raise ValueError(f"group {path} has no parent {path[:-1]}")
+            level.append((above[path[:-1]], path, mem))
+        level.sort(key=lambda group: group[:2])  # by parent id, then path
+        above = {}
+        for up, path, mem in level:
+            above[path] = len(paths)
+            paths.append(path)
+            parent.append(up)
+            members.append(_as_index_array(mem))
+    indptr = np.array(list(accumulate((mem.size for mem in members), initial=0)), dtype=np.int64)
+    return HierTree(n=n, paths=paths, parent=parent, indptr=indptr, indices=np.concatenate(members))
 
 
 def tree_from_groups(n: int, levels: list[list[np.ndarray]]) -> HierTree:
@@ -151,30 +165,21 @@ def tree_from_groups(n: int, levels: list[list[np.ndarray]]) -> HierTree:
     Use :func:`tree_from_levels` when a group must hang under several
     overlapping parents.
     """
-    root = GroupNode(path=(), members=np.arange(n))
-    current = [root]
+    above = [((), np.arange(n))]
+    out = []
     for level_groups in levels:
-        assigned: dict[int, list[np.ndarray]] = {i: [] for i in range(len(current))}
+        taken = [0] * len(above)
+        level = []
         for mem in level_groups:
             mem = _as_index_array(mem)
-            placed = False
-            for i, parent in enumerate(current):
-                if _isin_sorted(mem, parent.members).all():
-                    assigned[i].append(mem)
-                    placed = True
-                    break
-            if not placed:
+            i = next((i for i, (_, up) in enumerate(above) if _isin_sorted(mem, up).all()), None)
+            if i is None:
                 raise ValueError("group does not fit inside any parent at the previous level")
-        next_nodes = []
-        for i, parent in enumerate(current):
-            kids = tuple(
-                GroupNode(path=parent.path + (j + 1,), members=mem)
-                for j, mem in enumerate(assigned[i])
-            )
-            parent.children = kids
-            next_nodes.extend(kids)
-        current = next_nodes
-    return HierTree(n=n, root=root)
+            taken[i] += 1
+            level.append((above[i][0] + (taken[i],), mem))
+        out.append(level)
+        above = sorted(level, key=lambda group: group[0])
+    return tree_from_levels(n, out)
 
 
 def forest_from_grid(shape: tuple[int, ...]) -> ClassificationForest:
@@ -193,118 +198,51 @@ def forest_from_grid(shape: tuple[int, ...]) -> ClassificationForest:
 
 
 # ---------------------------------------------------------------------------
-# compiled form
-
-
-@dataclass
-class _CompiledTree:
-    """A tree as flat arrays, nodes in level order (root = node 0).
-
-    Node k's members are ``indices[indptr[k]:indptr[k + 1]]`` (CSR layout),
-    ``sizes[k]`` of them; ``parent[k]`` is its parent's node id (-1 for the
-    root), ``level[k]`` its depth, ``m[k]`` its number of children and
-    ``mult[k]`` the product of its ancestors' ``m``. ``levels`` holds the
-    node ids of levels 1..depth as slices; the deepest level's nodes,
-    ``leaves``, form the tail of the level order.
-    """
-
-    n: int
-    nodes: list
-    indptr: np.ndarray
-    indices: np.ndarray
-    sizes: np.ndarray
-    parent: np.ndarray
-    level: np.ndarray
-    m: np.ndarray
-    mult: np.ndarray
-    levels: list
-    leaves: np.ndarray
-
-    def counts(self, mask: np.ndarray) -> np.ndarray:
-        """Per-node number of members i with mask[i] set."""
-        hits = mask[self.indices]
-        counts = np.add.reduceat(hits, np.minimum(self.indptr[:-1], hits.size - 1), dtype=np.int64)
-        counts[self.sizes == 0] = 0  # reduceat leaves a value in empty rows
-        return counts
-
-    def leaf_rows(self) -> np.ndarray:
-        """Members of every leaf, concatenated in leaf order."""
-        return self.indices[self.indptr[self.leaves[0]] :]
-
-
-def _compile(tree: HierTree) -> _CompiledTree:
-    nodes, parent, level, m, mult, starts = [tree.root], [-1], [0], [], [1], [0]
-    for k, node in enumerate(nodes):  # grows while it is walked: breadth first
-        if k == starts[-1]:  # first node of its level, so the whole level is listed
-            starts.append(len(nodes))
-        m.append(len(node.children))
-        nodes.extend(node.children)
-        parent.extend([k] * m[k])
-        level.extend([level[k] + 1] * m[k])
-        mult.extend([mult[k] * m[k]] * m[k])
-    indptr = np.array(list(accumulate((node.members.size for node in nodes), initial=0)), dtype=np.int64)
-    return _CompiledTree(
-        n=tree.n,
-        nodes=nodes,
-        indptr=indptr,
-        indices=np.concatenate([node.members for node in nodes]),
-        sizes=indptr[1:] - indptr[:-1],
-        parent=np.array(parent, dtype=np.int64),
-        level=np.array(level, dtype=np.int64),
-        m=np.array(m, dtype=np.int64),
-        mult=np.array(mult, dtype=np.int64),
-        levels=[slice(a, b) for a, b in zip(starts[1:-1], starts[2:])],
-        leaves=np.arange(starts[-2], starts[-1]),
-    )
-
-
-# ---------------------------------------------------------------------------
 # validation
 
 
 def validate_tree(tree: HierTree) -> list[str]:
     """Structural invariant check; returns a list of violations (empty = ok)."""
-    n, c = tree.n, _compile(tree)
+    n, paths, sizes, indptr, indices = tree.n, tree.paths, tree.sizes, tree.indptr, tree.indices
     violations = []
-    if not np.array_equal(tree.root.members, np.arange(n)):
+    if not np.array_equal(tree.members(0), np.arange(n)):
         violations.append(f"root members must be exactly 0..{n - 1}")
-    sizes = c.sizes
     filled = np.flatnonzero(sizes)
-    low, high = c.indices[c.indptr[filled]], c.indices[c.indptr[filled + 1] - 1]
-    violations += [f"empty group at path {c.nodes[k].path}" for k in np.flatnonzero(sizes == 0)]
-    violations += [
-        f"index out of range [0, {n}) at path {c.nodes[k].path}"
-        for k in filled[(low < 0) | (high >= n)]
-    ]
-    for node in (c.nodes[k] for k in np.flatnonzero(c.m)):
-        paths = [child.path for child in node.children]
-        violations += [f"sibling groups share path {p}" for p, count in Counter(paths).items() if count > 1]
-        if paths != [node.path + (j,) for j in range(1, len(paths) + 1)]:
-            violations.append(f"children of {node.path} are not numbered 1..{len(paths)}")
+    low, high = indices[indptr[filled]], indices[indptr[filled + 1] - 1]
+    violations += [f"empty group at path {paths[k]}" for k in np.flatnonzero(sizes == 0)]
+    violations += [f"index out of range [0, {n}) at path {paths[k]}" for k in filled[(low < 0) | (high >= n)]]
+    falls = np.flatnonzero(indices[1:] <= indices[:-1]) + 1  # a fall is fine where a node starts
+    rows = np.searchsorted(indptr, falls, side="right") - 1
+    violations += [f"members of {paths[k]} are not sorted and distinct" for k in _sorted_unique(rows[indptr[rows] != falls])]
+    with_children = np.flatnonzero(tree.m)
+    for k, first in zip(with_children.tolist(), np.searchsorted(tree.parent, with_children).tolist()):
+        kids = paths[first : first + int(tree.m[k])]
+        violations += [f"sibling groups share path {p}" for p, count in Counter(kids).items() if count > 1]
+        if kids != [paths[k] + (j,) for j in range(1, len(kids) + 1)]:
+            violations.append(f"children of {paths[k]} are not numbered 1..{len(kids)}")
     # (node, member) keys; sorted members make one node's keys sorted
-    lo = min(int(c.indices.min(initial=0)), 0)
-    width = max(int(c.indices.max(initial=-1)) + 1, n) - lo
+    lo = min(int(indices.min(initial=0)), 0)
+    width = max(int(indices.max(initial=-1)) + 1, n) - lo
 
     def keys(nodes: slice, owners: np.ndarray) -> np.ndarray:
-        members = c.indices[c.indptr[nodes.start] : c.indptr[nodes.stop]]
+        members = indices[indptr[nodes.start] : indptr[nodes.stop]]
         return np.repeat(owners, sizes[nodes]) * width + (members - lo)
 
-    covered = np.zeros(len(c.nodes), dtype=np.int64)
-    for level in c.levels:  # one level and its parents at a time
-        parents = slice(int(c.parent[level.start]), int(c.parent[level.stop - 1]) + 1)
+    covered = np.zeros(len(paths), dtype=np.int64)
+    for level in tree.levels:  # one level and its parents at a time
+        parents = slice(int(tree.parent[level.start]), int(tree.parent[level.stop - 1]) + 1)
         held = keys(parents, np.arange(parents.start, parents.stop))
-        up = keys(level, c.parent[level])  # each child's members, keyed under its parent
-        outside = np.flatnonzero(~_isin_sorted(up, held)) + c.indptr[level.start]
-        for k in _sorted_unique(np.searchsorted(c.indptr, outside, side="right") - 1):
-            violations.append(f"child {c.nodes[k].path} not contained in parent {c.nodes[c.parent[k]].path}")
+        up = keys(level, tree.parent[level])  # each child's members, keyed under its parent
+        outside = np.flatnonzero(~_isin_sorted(up, held)) + indptr[level.start]
+        for k in _sorted_unique(np.searchsorted(indptr, outside, side="right") - 1):
+            violations.append(f"child {paths[k]} not contained in parent {paths[tree.parent[k]]}")
         union = _sorted_unique(up)
         del up
-        covered += np.bincount(union[_isin_sorted(union, held)] // width, minlength=len(c.nodes))
+        covered += np.bincount(union[_isin_sorted(union, held)] // width, minlength=len(paths))
     violations += [
-        f"children of {c.nodes[k].path} do not cover the parent"
-        for k in np.flatnonzero((c.m > 0) & (covered != sizes))
+        f"children of {paths[k]} do not cover the parent" for k in np.flatnonzero((tree.m > 0) & (covered != sizes))
     ]
-    depths = sorted(set(c.level[c.m == 0].tolist()))
+    depths = sorted(set(tree.level[tree.m == 0].tolist()))
     if len(depths) > 1:
         violations.append(f"leaves at unequal depths: {depths}")
     return violations
@@ -326,12 +264,11 @@ def validate_forest(forest: ClassificationForest) -> list[str]:
 # derived quantities
 
 
-def group_stats(node: GroupNode, is_null: np.ndarray) -> tuple[int, int, float]:
-    """(size, null count, null proportion) of a group under known truth."""
-    is_null = np.asarray(is_null, dtype=bool)
-    n = int(node.members.size)
-    n0 = int(is_null[node.members].sum())
-    return n, n0, n0 / n
+def group_stats(tree: HierTree, k: int, is_null: np.ndarray) -> tuple[int, int, float]:
+    """(size, null count, null proportion) of node k under known truth."""
+    members = tree.members(k)
+    n0 = int(np.asarray(is_null, dtype=bool)[members].sum())
+    return int(members.size), n0, n0 / members.size
 
 
 def leaf_memberships(forest: ClassificationForest, i: int) -> list[list[tuple[int, ...]]]:
@@ -340,9 +277,8 @@ def leaf_memberships(forest: ClassificationForest, i: int) -> list[list[tuple[in
         raise IndexError(f"hypothesis index {i} out of range [0, {forest.n})")
     out = []
     for tree in forest.trees:
-        c = _compile(tree)
-        hits = np.flatnonzero(c.leaf_rows() == i) + c.indptr[c.leaves[0]]
-        out.append([c.nodes[k].path for k in np.searchsorted(c.indptr, hits, side="right") - 1])
+        hits = np.flatnonzero(tree.leaf_rows() == i) + tree.indptr[tree.leaves[0]]
+        out.append([tree.paths[k] for k in np.searchsorted(tree.indptr, hits, side="right") - 1])
     return out
 
 
@@ -373,20 +309,16 @@ def _decode_members(encoded: list) -> np.ndarray:
             parts.append(np.arange(start, stop, dtype=np.int64))
         else:
             parts.append(np.array([item], dtype=np.int64))
-    return _as_index_array(np.concatenate(parts) if parts else [])
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 def forest_to_dict(forest: ClassificationForest) -> dict:
     trees = []
     for tree in forest.trees:
-        levels = []
-        for level in range(1, tree.depth + 1):
-            levels.append(
-                [
-                    {"path": list(node.path), "members": _encode_members(node.members)}
-                    for node in tree.nodes_at_level(level)
-                ]
-            )
+        levels = [
+            [{"path": list(tree.paths[k]), "members": _encode_members(tree.members(k))} for k in range(s.start, s.stop)]
+            for s in tree.levels
+        ]
         trees.append({"levels": levels})
     return {"n": forest.n, "trees": trees}
 

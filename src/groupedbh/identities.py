@@ -169,21 +169,12 @@ def random_forest(rng: np.random.Generator, n: int | None = None, depth_one: boo
 def random_truth(rng: np.random.Generator, tree_or_forest, margin: float = 0.05) -> np.ndarray:
     """Truth labels whose per-group null proportions all stay inside
     [margin, 1 - margin]; resamples until every group is mixed."""
-    if isinstance(tree_or_forest, HierTree):
-        nodes = list(tree_or_forest.root.walk())
-        n = tree_or_forest.n
-    else:
-        nodes = [node for tree in tree_or_forest.trees for node in tree.root.walk()]
-        n = tree_or_forest.n
+    n = tree_or_forest.n
+    trees = [tree_or_forest] if isinstance(tree_or_forest, HierTree) else tree_or_forest.trees
     for _ in range(200):
         is_null = rng.uniform(size=n) < rng.uniform(0.3, 0.7)
-        ok = True
-        for node in nodes:
-            pi0 = is_null[node.members].mean()
-            if not margin <= pi0 <= 1.0 - margin:
-                ok = False
-                break
-        if ok:
+        pi0 = [tree.counts(is_null) / tree.sizes for tree in trees]
+        if all(((margin <= p) & (p <= 1.0 - margin)).all() for p in pi0):
             return is_null
     # fall back: alternate labels, guaranteed mixed for groups of size >= 2
     return (np.arange(n) % 2) == 0
@@ -197,27 +188,23 @@ def _alternate_hier_effects(tree: HierTree, is_null: np.ndarray) -> dict[tuple[i
     """Reference for :func:`oracle_hier_effects` by the two-step recursion
     w_l = w_{l-2} * r_l / r_{l-1}, started at w_1 = (1 - pi0) r_1, where
     r_l = pi0_l / (1 - pi0_l); the root holds pi0 and a node with null odds
-    0 or +inf gets that effect. Written as a recursion over path-keyed
-    dicts, independently of the compiled arrays."""
+    0 or +inf gets that effect. Walks the nodes level by level and finds
+    each node's parent and grandparent by path in its own dicts, not through
+    the tree's parent array."""
     is_null = np.asarray(is_null, dtype=bool)
     pi0 = float(is_null.mean())
     effects: dict[tuple[int, ...], float] = {(): pi0}
     odds: dict[tuple[int, ...], float] = {}
-
-    def visit(node):
-        for child in node.children:
-            pi0_c = float(is_null[child.members].mean())
-            r = math.inf if pi0_c >= 1.0 else pi0_c / (1.0 - pi0_c)
-            odds[child.path] = r
-            if r == 0.0 or math.isinf(r):
-                effects[child.path] = r
-            elif len(child.path) == 1:
-                effects[child.path] = (1.0 - pi0) * r
-            else:
-                effects[child.path] = effects[node.path[:-1]] * r / odds[node.path]
-            visit(child)
-
-    visit(tree.root)
+    for path, members in ((tree.paths[k], tree.members(k)) for s in tree.levels for k in range(s.start, s.stop)):
+        pi0_c = float(is_null[members].mean())
+        r = math.inf if pi0_c >= 1.0 else pi0_c / (1.0 - pi0_c)
+        odds[path] = r
+        if r == 0.0 or math.isinf(r):
+            effects[path] = r
+        elif len(path) == 1:
+            effects[path] = (1.0 - pi0) * r
+        else:
+            effects[path] = effects[path[:-2]] * r / odds[path[:-1]]
     return effects
 
 
@@ -243,10 +230,10 @@ def check_reductions(rng: np.random.Generator, trials: int = 50) -> list[Identit
         is_null = random_truth(rng, tree)
         pi0 = is_null.mean()
         w = oracle_hier_weights(tree, is_null)
-        for leaf in tree.leaves:
-            pi0_g = is_null[leaf.members].mean()
+        for members in map(tree.members, tree.leaves):
+            pi0_g = is_null[members].mean()
             closed = (1.0 - pi0) * pi0_g / (1.0 - pi0_g)
-            worst = max(worst, float(np.abs(w[leaf.members] - closed).max() / closed))
+            worst = max(worst, float(np.abs(w[members] - closed).max() / closed))
     reports.append(_report("reduction_oneway", worst, 0.0, FORMULA_RTOL, _digest("oneway", trials)))
 
     # forward and alternate recursions agree on every node effect
@@ -282,7 +269,7 @@ def check_reductions(rng: np.random.Generator, trials: int = 50) -> list[Identit
 
 
 def _oneway_random_effects(rng, tree, is_null):
-    groups = [leaf.members for leaf in tree.leaves]
+    groups = [tree.members(k) for k in tree.leaves]
     effects = rng.uniform(0.2, 3.0, size=len(groups))
     return groups, effects
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classification import ClassificationForest, HierTree, _as_index_array, _compile, _CompiledTree
+from .classification import ClassificationForest, HierTree, _as_index_array
+from .stepup import _check_inputs
 
 
 def _assemble(
@@ -50,12 +51,33 @@ def _assemble(
     return weights
 
 
-def _leaf_weights(c: _CompiledTree, effects: np.ndarray, null_mass: np.ndarray) -> np.ndarray:
-    return _assemble(c.n, c.leaf_rows(), c.sizes[c.leaves], effects[c.leaves], null_mass[c.leaves])
+def _leaf_weights(tree: HierTree, effects: np.ndarray, null_mass: np.ndarray) -> np.ndarray:
+    leaves = tree.leaves
+    return _assemble(tree.n, tree.leaf_rows(), tree.sizes[leaves], effects[leaves], null_mass[leaves])
 
 
-def _by_path(c: _CompiledTree, effects: np.ndarray) -> dict[tuple[int, ...], float]:
-    return dict(zip((node.path for node in c.nodes), effects.tolist()))
+def _by_path(tree: HierTree, effects: np.ndarray) -> dict[tuple[int, ...], float]:
+    return dict(zip(tree.paths, effects.tolist()))
+
+
+def _truth(is_null, n: int) -> np.ndarray:
+    is_null = np.asarray(is_null, dtype=bool)
+    if is_null.shape != (n,):
+        raise ValueError(f"length mismatch: {is_null.size} truth labels for {n} hypotheses")
+    return is_null
+
+
+def _pvalues(pvalues, n: int) -> np.ndarray:
+    pvalues = np.asarray(pvalues, dtype=float)
+    if pvalues.shape != (n,):
+        raise ValueError(f"length mismatch: {pvalues.size} p-values for {n} hypotheses")
+    _check_inputs(pvalues)
+    return pvalues
+
+
+def _check_trees(forest: ClassificationForest) -> None:
+    if forest.s_count < 1:
+        raise ValueError("forest must contain at least one tree")
 
 
 def _check_partitions(forest: ClassificationForest) -> None:
@@ -63,7 +85,7 @@ def _check_partitions(forest: ClassificationForest) -> None:
     for tree in forest.trees:
         if tree.depth != 1:
             raise ValueError("S-way weights need depth-1 trees; use the generalized form otherwise")
-        hits = np.bincount(np.concatenate([leaf.members for leaf in tree.leaves]), minlength=forest.n)
+        hits = np.bincount(tree.leaf_rows(), minlength=forest.n)
         if (hits > 1).any():
             raise ValueError("S-way trees must not have overlapping groups")
         if (hits == 0).any():
@@ -92,7 +114,7 @@ def oracle_overlap_oneway_weights(
     Any positive per-group effect w_g is admissible; the assembly
     renormalizes so that the sum of inverse weights over true nulls is N.
     """
-    is_null = np.asarray(is_null, dtype=bool)
+    is_null = _truth(is_null, n)
     group_effects = np.asarray(group_effects, dtype=float)
     if len(groups) != group_effects.size:
         raise ValueError("one effect per group required")
@@ -100,6 +122,8 @@ def oracle_overlap_oneway_weights(
         raise ValueError("group effects must be finite and positive")
     members = [_as_index_array(g) for g in groups]
     rows = np.concatenate(members) if members else np.zeros(0, dtype=np.int64)
+    if ((rows < 0) | (rows >= n)).any():
+        raise ValueError(f"group members must lie in [0, {n})")
     covered = np.zeros(n, dtype=bool)
     covered[rows] = True
     if not covered.all():
@@ -108,20 +132,20 @@ def oracle_overlap_oneway_weights(
     return _assemble(n, rows, [mem.size for mem in members], group_effects, n0_g)
 
 
-def _oracle_effects(c: _CompiledTree, is_null: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _oracle_effects(tree: HierTree, is_null: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-node effects and null counts. The root holds the global null
     proportion pi0; below it w_l = pi0 (1 - pi0) r_l / w_{l-1} with the
     null odds r_l = pi0_l / (1 - pi0_l), and r_l in {0, +inf} passes
     straight through as the effect."""
-    n0 = c.counts(is_null)
+    n0 = tree.counts(is_null)
     pi0 = float(is_null.mean())
     effects = np.empty(n0.size)
     effects[0] = pi0
     with np.errstate(divide="ignore", invalid="ignore"):
-        pi0_g = n0 / c.sizes
+        pi0_g = n0 / tree.sizes
         r = pi0_g / (1.0 - pi0_g)
-        for s in c.levels:
-            chained = pi0 * (1.0 - pi0) * (r[s] / effects[c.parent[s]])
+        for s in tree.levels:
+            chained = pi0 * (1.0 - pi0) * (r[s] / effects[tree.parent[s]])
             effects[s] = np.where((r[s] == 0.0) | np.isinf(r[s]), r[s], chained)
     return effects, n0
 
@@ -131,18 +155,16 @@ def oracle_hier_effects(tree: HierTree, is_null: np.ndarray) -> dict[tuple[int, 
     forward recursion w_l = pi0 (1 - pi0) r_l / w_{l-1} with
     r_l = pi0_l / (1 - pi0_l), seeded at the root with the global null
     proportion."""
-    c = _compile(tree)
-    return _by_path(c, _oracle_effects(c, np.asarray(is_null, dtype=bool))[0])
+    return _by_path(tree, _oracle_effects(tree, _truth(is_null, tree.n))[0])
 
 
 def oracle_hier_weights(tree: HierTree, is_null: np.ndarray) -> np.ndarray:
     """Hierarchically grouped oracle weights (overlap-aware)."""
-    is_null = np.asarray(is_null, dtype=bool)
+    is_null = _truth(is_null, tree.n)
     pi0 = float(is_null.mean())
     if pi0 == 0.0 or pi0 == 1.0 or tree.depth == 0:
         return np.full(tree.n, pi0)
-    c = _compile(tree)
-    return _leaf_weights(c, *_oracle_effects(c, is_null))
+    return _leaf_weights(tree, *_oracle_effects(tree, is_null))
 
 
 def oracle_sway_weights(forest: ClassificationForest, is_null: np.ndarray) -> np.ndarray:
@@ -156,7 +178,8 @@ def oracle_sway_weights(forest: ClassificationForest, is_null: np.ndarray) -> np
 def oracle_gen_weights(forest: ClassificationForest, is_null: np.ndarray) -> np.ndarray:
     """Generalized oracle weights: harmonic mean over trees of the per-tree
     hierarchical weights."""
-    is_null = np.asarray(is_null, dtype=bool)
+    _check_trees(forest)
+    is_null = _truth(is_null, forest.n)
     pi0 = float(is_null.mean())
     if pi0 == 0.0 or pi0 == 1.0:
         return np.full(forest.n, pi0)
@@ -192,35 +215,34 @@ def storey_null_estimate(pvalues: np.ndarray, lam: float) -> NullCountEstimate:
 def da_flat_weights(pvalues: np.ndarray, lam: float) -> np.ndarray:
     """Adaptive BH weight: the flat Storey estimate of pi0 for every i."""
     pvalues = np.asarray(pvalues, dtype=float)
+    _check_inputs(pvalues)
     est = storey_null_estimate(pvalues, lam)
     return np.full(pvalues.size, est.n_hat0 / pvalues.size)
 
 
 def _da_effects(
-    c: _CompiledTree, pvalues: np.ndarray, lam: float, ancestor_mode: str
+    tree: HierTree, pvalues: np.ndarray, lam: float, ancestor_mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node estimated effects and Storey null counts; see
     :func:`da_hier_effects`."""
     if ancestor_mode not in ("recursive", "direct"):
         raise ValueError(f"unknown ancestor_mode {ancestor_mode!r}")
-    if pvalues.size != c.n:
-        raise ValueError("p-value vector length must equal the tree's n")
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    n = c.n
-    nhat = (c.sizes - c.counts(pvalues <= lam) + 1) / (1.0 - lam)
+    n, parent, m = tree.n, tree.parent, tree.m
+    nhat = (tree.sizes - tree.counts(pvalues <= lam) + 1) / (1.0 - lam)
     effects = np.empty(nhat.size)
     effects[0] = nhat[0] / n
     if ancestor_mode == "recursive":
-        up = c.parent[1:]
-        effects[1:] = nhat[1:] * c.mult[up] * c.m[up] / n
+        up = parent[1:]
+        effects[1:] = nhat[1:] * tree.mult[up] * m[up] / n
         return effects, nhat
-    for s in c.levels:
-        up = c.parent[s]
+    for s in tree.levels:
+        up = parent[s]
         if s.start == 1:
-            effects[s] = (nhat[s] / n) * c.m[up]
+            effects[s] = (nhat[s] / n) * m[up]
         else:
-            effects[s] = effects[c.parent[up]] * (nhat[s] / nhat[up]) * c.m[up]
+            effects[s] = effects[parent[up]] * (nhat[s] / nhat[up]) * m[up]
     return effects, nhat
 
 
@@ -248,8 +270,7 @@ def da_hier_effects(
       is usually computed, but with three or more level-1 groups a deep
       chain loses coordinate-wise monotonicity.
     """
-    c = _compile(tree)
-    return _by_path(c, _da_effects(c, np.asarray(pvalues, dtype=float), lam, ancestor_mode)[0])
+    return _by_path(tree, _da_effects(tree, _pvalues(pvalues, tree.n), lam, ancestor_mode)[0])
 
 
 def da_hier_weights(
@@ -259,11 +280,10 @@ def da_hier_weights(
     ancestor_mode: str = "recursive",
 ) -> np.ndarray:
     """Data-adaptive hierarchically grouped weights (overlap-aware)."""
-    pvalues = np.asarray(pvalues, dtype=float)
+    pvalues = _pvalues(pvalues, tree.n)
     if tree.depth == 0:
         return da_flat_weights(pvalues, lam)
-    c = _compile(tree)
-    return _leaf_weights(c, *_da_effects(c, pvalues, lam, ancestor_mode))
+    return _leaf_weights(tree, *_da_effects(tree, pvalues, lam, ancestor_mode))
 
 
 def da_sway_weights(forest: ClassificationForest, pvalues: np.ndarray, lam: float) -> np.ndarray:
@@ -282,7 +302,8 @@ def da_gen_weights(
 ) -> np.ndarray:
     """Data-adaptive generalized weights: harmonic mean over trees of the
     per-tree hierarchical weights."""
-    pvalues = np.asarray(pvalues, dtype=float)
+    _check_trees(forest)
+    pvalues = _pvalues(pvalues, forest.n)
     inv_acc = np.zeros(forest.n)
     for tree in forest.trees:
         inv_acc += 1.0 / da_hier_weights(tree, pvalues, lam, ancestor_mode=ancestor_mode)

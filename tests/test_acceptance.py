@@ -78,7 +78,7 @@ def test_criterion_1_condition1_exactness():
         # overlapping one-way with arbitrary positive effects
         tree = random_tree(rng, depth=1)
         truth = random_truth(rng, tree)
-        groups = [leaf.members for leaf in tree.leaves]
+        groups = [tree.members(k) for k in tree.leaves]
         effects = rng.uniform(0.2, 3.0, size=len(groups))
         ok &= record(oracle_overlap_oneway_weights(tree.n, groups, effects, truth), truth)
         # hierarchical with overlap, depth up to 3

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from groupedbh.classification import (
     ClassificationForest,
-    GroupNode,
     HierTree,
-    _compile,
     _decode_members,
     _encode_members,
     flat_tree,
@@ -24,6 +22,7 @@ from groupedbh.classification import (
     validate_forest,
     validate_tree,
 )
+from groupedbh.identities import random_tree
 
 
 def two_level_overlap_tree(n=12):
@@ -43,19 +42,19 @@ def two_level_overlap_tree(n=12):
 def test_flat_tree_shape():
     t = flat_tree(7)
     assert t.depth == 0
-    assert t.leaves == [t.root]
-    assert (t.root.members == np.arange(7)).all()
+    assert t.leaves.tolist() == [0] and t.paths == [()]
+    assert (t.members(0) == np.arange(7)).all()
     assert validate_tree(t) == []
 
 
 def test_overlap_tree_structure():
     t = two_level_overlap_tree()
     assert t.depth == 2
-    assert [node.path for node in t.nodes_at_level(1)] == [(1,), (2,)]
+    assert [t.paths[k] for k in range(t.levels[0].start, t.levels[0].stop)] == [(1,), (2,)]
     assert len(t.leaves) == 4
     assert validate_tree(t) == []
     # the shared block hangs under both parents as distinct nodes
-    paths = [leaf.path for leaf in t.leaves if 5 in leaf.members]
+    paths = [t.paths[k] for k in t.leaves if 5 in t.members(k)]
     assert paths == [(1, 2), (2, 1)]
 
 
@@ -64,7 +63,7 @@ def test_tree_from_groups_containment():
     sub = [np.arange(0, 2), np.arange(2, 5), np.arange(5, 10)]
     t = tree_from_groups(10, [groups, sub])
     assert validate_tree(t) == []
-    assert [leaf.path for leaf in t.leaves] == [(1, 1), (1, 2), (2, 1)]
+    assert [t.paths[k] for k in t.leaves] == [(1, 1), (1, 2), (2, 1)]
 
 
 def test_tree_from_groups_rejects_orphan():
@@ -72,9 +71,18 @@ def test_tree_from_groups_rejects_orphan():
         tree_from_groups(10, [[np.arange(0, 5), np.arange(5, 10)], [np.array([3, 7])]])
 
 
-def test_tree_from_levels_rejects_missing_parent():
-    with pytest.raises(ValueError):
-        tree_from_levels(4, [[((1, 1), np.arange(2))]])
+@pytest.mark.parametrize(
+    "levels",
+    [
+        [[((1, 1), np.arange(2))]],
+        # the parent must sit at the previous level, not at the same one or higher up
+        [[((1,), np.arange(4)), ((1, 1), np.arange(4))]],
+        [[((1,), np.arange(4))], [((2,), np.arange(4))]],
+    ],
+)
+def test_tree_from_levels_rejects_missing_parent(levels):
+    with pytest.raises(ValueError, match="has no parent"):
+        tree_from_levels(4, levels)
 
 
 def test_validate_catches_coverage_gap():
@@ -115,11 +123,33 @@ def test_validate_catches_sibling_numbering_gap():
 
 
 def test_validate_catches_path_outside_parent_lineage():
-    leaf = GroupNode(path=(2, 1), members=np.arange(4))
-    t = HierTree(n=4, root=GroupNode(path=(), members=np.arange(4), children=(
-        GroupNode(path=(1,), members=np.arange(4), children=(leaf,)),
-    )))
+    t = HierTree(n=4, paths=[(), (1,), (2, 1)], parent=[-1, 0, 1], indptr=[0, 4, 8, 12], indices=np.tile(np.arange(4), 3))
     assert validate_tree(t) == ["children of (1,) are not numbered 1..1"]
+
+
+def test_validate_catches_unsorted_or_repeated_members():
+    t = HierTree(n=4, paths=[(), (1,), (2,)], parent=[-1, 0, 0], indptr=[0, 4, 6, 9], indices=[0, 1, 2, 3, 1, 0, 2, 2, 3])
+    assert validate_tree(t) == [
+        "members of (1,) are not sorted and distinct",
+        "members of (2,) are not sorted and distinct",
+    ]
+
+
+@pytest.mark.parametrize(
+    "parent",
+    [[0, 0, 0], [-1, 0, -1], [-1, 1, 1], [-1, 0, 2], [-1, 0, 0, 1, 0], [-1, 0, 1, 1, 2, 1]],
+)
+def test_tree_rejects_parents_out_of_level_order(parent):
+    k = len(parent)
+    with pytest.raises(ValueError, match="level-ordered"):
+        HierTree(n=1, paths=[()] * k, parent=parent, indptr=np.zeros(k + 1, dtype=np.int64), indices=[])
+
+
+def test_tree_rejects_inconsistent_arrays():
+    with pytest.raises(ValueError, match="paths"):
+        HierTree(n=2, paths=[()], parent=[-1, 0], indptr=[0, 2, 4], indices=[0, 1, 0, 1])
+    with pytest.raises(ValueError, match="indptr"):
+        HierTree(n=2, paths=[(), (1,)], parent=[-1, 0], indptr=[0, 2, 3], indices=[0, 1, 0, 1])
 
 
 def test_validate_catches_empty_and_out_of_range_groups():
@@ -132,17 +162,20 @@ def test_validate_catches_empty_and_out_of_range_groups():
     assert "child (3,) not contained in parent ()" in problems
 
 
-def test_compiled_form_is_level_ordered_csr():
-    c = _compile(two_level_overlap_tree())
-    assert [node.path for node in c.nodes] == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
-    assert c.parent.tolist() == [-1, 0, 0, 1, 1, 2, 2]
-    assert c.level.tolist() == [0, 1, 1, 2, 2, 2, 2]
-    assert c.m.tolist() == [2, 2, 2, 0, 0, 0, 0]
-    assert c.leaves.tolist() == [3, 4, 5, 6]
-    assert c.indptr.tolist() == [0, 12, 20, 28, 32, 36, 40, 44]
-    assert (c.indices[c.indptr[2] : c.indptr[3]] == np.arange(4, 12)).all()
-    assert (c.leaf_rows() == np.r_[0:8, 4:12]).all()
-    assert c.counts(np.arange(12) < 6).tolist() == [6, 6, 2, 4, 2, 2, 0]
+def test_tree_arrays_are_level_ordered_csr():
+    t = two_level_overlap_tree()
+    assert t.paths == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
+    assert t.parent.tolist() == [-1, 0, 0, 1, 1, 2, 2]
+    assert t.level.tolist() == [0, 1, 1, 2, 2, 2, 2]
+    assert t.m.tolist() == [2, 2, 2, 0, 0, 0, 0]
+    assert t.mult.tolist() == [1, 2, 2, 4, 4, 4, 4]
+    assert t.levels == [slice(1, 3), slice(3, 7)] and t.depth == 2
+    assert t.leaves.tolist() == [3, 4, 5, 6]
+    assert t.indptr.tolist() == [0, 12, 20, 28, 32, 36, 40, 44]
+    assert (t.indices[t.indptr[2] : t.indptr[3]] == np.arange(4, 12)).all()
+    assert (t.members(2) == np.arange(4, 12)).all() and t.sizes.tolist() == [12, 8, 8, 4, 4, 4, 4]
+    assert (t.leaf_rows() == np.r_[0:8, 4:12]).all()
+    assert t.counts(np.arange(12) < 6).tolist() == [6, 6, 2, 4, 2, 2, 0]
 
 
 def test_member_runs_encode_from_three():
@@ -170,8 +203,9 @@ def test_forest_mismatched_n_flagged():
 def test_group_stats():
     t = two_level_overlap_tree()
     is_null = np.arange(12) % 2 == 0
-    n, n0, pi0 = group_stats(t.nodes_at_level(1)[0], is_null)
-    assert (n, n0, pi0) == (8, 4, 0.5)
+    k = t.levels[0].start  # the first level-1 group
+    assert group_stats(t, k, is_null) == (8, 4, 0.5)
+    assert (t.sizes[k], t.counts(is_null)[k]) == (8, 4)
 
 
 def test_member_run_compression_round_trip():
@@ -182,10 +216,7 @@ def test_member_run_compression_round_trip():
     assert data["trees"][0]["levels"][0][0]["members"] == [[0, 8]]
     back = forest_from_dict(data)
     assert validate_forest(back) == []
-    assert [leaf.path for leaf in back.trees[0].leaves] == [leaf.path for leaf in t.leaves]
-    for a, b in zip(back.trees[0].root.walk(), t.root.walk()):
-        assert a.path == b.path
-        assert (a.members == b.members).all()
+    _assert_same_arrays(back.trees[0], t)
 
 
 def test_json_file_round_trip(tmp_path):
@@ -206,11 +237,23 @@ def test_grid_round_trip_property(rows, cols):
     back = forest_from_dict(forest_to_dict(f))
     assert validate_forest(back) == []
     for ta, tb in zip(f.trees, back.trees):
-        for a, b in zip(ta.root.walk(), tb.root.walk()):
-            assert a.path == b.path
-            assert (a.members == b.members).all()
+        _assert_same_arrays(ta, tb)
+
+
+def _assert_same_arrays(a, b):
+    assert a.paths == b.paths
+    for name in ("parent", "indptr", "indices"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(10, 200), st.integers(0, 3))
+def test_random_tree_round_trip_property(seed, n, depth):
+    t = random_tree(np.random.default_rng(seed), n=n, depth=depth)
+    back = forest_from_dict(forest_to_dict(ClassificationForest(n=n, trees=(t,))))
+    _assert_same_arrays(back.trees[0], t)
 
 
 def test_members_deduplicated_and_sorted():
     t = tree_from_levels(4, [[((1,), np.array([3, 1, 1, 0, 2]))]])
-    assert (t.nodes_at_level(1)[0].members == np.arange(4)).all()
+    assert (t.members(1) == np.arange(4)).all()

@@ -223,7 +223,7 @@ class TestCmdGenSpec:
         assert validate_forest(forest) == []
         for tree in forest.trees:
             assert tree.depth == 2
-            assert len(tree.nodes_at_level(1)) == 6
+            assert tree.m[0] == 6  # level-1 groups
         # boundary electrodes sit in two regions: more leaf slots than electrodes
         assert len(forest.trees[0].leaves) == 61 + 7
 

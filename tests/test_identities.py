@@ -76,9 +76,15 @@ def test_random_truth_keeps_groups_mixed():
     for _ in range(20):
         tree = random_tree(rng)
         truth = random_truth(rng, tree)
-        for node in tree.root.walk():
-            pi0 = truth[node.members].mean()
+        for k in range(len(tree.paths)):
+            pi0 = truth[tree.members(k)].mean()
             assert 0.0 < pi0 < 1.0
+
+
+def test_random_truth_falls_back_to_alternating_labels():
+    # no proportion lies in [0.6, 0.4], so every draw is refused
+    truth = random_truth(np.random.default_rng(0), random_forest(np.random.default_rng(1), n=6), margin=0.6)
+    assert truth.tolist() == [True, False] * 3
 
 
 def test_reduction_reports_pass():

@@ -34,15 +34,16 @@ def test_simulation_tree_geometry():
     tree = simulation_tree()
     assert tree.n == 5000
     assert validate_tree(tree) == []
-    g1, g2 = tree.nodes_at_level(1)
-    assert g1.members.size == 3000
-    assert g2.members.size == 2500
-    assert np.intersect1d(g1.members, g2.members).size == 500
+    assert tree.levels[0] == slice(1, 3)
+    g1, g2 = tree.members(1), tree.members(2)
+    assert g1.size == 3000
+    assert g2.size == 2500
+    assert np.intersect1d(g1, g2).size == 500
     leaves = tree.leaves
     assert len(leaves) == 55  # 30 under group 1, 25 under group 2
-    assert all(leaf.members.size == 100 for leaf in leaves)
+    assert all(tree.members(k).size == 100 for k in leaves)
     # the shared rows appear as subgroups of both level-1 groups
-    shared = [leaf.path for leaf in leaves if 2500 in leaf.members]
+    shared = [tree.paths[k] for k in leaves if 2500 in tree.members(k)]
     assert shared == [(1, 26), (2, 1)]
 
 

@@ -426,3 +426,73 @@ def test_flat_adaptive_weight_formula(pvals, lam):
     w = da_flat_weights(p, lam)
     assert w[0] == pytest.approx((p.size - r + 1) / (p.size * (1.0 - lam)))
     assert (w > 0).all()
+
+
+class TestInputChecks:
+    """Vectors of the wrong length, p-values outside [0, 1], forests without
+    trees and out-of-range group members raise ValueError."""
+
+    @pytest.mark.parametrize("size", [8, 12])
+    def test_truth_length_must_match(self, size):
+        tree = ten_hypothesis_tree()
+        forest = ClassificationForest(n=10, trees=(tree,))
+        truth = np.arange(size) % 3 == 0
+        calls = [
+            lambda: oracle_hier_weights(tree, truth),
+            lambda: oracle_hier_effects(tree, truth),
+            lambda: oracle_gen_weights(forest, truth),
+            lambda: oracle_sway_weights(forest, truth),
+            lambda: oracle_overlap_oneway_weights(10, [np.arange(10)], np.array([1.0]), truth),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="length"):
+                call()
+
+    @pytest.mark.parametrize("size", [5, 11])
+    def test_pvalue_length_must_match(self, size):
+        p = np.linspace(0.05, 0.95, size)
+        forest = forest_from_grid((2, 5))
+        calls = [
+            lambda: da_hier_weights(flat_tree(10), p, 0.5),
+            lambda: da_hier_weights(ten_hypothesis_tree(), p, 0.5),
+            lambda: da_hier_effects(ten_hypothesis_tree(), p, 0.5),
+            lambda: da_gen_weights(forest, p, 0.5),
+            lambda: da_sway_weights(forest, p, 0.5),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="length"):
+                call()
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
+    def test_adaptive_weights_reject_pvalues_outside_unit_interval(self, bad):
+        p = np.linspace(0.05, 0.95, 10)
+        p[3] = bad
+        forest = forest_from_grid((2, 5))
+        calls = [
+            lambda: da_flat_weights(p, 0.5),
+            lambda: da_hier_weights(flat_tree(10), p, 0.5),
+            lambda: da_hier_weights(ten_hypothesis_tree(), p, 0.5),
+            lambda: da_hier_effects(ten_hypothesis_tree(), p, 0.5),
+            lambda: da_gen_weights(forest, p, 0.5),
+            lambda: da_sway_weights(forest, p, 0.5),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                call()
+
+    def test_forest_without_trees(self):
+        empty = ClassificationForest(n=10, trees=())
+        for call in (
+            lambda: oracle_gen_weights(empty, TEN_TRUTH),
+            lambda: oracle_sway_weights(empty, TEN_TRUTH),
+            lambda: da_gen_weights(empty, DA_PVALUES, 0.5),
+            lambda: da_sway_weights(empty, DA_PVALUES, 0.5),
+        ):
+            with pytest.raises(ValueError, match="at least one tree"):
+                call()
+
+    @pytest.mark.parametrize("outside", [10, -1])
+    def test_oneway_rejects_members_outside_range(self, outside):
+        groups = [np.arange(10), np.array([0, outside])]
+        with pytest.raises(ValueError, match=r"\[0, 10\)"):
+            oracle_overlap_oneway_weights(10, groups, np.ones(2), TEN_TRUTH)
