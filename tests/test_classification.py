@@ -71,16 +71,20 @@ def test_tree_from_groups_rejects_orphan():
         tree_from_groups(10, [[np.arange(0, 5), np.arange(5, 10)], [np.array([3, 7])]])
 
 
+def test_tree_from_levels_rejects_missing_parent():
+    with pytest.raises(ValueError, match="has no parent"):
+        tree_from_levels(4, [[((1, 1), np.arange(2))]])
+
+
 @pytest.mark.parametrize(
     "levels",
     [
-        [[((1, 1), np.arange(2))]],
-        # the parent must sit at the previous level, not at the same one or higher up
         [[((1,), np.arange(4)), ((1, 1), np.arange(4))]],
         [[((1,), np.arange(4))], [((2,), np.arange(4))]],
     ],
 )
-def test_tree_from_levels_rejects_missing_parent(levels):
+def test_tree_from_levels_rejects_parent_off_previous_level(levels):
+    # the parent must sit at the previous level, not at the same one or higher up
     with pytest.raises(ValueError, match="has no parent"):
         tree_from_levels(4, levels)
 
@@ -162,7 +166,7 @@ def test_validate_catches_empty_and_out_of_range_groups():
     assert "child (3,) not contained in parent ()" in problems
 
 
-def test_tree_arrays_are_level_ordered_csr():
+def test_compiled_form_is_level_ordered_csr():
     t = two_level_overlap_tree()
     assert t.paths == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
     assert t.parent.tolist() == [-1, 0, 0, 1, 1, 2, 2]
