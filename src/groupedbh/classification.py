@@ -301,15 +301,40 @@ def _encode_members(members: np.ndarray) -> list:
     return out
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer that fits in int64; bools, floats and strings are
+    rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not -(2**63) <= value < 2**63:
+        raise ValueError(f"{what} must be an integer in int64 range, got {value!r:.40}")
+    return int(value)
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r:.40}")
+    return value
+
+
+def _key(obj, key: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"expected an object with {key!r}, got {obj!r:.40}")
+    return obj[key]
+
+
 def _decode_members(encoded: list) -> np.ndarray:
     parts = []
     for item in encoded:
         if isinstance(item, list):
             start, stop = item
-            parts.append(np.arange(start, stop, dtype=np.int64))
+            parts.append(np.arange(_integer(start, "a run bound"), _integer(stop, "a run bound"), dtype=np.int64))
         else:
-            parts.append(np.array([item], dtype=np.int64))
+            parts.append(np.array([_integer(item, "a member")], dtype=np.int64))
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def _decode_group(group) -> tuple[tuple[int, ...], np.ndarray]:
+    path = tuple(_integer(v, "a path entry") for v in _list(_key(group, "path"), "a path"))
+    return path, _decode_members(_list(_key(group, "members"), "members"))
 
 
 def forest_to_dict(forest: ClassificationForest) -> dict:
@@ -324,12 +349,14 @@ def forest_to_dict(forest: ClassificationForest) -> dict:
 
 
 def forest_from_dict(data: dict) -> ClassificationForest:
-    n = int(data["n"])
+    """Decode the schema above; a wrong shape or a value that is not an
+    integer raises ValueError."""
+    n = _integer(_key(data, "n"), "n")
     trees = []
-    for tdata in data["trees"]:
+    for tdata in _list(_key(data, "trees"), "trees"):
         levels = [
-            [(tuple(g["path"]), _decode_members(g["members"])) for g in level_groups]
-            for level_groups in tdata["levels"]
+            [_decode_group(g) for g in _list(level_groups, "a level")]
+            for level_groups in _list(_key(tdata, "levels"), "levels")
         ]
         trees.append(tree_from_levels(n, levels))
     return ClassificationForest(n=n, trees=tuple(trees))

@@ -285,6 +285,8 @@ def run_sweep(
     ``corrupt`` deliberately perturbs one weight vector per trial group, as
     a negative control that the checks can fail.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     reports = []
     for t in range(trials):

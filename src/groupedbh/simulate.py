@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,18 +80,6 @@ class SimulationPlan:
         return problems
 
 
-@dataclass(frozen=True)
-class LayeredTheta:
-    theta0: np.ndarray
-    theta1: np.ndarray
-    theta2: np.ndarray  # length m
-    theta: np.ndarray
-
-    @property
-    def is_null_flat(self) -> np.ndarray:
-        return self.theta.reshape(-1) == 0
-
-
 @dataclass
 class SummaryRow:
     method: str
@@ -106,11 +94,8 @@ class SummaryRow:
 class SimulationSummary:
     plan: SimulationPlan
     rows: list[SummaryRow]
-    # per (method, one_minus_pi0): replicate-level (fdp, power) arrays,
-    # kept only when run_study(..., keep_replicates=True)
-    replicate_records: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict
-    )
+    # per (method, one_minus_pi0): replicate-level (fdp, power) arrays
+    replicate_records: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]]
 
 
 def _blocks(m: int) -> tuple[slice, slice, slice]:
@@ -121,8 +106,9 @@ def _blocks(m: int) -> tuple[slice, slice, slice]:
     return slice(0, half), slice(half, half + overlap), slice(half + overlap, m)
 
 
-def generate_theta(plan: SimulationPlan, one_minus_pi0: float, rng: np.random.Generator) -> LayeredTheta:
-    """Signal indicators as the entrywise product of the three layers."""
+def generate_theta(plan: SimulationPlan, one_minus_pi0: float, rng: np.random.Generator) -> np.ndarray:
+    """The m x n signal indicators: the entrywise product of the three
+    layers."""
     m, n = plan.m, plan.n
     theta0 = rng.binomial(1, one_minus_pi0, size=(m, n))
     top, mid, bottom = _blocks(m)
@@ -131,8 +117,7 @@ def generate_theta(plan: SimulationPlan, one_minus_pi0: float, rng: np.random.Ge
     theta1[mid] = rng.binomial(1, 1.0 - plan.pi1_star)
     theta1[bottom] = rng.binomial(1, 1.0 - plan.pi1)
     theta2 = rng.binomial(1, 1.0 - plan.pi2, size=m)
-    theta = theta0 * theta1 * theta2[:, None]
-    return LayeredTheta(theta0=theta0, theta1=theta1, theta2=theta2, theta=theta)
+    return theta0 * theta1 * theta2[:, None]
 
 
 def generate_statistics(
@@ -209,7 +194,7 @@ def replicate_rng(seed: int, point_index: int, replicate: int) -> np.random.Gene
     )
 
 
-def run_study(plan: SimulationPlan, keep_replicates: bool = False) -> SimulationSummary:
+def run_study(plan: SimulationPlan) -> SimulationSummary:
     """Run the full density sweep and aggregate FDP and power per method."""
     problems = plan.validate()
     if problems:
@@ -223,9 +208,9 @@ def run_study(plan: SimulationPlan, keep_replicates: bool = False) -> Simulation
         for r in range(plan.replicates):
             rng = replicate_rng(plan.seed, d, r)
             theta = generate_theta(plan, density, rng)
-            x = generate_statistics(theta.theta, plan.rho_l1, plan.rho_l2, plan.mu, rng)
+            x = generate_statistics(theta, plan.rho_l1, plan.rho_l2, plan.mu, rng)
             pvalues = pvalues_from_statistics(x)
-            is_null = theta.is_null_flat
+            is_null = theta.reshape(-1) == 0
             for meth in plan.methods:
                 w = _method_weights(meth, tree, pvalues, is_null, plan)
                 outcome = weighted_bh(pvalues, w, plan.alpha)
@@ -247,8 +232,7 @@ def run_study(plan: SimulationPlan, keep_replicates: bool = False) -> Simulation
                     else 0.0,
                 )
             )
-            if keep_replicates:
-                records[(meth, density)] = (fdp[meth].copy(), power[meth].copy())
+            records[(meth, density)] = (fdp[meth], power[meth])
     return SimulationSummary(plan=plan, rows=rows, replicate_records=records)
 
 

@@ -43,7 +43,7 @@ def _assemble(
         inv = 1.0 / leaf_effects
         terms = leaf_null_mass / leaf_effects
     inv_sum = np.bincount(rows, weights=np.repeat(inv, sizes), minlength=n)
-    norm = math.fsum(terms[(leaf_null_mass > 0.0) & ~np.isinf(leaf_effects)]) / n
+    norm = math.fsum(terms[(leaf_null_mass > 0.0) & ~np.isinf(leaf_effects)]) / max(n, 1)
     weights = np.full(n, math.inf)
     weights[np.isinf(inv_sum)] = 0.0
     finite = ~np.isinf(inv_sum) & (inv_sum != 0.0)
@@ -58,6 +58,11 @@ def _leaf_weights(tree: HierTree, effects: np.ndarray, null_mass: np.ndarray) ->
 
 def _by_path(tree: HierTree, effects: np.ndarray) -> dict[tuple[int, ...], float]:
     return dict(zip(tree.paths, effects.tolist()))
+
+
+def _pi0(is_null: np.ndarray) -> float:
+    """Share of true nulls; 0.0 when there are no hypotheses."""
+    return np.count_nonzero(is_null) / max(is_null.size, 1)
 
 
 def _truth(is_null, n: int) -> np.ndarray:
@@ -99,8 +104,7 @@ def _check_partitions(forest: ClassificationForest) -> None:
 def oracle_flat_weights(is_null: np.ndarray) -> np.ndarray:
     """Constant weight pi0 = (#nulls)/N for every hypothesis."""
     is_null = np.asarray(is_null, dtype=bool)
-    pi0 = is_null.mean()
-    return np.full(is_null.size, pi0)
+    return np.full(is_null.size, _pi0(is_null))
 
 
 def oracle_overlap_oneway_weights(
@@ -138,7 +142,7 @@ def _oracle_effects(tree: HierTree, is_null: np.ndarray) -> tuple[np.ndarray, np
     null odds r_l = pi0_l / (1 - pi0_l), and r_l in {0, +inf} passes
     straight through as the effect."""
     n0 = tree.counts(is_null)
-    pi0 = float(is_null.mean())
+    pi0 = _pi0(is_null)
     effects = np.empty(n0.size)
     effects[0] = pi0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -161,7 +165,7 @@ def oracle_hier_effects(tree: HierTree, is_null: np.ndarray) -> dict[tuple[int, 
 def oracle_hier_weights(tree: HierTree, is_null: np.ndarray) -> np.ndarray:
     """Hierarchically grouped oracle weights (overlap-aware)."""
     is_null = _truth(is_null, tree.n)
-    pi0 = float(is_null.mean())
+    pi0 = _pi0(is_null)
     if pi0 == 0.0 or pi0 == 1.0 or tree.depth == 0:
         return np.full(tree.n, pi0)
     return _leaf_weights(tree, *_oracle_effects(tree, is_null))
@@ -180,9 +184,6 @@ def oracle_gen_weights(forest: ClassificationForest, is_null: np.ndarray) -> np.
     hierarchical weights."""
     _check_trees(forest)
     is_null = _truth(is_null, forest.n)
-    pi0 = float(is_null.mean())
-    if pi0 == 0.0 or pi0 == 1.0:
-        return np.full(forest.n, pi0)
     inv_acc = np.zeros(forest.n)
     with np.errstate(divide="ignore"):
         for tree in forest.trees:
@@ -217,73 +218,41 @@ def da_flat_weights(pvalues: np.ndarray, lam: float) -> np.ndarray:
     pvalues = np.asarray(pvalues, dtype=float)
     _check_inputs(pvalues)
     est = storey_null_estimate(pvalues, lam)
-    return np.full(pvalues.size, est.n_hat0 / pvalues.size)
+    return np.full(pvalues.size, est.n_hat0 / max(pvalues.size, 1))
 
 
-def _da_effects(
-    tree: HierTree, pvalues: np.ndarray, lam: float, ancestor_mode: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _da_effects(tree: HierTree, pvalues: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-node estimated effects and Storey null counts; see
     :func:`da_hier_effects`."""
-    if ancestor_mode not in ("recursive", "direct"):
-        raise ValueError(f"unknown ancestor_mode {ancestor_mode!r}")
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    n, parent, m = tree.n, tree.parent, tree.m
+    n, up = tree.n, tree.parent[1:]
     nhat = (tree.sizes - tree.counts(pvalues <= lam) + 1) / (1.0 - lam)
     effects = np.empty(nhat.size)
     effects[0] = nhat[0] / n
-    if ancestor_mode == "recursive":
-        up = parent[1:]
-        effects[1:] = nhat[1:] * tree.mult[up] * m[up] / n
-        return effects, nhat
-    for s in tree.levels:
-        up = parent[s]
-        if s.start == 1:
-            effects[s] = (nhat[s] / n) * m[up]
-        else:
-            effects[s] = effects[parent[up]] * (nhat[s] / nhat[up]) * m[up]
+    effects[1:] = nhat[1:] * tree.mult[up] * tree.m[up] / n
     return effects, nhat
 
 
-def da_hier_effects(
-    tree: HierTree,
-    pvalues: np.ndarray,
-    lam: float,
-    ancestor_mode: str = "recursive",
-) -> dict[tuple[int, ...], float]:
-    """Estimated grouping effects w_hat along the tree.
+def da_hier_effects(tree: HierTree, pvalues: np.ndarray, lam: float) -> dict[tuple[int, ...], float]:
+    """Estimated grouping effects w_hat along the tree: the estimated pi0
+    at the root, w_hat = n_hat0 * (product of branching factors) / N below.
 
-    The chain is w_hat_{g1} = (n_hat0_{g1}/N) m_1 at level 1 and
-    w_hat_l = w_hat_{l-2} * (n_hat0_l / n_hat0_{l-1}) * m_l deeper down,
-    seeded at the root with the estimated pi0.
-
-    ``ancestor_mode`` picks how internal-node null counts enter the chain:
-
-    * ``"recursive"``: an ancestor's count is m_l times its descendant's,
-      taken along each leaf's own lineage. This keeps every weight a
-      non-decreasing function of every p-value, which is the hypothesis
-      the adaptive FDR guarantee rests on. The chain then telescopes to
-      w_hat = n_hat0 * (product of branching factors) / N.
-    * ``"direct"``: every node's count is the Storey estimate over its own
-      member p-values. This matches how the two-level brain-region example
-      is usually computed, but with three or more level-1 groups a deep
-      chain loses coordinate-wise monotonicity.
+    This is the chain w_hat_{g1} = (n_hat0_{g1}/N) m_1, w_hat_l =
+    w_hat_{l-2} * (n_hat0_l / n_hat0_{l-1}) * m_l with an ancestor's count
+    taken as m_l times its descendant's, along each leaf's own lineage. That
+    choice keeps every weight a non-decreasing function of every p-value,
+    which the adaptive FDR guarantee rests on.
     """
-    return _by_path(tree, _da_effects(tree, _pvalues(pvalues, tree.n), lam, ancestor_mode)[0])
+    return _by_path(tree, _da_effects(tree, _pvalues(pvalues, tree.n), lam)[0])
 
 
-def da_hier_weights(
-    tree: HierTree,
-    pvalues: np.ndarray,
-    lam: float,
-    ancestor_mode: str = "recursive",
-) -> np.ndarray:
+def da_hier_weights(tree: HierTree, pvalues: np.ndarray, lam: float) -> np.ndarray:
     """Data-adaptive hierarchically grouped weights (overlap-aware)."""
     pvalues = _pvalues(pvalues, tree.n)
-    if tree.depth == 0:
+    if tree.depth == 0 or tree.n == 0:
         return da_flat_weights(pvalues, lam)
-    return _leaf_weights(tree, *_da_effects(tree, pvalues, lam, ancestor_mode))
+    return _leaf_weights(tree, *_da_effects(tree, pvalues, lam))
 
 
 def da_sway_weights(forest: ClassificationForest, pvalues: np.ndarray, lam: float) -> np.ndarray:
@@ -294,17 +263,12 @@ def da_sway_weights(forest: ClassificationForest, pvalues: np.ndarray, lam: floa
     return da_gen_weights(forest, pvalues, lam)
 
 
-def da_gen_weights(
-    forest: ClassificationForest,
-    pvalues: np.ndarray,
-    lam: float,
-    ancestor_mode: str = "recursive",
-) -> np.ndarray:
+def da_gen_weights(forest: ClassificationForest, pvalues: np.ndarray, lam: float) -> np.ndarray:
     """Data-adaptive generalized weights: harmonic mean over trees of the
     per-tree hierarchical weights."""
     _check_trees(forest)
     pvalues = _pvalues(pvalues, forest.n)
     inv_acc = np.zeros(forest.n)
     for tree in forest.trees:
-        inv_acc += 1.0 / da_hier_weights(tree, pvalues, lam, ancestor_mode=ancestor_mode)
+        inv_acc += 1.0 / da_hier_weights(tree, pvalues, lam)
     return forest.s_count / inv_acc

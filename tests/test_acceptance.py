@@ -56,7 +56,7 @@ def verdict(number: int, description: str, ok: bool) -> None:
 def independence_study():
     """The full density sweep under independence, shared by criteria 5-6."""
     plan = SimulationPlan()
-    return run_study(plan, keep_replicates=True)
+    return run_study(plan)
 
 
 def test_criterion_1_condition1_exactness():
@@ -301,7 +301,7 @@ def test_criterion_8_generator_calibration():
     frac_mid = np.empty(draws)
     frac_out = np.empty(draws)
     for d in range(draws):
-        theta = generate_theta(plan, density, rng).theta
+        theta = generate_theta(plan, density, rng)
         frac_mid[d] = theta[mid].mean()
         frac_out[d] = np.concatenate([theta[top], theta[bottom]]).mean()
     for frac, expect in (

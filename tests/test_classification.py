@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from groupedbh.classification import (
     ClassificationForest,
@@ -23,6 +23,7 @@ from groupedbh.classification import (
     validate_tree,
 )
 from groupedbh.identities import random_tree
+from groupedbh.weights import da_gen_weights
 
 
 def two_level_overlap_tree(n=12):
@@ -261,3 +262,127 @@ def test_random_tree_round_trip_property(seed, n, depth):
 def test_members_deduplicated_and_sorted():
     t = tree_from_levels(4, [[((1,), np.array([3, 1, 1, 0, 2]))]])
     assert (t.members(1) == np.arange(4)).all()
+
+
+def _spec(n=3, path=None, members=None):
+    """A one-tree, one-level spec document with the given field values."""
+    group = {"path": [1] if path is None else path, "members": [[0, 3]] if members is None else members}
+    return {"n": n, "trees": [{"levels": [[group]]}]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [1],
+        {"n": 3, "trees": 3},
+        {"n": 3},
+        {"trees": []},
+        {"n": 3, "trees": [{"levels": 1}]},
+        {"n": 3, "trees": [{"levels": [5]}]},
+        {"n": 3, "trees": [{"levels": [[7]]}]},
+        {"n": 3, "trees": [{"levels": [[{"members": [0]}]]}]},
+        {"n": 3, "trees": [{"levels": [[{"path": [1], "members": [[0, 3]]}], [{"path": "11", "members": [[0, 3]]}]]}]},
+        _spec(members=5),
+        _spec(members=[[0, 1, 3]]),
+    ],
+)
+def test_forest_from_dict_rejects_wrong_shape(data):
+    with pytest.raises(ValueError):
+        forest_from_dict(data)
+
+
+@pytest.mark.parametrize("bad", [True, 1.7, 4.0, "1"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: _spec(n=v),
+        lambda v: _spec(path=[v]),
+        lambda v: _spec(members=[0, 1, v]),
+        lambda v: _spec(members=[[0, v]]),
+    ],
+    ids=["n", "path-entry", "member", "run-bound"],
+)
+def test_forest_from_dict_rejects_non_integers(make, bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        forest_from_dict(make(bad))
+
+
+def test_forest_from_dict_accepts_numpy_integers():
+    data = _spec(n=np.int64(3), path=[np.int32(1)], members=[np.int64(0), [np.int16(1), np.uint8(3)]])
+    _assert_same_arrays(forest_from_dict(data).trees[0], forest_from_dict(_spec()).trees[0])
+
+
+JSON_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.integers(-60, 60),
+    st.integers(2**63, 2**64),  # past int64, yet rejected before any allocation
+    st.lists(st.integers(-60, 60), max_size=3),
+    st.dictionaries(st.sampled_from(["n", "trees", "levels", "path", "members"]), st.integers(-3, 3), max_size=2),
+)
+
+
+def _slots(doc) -> list:
+    """Every (container, key) position inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    out = []
+    for key, value in list(items):
+        out.append((doc, key))
+        out += _slots(value)
+    return out
+
+
+def _free_tree(draw, n: int) -> dict:
+    """Groups with random members under random existing parents."""
+    index = st.integers(-2, n + 2)
+    member = st.one_of(index, st.lists(index, min_size=2, max_size=2))
+    levels, above = [], [[]]
+    for _ in range(draw(st.integers(0, 3))):
+        level = [
+            {"path": draw(st.sampled_from(above)) + [draw(st.integers(0, 3))], "members": draw(st.lists(member, max_size=5))}
+            for _ in range(draw(st.integers(1, 4)))
+        ]
+        levels.append(level)
+        above = [group["path"] for group in level]
+    return {"levels": levels}
+
+
+@st.composite
+def spec_documents(draw):
+    """Small spec documents: a valid random forest or free-form groups,
+    then up to two positions replaced by junk or dropped."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_JUNK)
+    n = draw(st.integers(0, 50))
+    if n and draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        trees = tuple(random_tree(rng, n=n) for _ in range(draw(st.integers(1, 2))))
+        doc = forest_to_dict(ClassificationForest(n=n, trees=trees))
+    else:
+        doc = {"n": n, "trees": [_free_tree(draw, n) for _ in range(draw(st.integers(0, 2)))]}
+    for _ in range(draw(st.integers(0, 2))):
+        slots = _slots(doc)
+        if slots:
+            holder, key = draw(st.sampled_from(slots))
+            if isinstance(holder, dict) and draw(st.booleans()):
+                del holder[key]
+            else:
+                holder[key] = draw(st.one_of(st.integers(-2, n + 2), JSON_JUNK))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_documents(), st.integers(0, 2**32 - 1))
+@example(_spec(n=1, members=[2**63]), 0)  # was an OverflowError past int64
+def test_adversarial_spec_fails_only_with_value_error(doc, seed):
+    # decode -> validate -> adaptive weights, as `groupedbh test` runs them
+    try:
+        forest = forest_from_dict(doc)
+    except ValueError:
+        return
+    if validate_forest(forest):
+        return
+    weights = da_gen_weights(forest, np.random.default_rng(seed).uniform(size=forest.n), 0.5)
+    assert np.isfinite(weights).all() and (weights >= 0).all()

@@ -137,6 +137,32 @@ class TestCmdTest:
         assert "malformed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "spec",
+        [
+            [1],
+            {"n": 3, "trees": 3},
+            {"n": 3, "trees": [{"levels": [[{"path": [1], "members": 5}]]}]},
+            {"n": 3, "trees": [{"levels": [[{"path": [1.7], "members": [[0, 3]]}]]}]},
+            {"n": 3.9, "trees": [{"levels": [[{"path": [1], "members": [[0, 3]]}]]}]},
+            {
+                "n": 3,
+                "trees": [
+                    {"levels": [[{"path": [1], "members": [[0, 3]]}], [{"path": "11", "members": [[0, 3]]}]]}
+                ],
+            },
+        ],
+        ids=["top-level-list", "trees-int", "members-int", "path-float", "n-float", "path-str"],
+    )
+    def test_misshapen_or_non_integer_spec_exits_2(self, tmp_path, capsys, spec):
+        pfile = tmp_path / "p.txt"
+        write_lines(pfile, [0.1, 0.5, 0.9])
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["test", "--pvalues", str(pfile), "--method", "gen", "--adaptive", "--spec", str(path)])
+        assert rc == 2
+        assert "error: malformed classification spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "option, message", [(["--alpha", "2"], "alpha"), (["--lambda", "1.5"], "lambda")]
     )
     def test_out_of_range_level_exits_2(self, tmp_path, capsys, option, message):
@@ -198,6 +224,11 @@ class TestCmdValidate:
             r["name"] for r in records
         }
         assert "condition1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_exit_2(self, capsys, trials):
+        assert main(["validate", "--trials", trials]) == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
 
     def test_corruption_hook_fails(self, capsys):
         rc = main(["validate", "--trials", "3", "--corrupt"])

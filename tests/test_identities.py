@@ -129,6 +129,12 @@ def test_report_serialization():
     assert d["config_digest"] == "abc"
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_sweep_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="trials"):
+        run_sweep(trials=trials)
+
+
 def test_sweep_reproducible():
     a = run_sweep(seed=3, trials=3, monotone_trials=3)
     b = run_sweep(seed=3, trials=3, monotone_trials=3)

@@ -68,14 +68,14 @@ class TestThetaLayers:
     def test_all_null_when_density_zero(self):
         rng = np.random.default_rng(1)
         t = generate_theta(SimulationPlan(), 0.0, rng)
-        assert (t.theta == 0).all()
-        assert t.is_null_flat.all()
+        assert t.shape == (50, 100)
+        assert (t == 0).all()
 
     def test_all_signal_when_every_layer_fires(self):
         rng = np.random.default_rng(1)
         plan = SimulationPlan(pi1=0.0, pi1_star=0.0, pi2=0.0)
         t = generate_theta(plan, 1.0, rng)
-        assert (t.theta == 1).all()
+        assert (t == 1).all()
 
     def test_block_signal_densities(self):
         # signal fraction is (1-pi0)(1-pi1)(1-pi2) off the overlap block
@@ -88,7 +88,7 @@ class TestThetaLayers:
         frac_mid = np.empty(draws)
         frac_out = np.empty(draws)
         for d in range(draws):
-            t = generate_theta(plan, density, rng).theta
+            t = generate_theta(plan, density, rng)
             frac_mid[d] = t[mid].mean()
             frac_out[d] = np.concatenate([t[top], t[bottom]]).mean()
         expect_mid = density * (1 - plan.pi1_star) * (1 - plan.pi2)  # 0.15
@@ -185,11 +185,13 @@ class TestRunStudy:
             assert ra == rb
 
     def test_replicate_records_kept_on_request(self):
-        summary = run_study(self.TINY, keep_replicates=True)
-        fdp, power = summary.replicate_records[("BH", 0.5)]
-        assert fdp.shape == (5,)
-        assert power.shape == (5,)
-        assert run_study(self.TINY).replicate_records == {}
+        # records are always kept: one (fdp, power) pair per method and density
+        summary = run_study(self.TINY)
+        assert len(summary.replicate_records) == len(summary.rows)
+        for row in summary.rows:
+            fdp, power = summary.replicate_records[(row.method, row.one_minus_pi0)]
+            assert fdp.shape == power.shape == (5,)
+            assert fdp.mean() == row.mean_fdp and power.mean() == row.mean_power
 
     def test_replicate_streams_independent_of_order(self):
         # the rng for (point, replicate) does not depend on what ran before

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -324,40 +325,10 @@ def depth_two_disjoint_tree():
 
 
 class TestAncestorModes:
-    """The two ways of filling in internal-node null-count estimates."""
+    """An ancestor's null count in the adaptive chain is m_l times its
+    descendant's, which keeps every weight monotone in every p-value."""
 
     P = np.array([0.4, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9])
-
-    def test_direct_matches_per_node_storey_chain(self):
-        tree = depth_two_disjoint_tree()
-        p = self.P
-        eff = da_hier_effects(tree, p, 0.5, ancestor_mode="direct")
-        n = 8
-
-        def nhat(idx):
-            r = int((p[idx] <= 0.5).sum())
-            return (len(idx) - r + 1) / 0.5
-
-        pi0_hat = nhat(np.arange(8)) / n
-        for g1 in (1, 2):
-            parent = np.arange(0, 4) if g1 == 1 else np.arange(4, 8)
-            assert eff[(g1,)] == pytest.approx(nhat(parent) / n * 2, rel=1e-12)
-            for g2 in (1, 2):
-                leaf = parent[:2] if g2 == 1 else parent[2:]
-                expected = pi0_hat * (nhat(leaf) / nhat(parent)) * 2
-                assert eff[(g1, g2)] == pytest.approx(expected, rel=1e-12)
-
-    def test_direct_mode_is_not_monotone_at_depth_two(self):
-        # raising p_0 past lambda shrinks the cousin leaf's weight because
-        # its parent's estimated null count grows in the denominator
-        tree = depth_two_disjoint_tree()
-        before = da_hier_weights(tree, self.P, 0.5, ancestor_mode="direct")
-        bumped = self.P.copy()
-        bumped[0] = 0.6
-        after = da_hier_weights(tree, bumped, 0.5, ancestor_mode="direct")
-        assert before[2] == pytest.approx(3.375)
-        assert after[2] == pytest.approx(3.0)
-        assert after[2] < before[2]
 
     def test_recursive_mode_is_monotone_on_same_case(self):
         tree = depth_two_disjoint_tree()
@@ -367,15 +338,14 @@ class TestAncestorModes:
         after = da_hier_weights(tree, bumped, 0.5)
         assert (after >= before - 1e-12).all()
 
-    def test_modes_agree_at_depth_one(self):
+    def test_depth_one_effects_match_closed_form(self):
+        # w_hat_g = (n_hat0_g / N) * m_1 with n_hat0_g = (n_g - R_g + 1) / (1 - lambda)
         tree = ten_hypothesis_tree()
-        a = da_hier_weights(tree, DA_PVALUES, 0.5, ancestor_mode="recursive")
-        b = da_hier_weights(tree, DA_PVALUES, 0.5, ancestor_mode="direct")
-        assert np.allclose(a, b, rtol=1e-12)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="ancestor_mode"):
-            da_hier_effects(depth_two_disjoint_tree(), self.P, 0.5, ancestor_mode="x")
+        eff = da_hier_effects(tree, DA_PVALUES, 0.5)
+        for path, members in (((1,), slice(0, 4)), ((2,), slice(4, 10))):
+            p = DA_PVALUES[members]
+            nhat = (p.size - int((p <= 0.5).sum()) + 1) / 0.5
+            assert eff[path] == pytest.approx(nhat / 10 * 2, rel=1e-12)
 
 
 class TestDASway:
@@ -490,6 +460,31 @@ class TestInputChecks:
         ):
             with pytest.raises(ValueError, match="at least one tree"):
                 call()
+
+    def test_no_hypotheses_give_empty_weights(self):
+        # N = 0: every weight entry point returns an empty array, with no
+        # ZeroDivisionError and no RuntimeWarning
+        none, p = np.zeros(0, dtype=bool), np.zeros(0)
+        root = flat_tree(0)
+        forest = ClassificationForest(n=0, trees=(root, root))
+        partition = tree_from_levels(0, [[((1,), [])]])
+        partitions = ClassificationForest(n=0, trees=(partition, partition))
+        calls = [
+            lambda: oracle_flat_weights(none),
+            lambda: oracle_overlap_oneway_weights(0, [], [], none),
+            lambda: oracle_hier_weights(root, none),
+            lambda: oracle_sway_weights(partitions, none),
+            lambda: oracle_gen_weights(forest, none),
+            lambda: da_flat_weights(p, 0.5),
+            lambda: da_hier_weights(root, p, 0.5),
+            lambda: da_sway_weights(partitions, p, 0.5),
+            lambda: da_gen_weights(forest, p, 0.5),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                w = call()
+                assert w.shape == (0,) and w.dtype == float
 
     @pytest.mark.parametrize("outside", [10, -1])
     def test_oneway_rejects_members_outside_range(self, outside):
