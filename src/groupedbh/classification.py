@@ -100,8 +100,8 @@ class HierTree:
 
     def counts(self, mask: np.ndarray) -> np.ndarray:
         """Per-node number of members i with mask[i] set."""
-        hits = mask[self.indices]
-        counts = np.add.reduceat(hits, np.minimum(self.indptr[:-1], hits.size - 1), dtype=np.int64)
+        hits = np.append(mask[self.indices], False)  # so every row start is in range
+        counts = np.add.reduceat(hits, self.indptr[:-1], dtype=np.int64)
         counts[self.sizes == 0] = 0  # reduceat leaves a value in empty rows
         return counts
 
@@ -321,20 +321,24 @@ def _key(obj, key: str):
     return obj[key]
 
 
-def _decode_members(encoded: list) -> np.ndarray:
+def _decode_members(encoded: list, n: int) -> np.ndarray:
+    """Members of one group; a run must satisfy 0 <= start <= stop <= n,
+    checked before it is allocated."""
     parts = []
     for item in encoded:
         if isinstance(item, list):
-            start, stop = item
-            parts.append(np.arange(_integer(start, "a run bound"), _integer(stop, "a run bound"), dtype=np.int64))
+            start, stop = (_integer(bound, "a run bound") for bound in item)
+            if not 0 <= start <= stop <= n:
+                raise ValueError(f"run [{start}, {stop}) does not lie within [0, {n}]")
+            parts.append(np.arange(start, stop, dtype=np.int64))
         else:
             parts.append(np.array([_integer(item, "a member")], dtype=np.int64))
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
-def _decode_group(group) -> tuple[tuple[int, ...], np.ndarray]:
+def _decode_group(group, n: int) -> tuple[tuple[int, ...], np.ndarray]:
     path = tuple(_integer(v, "a path entry") for v in _list(_key(group, "path"), "a path"))
-    return path, _decode_members(_list(_key(group, "members"), "members"))
+    return path, _decode_members(_list(_key(group, "members"), "members"), n)
 
 
 def forest_to_dict(forest: ClassificationForest) -> dict:
@@ -355,7 +359,7 @@ def forest_from_dict(data: dict) -> ClassificationForest:
     trees = []
     for tdata in _list(_key(data, "trees"), "trees"):
         levels = [
-            [_decode_group(g) for g in _list(level_groups, "a level")]
+            [_decode_group(g, n) for g in _list(level_groups, "a level")]
             for level_groups in _list(_key(tdata, "levels"), "levels")
         ]
         trees.append(tree_from_levels(n, levels))

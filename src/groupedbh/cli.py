@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 identity-check failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -43,32 +44,29 @@ def read_pvalues(path) -> np.ndarray:
     skipped, and each index must appear once); values must lie in [0, 1]."""
     values = {}
     plain = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                if "," in line:
-                    idx_s, val_s = [f.strip() for f in line.split(",")[:2]]
-                    try:
-                        idx, val = int(idx_s), float(val_s)
-                    except ValueError:
-                        if lineno == 0:
-                            continue  # header
-                        raise InputError(f"{path}:{lineno + 1}: cannot parse {line!r}")
-                    if idx in values:
-                        raise InputError(f"{path}:{lineno + 1}: index {idx} appears twice")
-                    values[idx] = val
-                else:
-                    try:
-                        plain.append(float(line))
-                    except ValueError:
-                        if lineno == 0:
-                            continue
-                        raise InputError(f"{path}:{lineno + 1}: cannot parse {line!r}")
-    except OSError as exc:
-        raise InputError(str(exc))
+    with open(path) as fh:
+        for lineno, line in enumerate(fh):
+            line = line.strip()
+            if not line:
+                continue
+            if "," in line:
+                idx_s, val_s = [f.strip() for f in line.split(",")[:2]]
+                try:
+                    idx, val = int(idx_s), float(val_s)
+                except ValueError:
+                    if lineno == 0:
+                        continue  # header
+                    raise InputError(f"{path}:{lineno + 1}: cannot parse {line!r}")
+                if idx in values:
+                    raise InputError(f"{path}:{lineno + 1}: index {idx} appears twice")
+                values[idx] = val
+            else:
+                try:
+                    plain.append(float(line))
+                except ValueError:
+                    if lineno == 0:
+                        continue
+                    raise InputError(f"{path}:{lineno + 1}: cannot parse {line!r}")
     if values and plain:
         raise InputError(f"{path}: mixed plain and indexed rows")
     if values:
@@ -88,11 +86,8 @@ def read_pvalues(path) -> np.ndarray:
 
 def read_truth(path) -> np.ndarray:
     """Truth labels, one per line: 1 marks a true null, 0 a false null."""
-    try:
-        with open(path) as fh:
-            vals = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
-        raise InputError(str(exc))
+    with open(path) as fh:
+        vals = [line.strip() for line in fh if line.strip()]
     if not all(v in ("0", "1") for v in vals):
         raise InputError(f"{path}: truth labels must be 0 or 1, one per line")
     return np.array([v == "1" for v in vals])
@@ -103,7 +98,7 @@ def _load_structure(args, n: int) -> ClassificationForest:
         raise InputError(f"--method {args.method} requires --spec")
     try:
         forest = load_forest(args.spec)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"malformed classification spec {args.spec}: {exc}")
     problems = validate_forest(forest)
     if problems:
@@ -165,19 +160,17 @@ def cmd_test(args) -> int:
         lines.append(f"# fdp={metrics.fdp!r}")
         lines.append(f"# power={metrics.power!r}")
     lines.append("index,pvalue,weight,weighted_pvalue,rejected")
-    wp = weights * pvalues
-    wp[np.isinf(weights)] = np.inf
-    for i in range(pvalues.size):
-        lines.append(
-            f"{i},{float(pvalues[i])!r},{float(weights[i])!r},"
-            f"{float(wp[i])!r},{int(outcome.rejected[i])}"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    rows = map(
+        "{},{!r},{!r},{!r},{:d}\n".format,
+        range(pvalues.size),
+        pvalues.tolist(),
+        weights.tolist(),
+        outcome.weighted_pvalues.tolist(),
+        outcome.rejected.tolist(),
+    )
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write("\n".join(lines) + "\n")
+        fh.writelines(rows)
     return 0
 
 
@@ -323,7 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # OSError: an unreadable input or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ import numpy as np
 class TestOutcome:
     rejected: np.ndarray  # bool, length N
     threshold_index: int  # largest step-up rank satisfied, 0 if none
-    alpha: float
+    weighted_pvalues: np.ndarray  # W_i * P_i as compared, +inf under an infinite weight
 
     @property
     def n_rejected(self) -> int:
@@ -41,12 +41,10 @@ def weighted_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestO
     rank qualifies). Infinite weighted p-values never qualify. Weighted
     p-values are compared raw, without clipping to 1.
 
-    No sort is needed, only counts. For each hypothesis, ceil(wp * N / alpha)
-    guesses the first rank j whose threshold j * alpha / N it meets; exact
-    ``<=`` comparisons against the thresholds then move each guess until it
-    is exact. The j-th smallest weighted p-value is <= j * alpha / N exactly
-    when at least j weighted p-values are, and that count is the cumulative
-    sum of the first ranks, so k is the last rank j where the sum reaches j.
+    One sort of the weighted p-values gives k directly: it is the last rank
+    j whose j-th smallest value is <= thresholds[j - 1], compared exactly
+    against the same thresholds ``alpha * arange(1, N + 1) / N``, which are
+    non-decreasing in floating point.
 
     Rejecting ``wp <= k * alpha / N`` is exactly rejecting sorted ranks 1..k:
     were more than k weighted p-values at or below k * alpha / N, rank k + 1
@@ -67,22 +65,10 @@ def weighted_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestO
         wp = weights * pvalues
     wp[np.isinf(weights)] = np.inf  # never rejectable, even at p = 0
     thresholds = alpha * np.arange(1, n + 1) / n
-    # first[i] = j - 1 for the first rank j with wp[i] <= thresholds[j - 1],
-    # or n if none; it is exact once bounds[first] < wp <= bounds[first + 1]
-    bounds = np.concatenate(([-np.inf], thresholds, [np.inf]))
-    with np.errstate(over="ignore"):
-        first = np.clip(np.ceil(wp * (n / alpha)) - 1.0, 0, n).astype(np.intp)
-    while True:
-        up = wp > bounds[first + 1]
-        down = wp <= bounds[first]
-        if not (up.any() or down.any()):
-            break
-        first += up
-        first -= down
-    at_or_below = np.cumsum(np.bincount(first, minlength=n + 1)[:n])
-    satisfied = np.flatnonzero(at_or_below >= np.arange(1, n + 1))
+    satisfied = np.flatnonzero(np.sort(wp) <= thresholds)
     k = int(satisfied[-1]) + 1 if satisfied.size else 0
-    return TestOutcome(rejected=first < k, threshold_index=k, alpha=alpha)
+    rejected = wp <= thresholds[k - 1] if k else np.zeros(n, dtype=bool)
+    return TestOutcome(rejected=rejected, threshold_index=k, weighted_pvalues=wp)
 
 
 def brute_force_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestOutcome:
@@ -105,7 +91,7 @@ def brute_force_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> Te
     satisfied = np.flatnonzero(counts >= np.arange(1, n + 1))
     k = int(satisfied[-1]) + 1 if satisfied.size else 0
     rejected = wp <= thresholds[k - 1] if k else np.zeros(n, dtype=bool)
-    return TestOutcome(rejected=rejected, threshold_index=k, alpha=alpha)
+    return TestOutcome(rejected=rejected, threshold_index=k, weighted_pvalues=wp)
 
 
 def outcome_metrics(outcome: TestOutcome, is_null: np.ndarray) -> OutcomeMetrics:

@@ -226,7 +226,7 @@ def _da_effects(tree: HierTree, pvalues: np.ndarray, lam: float) -> tuple[np.nda
     :func:`da_hier_effects`."""
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    n, up = tree.n, tree.parent[1:]
+    n, up = max(tree.n, 1), tree.parent[1:]  # max: no division by zero at N = 0
     nhat = (tree.sizes - tree.counts(pvalues <= lam) + 1) / (1.0 - lam)
     effects = np.empty(nhat.size)
     effects[0] = nhat[0] / n

@@ -187,7 +187,7 @@ def test_member_runs_encode_from_three():
     members = np.array([0, 1, 2, 5, 7, 8, 10, 11, 12, 13])
     assert _encode_members(members) == [[0, 3], 5, 7, 8, [10, 14]]
     assert _encode_members(np.array([], dtype=np.int64)) == []
-    assert (_decode_members([[0, 3], 5, 7, 8, [10, 14]]) == members).all()
+    assert (_decode_members([[0, 3], 5, 7, 8, [10, 14]], 14) == members).all()
 
 
 def test_forest_from_grid():

@@ -16,6 +16,12 @@ def write_lines(path, values):
     path.write_text("\n".join(str(v) for v in values) + "\n")
 
 
+def run_python(*args):
+    """Run the interpreter in a fresh process that imports this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(groupedbh.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 class TestReaders:
     def test_plain_pvalues(self, tmp_path):
         f = tmp_path / "p.txt"
@@ -150,8 +156,13 @@ class TestCmdTest:
                     {"levels": [[{"path": [1], "members": [[0, 3]]}], [{"path": "11", "members": [[0, 3]]}]]}
                 ],
             },
+            {"n": 3, "trees": [{"levels": [[{"path": [1], "members": [[0, 10000000]]}]]}]},
+            {"n": 3, "trees": [{"levels": [[{"path": [1], "members": [[0, 3], [2, 0]]}]]}]},
         ],
-        ids=["top-level-list", "trees-int", "members-int", "path-float", "n-float", "path-str"],
+        ids=[
+            "top-level-list", "trees-int", "members-int", "path-float", "n-float", "path-str",
+            "run-past-n", "run-reversed",
+        ],
     )
     def test_misshapen_or_non_integer_spec_exits_2(self, tmp_path, capsys, spec):
         pfile = tmp_path / "p.txt"
@@ -161,6 +172,71 @@ class TestCmdTest:
         rc = main(["test", "--pvalues", str(pfile), "--method", "gen", "--adaptive", "--spec", str(path)])
         assert rc == 2
         assert "error: malformed classification spec" in capsys.readouterr().err
+
+    def test_oversized_run_is_rejected_before_it_is_allocated(self, tmp_path):
+        # a run is checked against [0, n] before it is expanded; expanding
+        # [0, 10^7) first and validating after peaked at 434 MB
+        pfile = tmp_path / "p.txt"
+        write_lines(pfile, [0.1, 0.5, 0.9])
+        spec = tmp_path / "spec.json"
+        levels = [[{"path": [1], "members": [[0, 10000000]]}]]
+        spec.write_text(json.dumps({"n": 3, "trees": [{"levels": levels}]}))
+        # a small parent process, so the child's peak holds no memory it inherited
+        code = (
+            "import resource, subprocess, sys; "
+            "rc = subprocess.run(sys.argv[1:], capture_output=True).returncode; "
+            "print(rc, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        cli = [sys.executable, "-m", "groupedbh.cli", "test", "--pvalues", str(pfile)]
+        run = run_python(
+            "-c", code, *cli, "--method", "gen", "--adaptive", "--spec", str(spec)
+        )
+        rc, max_rss_kb = map(int, run.stdout.split())
+        assert rc == 2
+        assert max_rss_kb < 150 * 1024
+
+    def test_table_bytes_are_pinned(self, tmp_path):
+        # an all-null group (inf weights, p = 0 under one), a group with no
+        # nulls (0 weights), two weighted p-values exactly on the rank-5
+        # threshold and one a ulp above the rank-6 threshold
+        pfile = tmp_path / "p.txt"
+        write_lines(pfile, ["0.0", 0.5, 1.0, 0.9, 0.3, 1.0, "0.24999999999999997", "0.3000000000000001",
+                            "0.24999999999999997"])
+        tfile = tmp_path / "t.txt"
+        write_lines(tfile, [1, 1, 1, 0, 0, 0, 1, 0, 1])
+        spec = tmp_path / "spec.json"
+        levels = [[{"path": [1], "members": [[0, 3]]}, {"path": [2], "members": [3, 4, 5]},
+                   {"path": [3], "members": [[6, 9]]}]]
+        spec.write_text(json.dumps({"n": 9, "trees": [{"levels": levels}]}))
+        out = tmp_path / "result.csv"
+        args = ["-m", "groupedbh.cli", "test", "--pvalues", str(pfile), "--method", "hier",
+                "--spec", str(spec), "--truth", str(tfile), "--alpha", "0.1"]
+        expected = (
+            "# method=hier\n"
+            "# adaptive=False\n"
+            "# alpha=0.1\n"
+            "# lambda=0.5\n"
+            "# n=9\n"
+            "# rejections=5\n"
+            "# threshold_index=5\n"
+            "# fdp=0.4\n"
+            "# power=0.75\n"
+            "index,pvalue,weight,weighted_pvalue,rejected\n"
+            "0,0.0,inf,inf,0\n"
+            "1,0.5,inf,inf,0\n"
+            "2,1.0,inf,inf,0\n"
+            "3,0.9,0.0,0.0,1\n"
+            "4,0.3,0.0,0.0,1\n"
+            "5,1.0,0.0,0.0,1\n"
+            "6,0.24999999999999997,0.22222222222222224,0.05555555555555555,1\n"
+            "7,0.3000000000000001,0.22222222222222224,0.0666666666666667,0\n"
+            "8,0.24999999999999997,0.22222222222222224,0.05555555555555555,1\n"
+        )
+        run = run_python(*args)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == expected
+        assert run_python(*args, "--out", str(out)).returncode == 0
+        assert out.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize(
         "option, message", [(["--alpha", "2"], "alpha"), (["--lambda", "1.5"], "lambda")]
@@ -295,15 +371,33 @@ class TestCmdGenSpec:
         assert out.read_text().count("\n") == 8 + 5000  # header block + rows
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["test", "--pvalues", "P", "--method", "flat", "--adaptive"],
+        ["validate", "--trials", "1"],
+        ["simulate", "--replicates", "1", "--grid", "1", "--methods", "BH"],
+        ["gen-spec", "--layout", "simulation"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    # exit 1 means a failed identity check, so an OSError must not surface as one
+    pfile = tmp_path / "p.txt"
+    write_lines(pfile, [0.01, 0.5, 0.9])
+    command = [str(pfile) if arg == "P" else arg for arg in command]
+    assert main(command + ["--out", str(tmp_path / "missing" / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
 def test_cli_import_loads_no_scipy():
     # scipy.stats alone costs about a second at start-up; only simulate
     # needs scipy, and it imports scipy.special when it runs
-    src = str(Path(groupedbh.__file__).resolve().parents[1])
     code = (
         "import sys, groupedbh.cli; "
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     )
-    env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"

@@ -43,6 +43,7 @@ def test_infinite_weight_never_rejected_even_at_zero_p():
     w = np.array([np.inf, 1.0])
     out = weighted_bh(p, w, 0.1)
     assert out.rejected.tolist() == [False, True]
+    assert out.weighted_pvalues[0] == np.inf  # not inf * 0 = NaN
 
 
 def test_zero_weight_always_rejected_when_anything_is():
@@ -106,6 +107,7 @@ def test_matches_brute_force(instance):
     b = brute_force_bh(p, w, alpha)
     assert a.threshold_index == b.threshold_index
     assert (a.rejected == b.rejected).all()
+    assert np.array_equal(a.weighted_pvalues, b.weighted_pvalues)
 
 
 @settings(max_examples=100, deadline=None)
@@ -185,3 +187,4 @@ def test_matches_brute_force_under_heavy_ties(pvals, weights, alpha):
     b = brute_force_bh(p, w, alpha)
     assert a.threshold_index == b.threshold_index == b.n_rejected
     assert (a.rejected == b.rejected).all()
+    assert np.array_equal(a.weighted_pvalues, b.weighted_pvalues)

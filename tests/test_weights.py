@@ -486,6 +486,13 @@ class TestInputChecks:
                 w = call()
                 assert w.shape == (0,) and w.dtype == float
 
+    def test_effects_of_a_tree_with_no_members(self):
+        # HierTree.counts indexed past the end of the empty member array
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert oracle_hier_effects(flat_tree(0), []) == {(): 0.0}
+            assert da_hier_effects(flat_tree(0), [], 0.5) == {(): 2.0}
+
     @pytest.mark.parametrize("outside", [10, -1])
     def test_oneway_rejects_members_outside_range(self, outside):
         groups = [np.arange(10), np.array([0, outside])]
