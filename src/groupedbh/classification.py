@@ -100,7 +100,7 @@ class HierTree:
 
     def counts(self, mask: np.ndarray) -> np.ndarray:
         """Per-node number of members i with mask[i] set."""
-        hits = np.append(mask[self.indices], False)  # so every row start is in range
+        hits = np.concatenate((mask[self.indices], [False]))  # so every row start is in range
         counts = np.add.reduceat(hits, self.indptr[:-1], dtype=np.int64)
         counts[self.sizes == 0] = 0  # reduceat leaves a value in empty rows
         return counts
