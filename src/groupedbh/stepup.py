@@ -42,9 +42,9 @@ def weighted_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestO
     p-values are compared raw, without clipping to 1.
 
     One sort of the weighted p-values gives k directly: it is the last rank
-    j whose j-th smallest value is <= thresholds[j - 1], compared exactly
-    against the same thresholds ``alpha * arange(1, N + 1) / N``, which are
-    non-decreasing in floating point.
+    j whose j-th smallest value is <= thresholds[j - 1], the thresholds
+    being ``alpha * arange(1, N + 1) / N``, which stay non-decreasing in
+    floating point, as the argument below needs.
 
     Rejecting ``wp <= k * alpha / N`` is exactly rejecting sorted ranks 1..k:
     were more than k weighted p-values at or below k * alpha / N, rank k + 1

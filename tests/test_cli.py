@@ -188,9 +188,7 @@ class TestCmdTest:
             "print(rc, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
         )
         cli = [sys.executable, "-m", "groupedbh.cli", "test", "--pvalues", str(pfile)]
-        run = run_python(
-            "-c", code, *cli, "--method", "gen", "--adaptive", "--spec", str(spec)
-        )
+        run = run_python("-c", code, *cli, "--method", "gen", "--adaptive", "--spec", str(spec))
         rc, max_rss_kb = map(int, run.stdout.split())
         assert rc == 2
         assert max_rss_kb < 150 * 1024
@@ -200,8 +198,8 @@ class TestCmdTest:
         # nulls (0 weights), two weighted p-values exactly on the rank-5
         # threshold and one a ulp above the rank-6 threshold
         pfile = tmp_path / "p.txt"
-        write_lines(pfile, ["0.0", 0.5, 1.0, 0.9, 0.3, 1.0, "0.24999999999999997", "0.3000000000000001",
-                            "0.24999999999999997"])
+        write_lines(pfile, [0.0, 0.5, 1.0, 0.9, 0.3, 1.0, 0.24999999999999997, 0.3000000000000001,
+                            0.24999999999999997])
         tfile = tmp_path / "t.txt"
         write_lines(tfile, [1, 1, 1, 0, 0, 0, 1, 0, 1])
         spec = tmp_path / "spec.json"

@@ -487,7 +487,7 @@ class TestInputChecks:
                 assert w.shape == (0,) and w.dtype == float
 
     def test_effects_of_a_tree_with_no_members(self):
-        # HierTree.counts indexed past the end of the empty member array
+        # every row of a tree without members starts at the end of its member array
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert oracle_hier_effects(flat_tree(0), []) == {(): 0.0}
