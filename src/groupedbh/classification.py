@@ -322,17 +322,32 @@ def _key(obj, key: str):
 
 
 def _decode_members(encoded: list, n: int) -> np.ndarray:
-    """Members of one group; a run must satisfy 0 <= start <= stop <= n,
-    checked before it is allocated."""
-    parts = []
+    """Members of one group, ascending when the encoding is. A run must
+    satisfy 0 <= start <= stop <= n; runs and the members in [0, n) are
+    sorted and merged before anything is allocated, so the decoded array
+    holds at most n + (number of single members) entries."""
+    spans, strays = [], []
     for item in encoded:
         if isinstance(item, list):
             start, stop = (_integer(bound, "a run bound") for bound in item)
             if not 0 <= start <= stop <= n:
                 raise ValueError(f"run [{start}, {stop}) does not lie within [0, {n}]")
-            parts.append(np.arange(start, stop, dtype=np.int64))
+            spans.append((start, stop))
         else:
-            parts.append(np.array([_integer(item, "a member")], dtype=np.int64))
+            member = _integer(item, "a member")
+            if 0 <= member < n:
+                spans.append((member, member + 1))
+            else:
+                strays.append(member)  # out of range: kept for validation to report
+    merged: list[list[int]] = []
+    for start, stop in sorted(spans):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], stop)
+        else:
+            merged.append([start, stop])
+    parts = [np.arange(start, stop, dtype=np.int64) for start, stop in merged]
+    if strays:
+        parts.append(np.array(strays, dtype=np.int64))
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -42,39 +43,13 @@ class InputError(Exception):
 def read_pvalues(path) -> np.ndarray:
     """One decimal per line, or CSV rows of index,value (any header row is
     skipped, and each index must appear once); values must lie in [0, 1]."""
-    values = {}
-    plain = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            if "," in line:
-                idx_s, val_s = [f.strip() for f in line.split(",")[:2]]
-                try:
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError:
-                    if lineno == 0:
-                        continue  # header
-                    raise InputError(f"{path}:{lineno + 1}: cannot parse {line!r}")
-                if idx in values:
-                    raise InputError(f"{path}:{lineno + 1}: index {idx} appears twice")
-                values[idx] = val
-            else:
-                try:
-                    plain.append(float(line))
-                except ValueError:
-                    if lineno == 0:
-                        continue
-                    raise InputError(f"{path}:{lineno + 1}: cannot parse {line!r}")
-    if values and plain:
-        raise InputError(f"{path}: mixed plain and indexed rows")
-    if values:
-        if sorted(values) != list(range(len(values))):
-            raise InputError(f"{path}: index column must cover 0..{len(values) - 1}")
-        arr = np.array([values[i] for i in range(len(values))])
-    else:
-        arr = np.array(plain)
+        try:
+            # the plain format, streamed; float() strips what str.strip() does
+            arr = np.fromiter(map(float, fh), float)
+        except ValueError:  # a header, CSV rows, a blank line or a bad value
+            fh.seek(0)
+            arr = _read_pvalue_lines(fh, path)
     if arr.size == 0:
         raise InputError(f"{path}: no p-values found")
     try:
@@ -82,6 +57,40 @@ def read_pvalues(path) -> np.ndarray:
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
     return arr
+
+
+def _read_pvalue_lines(fh, path) -> np.ndarray:
+    values = {}
+    plain = []
+    for lineno, line in enumerate(fh):
+        line = line.strip()
+        if not line:
+            continue
+        if "," in line:
+            idx_s, val_s = [f.strip() for f in line.split(",")[:2]]
+            try:
+                idx, val = int(idx_s), float(val_s)
+            except ValueError:
+                if lineno == 0:
+                    continue  # header
+                raise InputError(f"{path}:{lineno + 1}: cannot parse {line!r}")
+            if idx in values:
+                raise InputError(f"{path}:{lineno + 1}: index {idx} appears twice")
+            values[idx] = val
+        else:
+            try:
+                plain.append(float(line))
+            except ValueError:
+                if lineno == 0:
+                    continue
+                raise InputError(f"{path}:{lineno + 1}: cannot parse {line!r}")
+    if values and plain:
+        raise InputError(f"{path}: mixed plain and indexed rows")
+    if values:
+        if sorted(values) != list(range(len(values))):
+            raise InputError(f"{path}: index column must cover 0..{len(values) - 1}")
+        return np.array([values[i] for i in range(len(values))])
+    return np.array(plain)
 
 
 def read_truth(path) -> np.ndarray:
@@ -160,18 +169,64 @@ def cmd_test(args) -> int:
         lines.append(f"# fdp={metrics.fdp!r}")
         lines.append(f"# power={metrics.power!r}")
     lines.append("index,pvalue,weight,weighted_pvalue,rejected")
-    rows = map(
-        "{},{!r},{!r},{!r},{:d}\n".format,
-        range(pvalues.size),
-        pvalues.tolist(),
-        weights.tolist(),
-        outcome.weighted_pvalues.tolist(),
-        outcome.rejected.tolist(),
-    )
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.writelines(rows)
+        _write_table(fh, pvalues, weights, outcome)
     return 0
+
+
+_BLOCK_ROWS = 2**13
+_PARALLEL_ROWS = 2**17  # smaller tables are formatted here, with no worker
+_REJECTED = ("0\n", "1\n")
+_worker_columns: tuple = ()  # a table writer process's columns, set by _set_worker_columns
+
+
+def _write_table(fh, pvalues, weights, outcome) -> None:
+    """Write the rows "{},{!r},{!r},{!r},{:d}\n".format(i, p, w, wp, rejected).
+    A table of _PARALLEL_ROWS or more is formatted in blocks of _BLOCK_ROWS by
+    one forked process per CPU of this process's affinity mask, which inherit
+    the columns; the bytes are the same on either path."""
+    # repr once per distinct weight; unique by bit pattern keeps -0.0 apart from 0.0
+    bits = np.asarray(weights, dtype=np.float64).view(np.int64)
+    distinct, weight_ids = np.unique(bits, return_inverse=True)
+    weight_reprs = [repr(w) for w in distinct.view(np.float64).tolist()]
+    columns = (pvalues, weight_reprs, weight_ids, outcome.weighted_pvalues, outcome.rejected)
+    n = pvalues.size
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if n < _PARALLEL_ROWS or cpus < 2:
+        fh.writelines(_rows(columns, 0, n))
+        return
+    import multiprocessing
+
+    # fork, so the workers inherit the columns rather than unpickle a copy; a
+    # pool forks its workers before it starts its own threads
+    with multiprocessing.get_context("fork").Pool(cpus, _set_worker_columns, (columns,)) as pool:
+        fh.writelines(pool.imap(_format_block, range(0, n, _BLOCK_ROWS)))
+
+
+def _set_worker_columns(columns) -> None:
+    global _worker_columns
+    _worker_columns = columns
+
+
+def _format_block(start: int) -> str:
+    return "".join(_rows(_worker_columns, start, start + _BLOCK_ROWS))
+
+
+def _rows(columns, start: int, stop: int):
+    """Rows start .. stop - 1 of the table, one at a time; the columns are
+    turned into Python objects one block at a time."""
+    pvalues, weight_reprs, weight_ids, weighted, rejected = columns
+    for lo in range(start, stop, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, stop)
+        for i, p, k, wp, r in zip(
+            range(lo, hi),
+            pvalues[lo:hi].tolist(),
+            weight_ids[lo:hi].tolist(),
+            weighted[lo:hi].tolist(),
+            rejected[lo:hi].tolist(),
+        ):
+            yield f"{i},{p!r},{weight_reprs[k]},{wp!r},{_REJECTED[r]}"
 
 
 def cmd_simulate(args) -> int:

@@ -190,6 +190,15 @@ def test_member_runs_encode_from_three():
     assert (_decode_members([[0, 3], 5, 7, 8, [10, 14]], 14) == members).all()
 
 
+def test_unsorted_overlapping_runs_decode_to_their_union():
+    # runs are merged before they are expanded; members out of range are
+    # kept for validation to report
+    encoded = [[6, 9], 2, [0, 3], [4, 7], 8, [4, 7], 20, -1, [5, 5]]
+    decoded = _decode_members(encoded, 10)
+    assert decoded.tolist() == [0, 1, 2, 4, 5, 6, 7, 8, 20, -1]
+    assert _decode_members([], 10).tolist() == []
+
+
 def test_forest_from_grid():
     f = forest_from_grid((2, 3))
     assert f.n == 6 and f.s_count == 2

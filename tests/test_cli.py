@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ import pytest
 import groupedbh
 from groupedbh.classification import load_forest, validate_forest
 from groupedbh.cli import main, read_pvalues, read_truth
+from groupedbh.stepup import weighted_bh
+from groupedbh.weights import oracle_hier_weights
 
 
 def write_lines(path, values):
@@ -63,6 +67,45 @@ class TestReaders:
         f = tmp_path / "t.txt"
         write_lines(f, [1, 0, 1])
         assert read_truth(f).tolist() == [True, False, True]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0.1\n0.2\n",
+            "  0.1 \n\t0.2\n",
+            "pvalue\n0.1\n0.2\n",
+            "index,pvalue\n1,0.9\n0,0.1\n",
+            "0.1\n\n0.2\n\n",
+            "0.1\r\n0.2\r\n",
+            "0.1 0.2\n0.3\n",
+            "0.3\n0.1 0.2\n",
+            "0.1\nnan\n",
+            "",
+        ],
+        ids=["plain", "padded", "header", "csv", "blank", "crlf", "pair-first", "pair-later", "nan",
+             "empty"],
+    )
+    def test_streamed_parse_matches_the_line_loop(self, tmp_path, monkeypatch, text):
+        # the streamed plain parse must give what the per-line loop gives,
+        # an array or an error; failing the stream forces the loop
+        from groupedbh.cli import InputError
+
+        f = tmp_path / "p.txt"
+        f.write_bytes(text.encode())
+
+        def parse():
+            try:
+                return read_pvalues(f).tolist()
+            except InputError as exc:
+                return str(exc)
+
+        streamed = parse()
+
+        def fail(*args, **kwargs):
+            raise ValueError("streaming disabled")
+
+        monkeypatch.setattr(np, "fromiter", fail)
+        assert parse() == streamed
 
 
 class TestCmdTest:
@@ -193,6 +236,26 @@ class TestCmdTest:
         assert rc == 2
         assert max_rss_kb < 150 * 1024
 
+    def test_repeated_runs_are_merged_before_they_are_allocated(self, tmp_path):
+        # each run lies within [0, n], but expanding the same run 20 times
+        # before merging peaked at 384 MB for this 349-byte spec
+        pfile = tmp_path / "p.txt"
+        write_lines(pfile, [0.1, 0.5, 0.9])
+        spec = tmp_path / "spec.json"
+        levels = [[{"path": [1], "members": [[0, 1000000]] * 20}]]
+        spec.write_text(json.dumps({"n": 1000000, "trees": [{"levels": levels}]}))
+        code = (
+            "import resource, subprocess, sys; "
+            "run = subprocess.run(sys.argv[1:], capture_output=True, text=True); "
+            "print(run.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, "
+            "'spec has N=1000000' in run.stderr)"
+        )
+        cli = [sys.executable, "-m", "groupedbh.cli", "test", "--pvalues", str(pfile)]
+        run = run_python("-c", code, *cli, "--method", "gen", "--adaptive", "--spec", str(spec))
+        rc, max_rss_kb, reported = run.stdout.split()
+        assert (rc, reported) == ("2", "True")
+        assert int(max_rss_kb) < 150 * 1024
+
     def test_table_bytes_are_pinned(self, tmp_path):
         # an all-null group (inf weights, p = 0 under one), a group with no
         # nulls (0 weights), two weighted p-values exactly on the rank-5
@@ -235,6 +298,74 @@ class TestCmdTest:
         assert run.stdout == expected
         assert run_python(*args, "--out", str(out)).returncode == 0
         assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_table_bytes_match_on_one_cpu_and_on_all(self, tmp_path, to_file):
+        # the pinned table tiled 14564 times: N = 131076 rows, just above the
+        # size at which the rows are formatted by one worker per CPU; it keeps
+        # inf and 0 weights, p = 0 under an inf weight and weighted p-values
+        # tied exactly on the last rejected rank's threshold
+        copies = 14564
+        pvalues = np.tile([0.0, 0.5, 1.0, 0.9, 0.3, 1.0, 0.24999999999999997, 0.3000000000000001,
+                           0.24999999999999997], copies)
+        truth = np.tile([1, 1, 1, 0, 0, 0, 1, 0, 1], copies)
+        n = pvalues.size
+        pfile, tfile, spec = tmp_path / "p.txt", tmp_path / "t.txt", tmp_path / "spec.json"
+        write_lines(pfile, pvalues.tolist())
+        write_lines(tfile, truth.tolist())
+        levels = [[{"path": [g + 1], "members": [[s, s + 3] for s in range(3 * g, n, 9)]}
+                   for g in range(3)]]
+        spec.write_text(json.dumps({"n": n, "trees": [{"levels": levels}]}))
+        weights = oracle_hier_weights(load_forest(spec).trees[0], truth == 1)
+        outcome = weighted_bh(pvalues, weights, 0.1)
+        threshold = 0.1 * outcome.threshold_index / n
+        assert (outcome.weighted_pvalues == threshold).sum() == 2 * copies
+        assert np.isinf(weights).any() and (weights == 0).any()
+        reference = "".join(map(
+            "{},{!r},{!r},{!r},{:d}\n".format, range(n), pvalues.tolist(), weights.tolist(),
+            outcome.weighted_pvalues.tolist(), outcome.rejected.tolist(),
+        )).encode()
+        out = tmp_path / "result.csv"
+        args = ["test", "--pvalues", str(pfile), "--method", "hier", "--spec", str(spec),
+                "--truth", str(tfile), "--alpha", "0.1"] + (["--out", str(out)] if to_file else [])
+
+        def table(cpus):
+            env = {**os.environ, "PYTHONPATH": str(Path(groupedbh.__file__).resolve().parents[1])}
+            run = subprocess.run([sys.executable, "-m", "groupedbh.cli", *args], env=env,
+                                 capture_output=True, timeout=300,
+                                 preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+            assert run.returncode == 0, run.stderr
+            return out.read_bytes() if to_file else run.stdout
+
+        cpus = sorted(os.sched_getaffinity(0))
+        serial = table({cpus[0]})
+        header, _, rows = serial.partition(b"index,pvalue,weight,weighted_pvalue,rejected\n")
+        assert rows == reference
+        assert header.startswith(b"# method=hier\n") and header.endswith(b"# power=0.75\n")
+        if len(cpus) < 2:
+            pytest.skip("one CPU: the parallel table writer is not used")
+        assert table(set(cpus)) == serial
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_failed_parallel_write_exits_2_and_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
+        import multiprocessing
+
+        pfile = tmp_path / "p.txt"
+        write_lines(pfile, np.linspace(0.0, 1.0, 2**17).tolist())
+        iterators = []
+
+        class FullDisk(io.StringIO):
+            def writelines(self, lines):
+                iterators.append(type(lines).__name__)
+                next(iter(lines))  # one block is formatted, then the device fills up
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullDisk())
+        rc = main(["test", "--pvalues", str(pfile), "--method", "flat", "--adaptive"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
+        assert iterators == ["IMapIterator"]  # the rows came from the worker pool
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         "option, message", [(["--alpha", "2"], "alpha"), (["--lambda", "1.5"], "lambda")]
@@ -389,13 +520,22 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
     assert err.startswith("error: ") and "No such file or directory" in err
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     # scipy.stats alone costs about a second at start-up; only simulate
-    # needs scipy, and it imports scipy.special when it runs
+    # needs scipy, and it imports scipy.special when it runs. Only a table
+    # big enough for the worker pool imports multiprocessing.
+    pfile = tmp_path / "p.txt"
+    write_lines(pfile, [0.01, 0.5, 0.9])
     code = (
-        "import sys, groupedbh.cli; "
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        "import sys, groupedbh.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'multiprocessing'))\n"
+        "print(loaded())\n"
+        "groupedbh.cli.main(['test', '--pvalues', sys.argv[1], '--method', 'flat', '--adaptive',\n"
+        "                    '--out', sys.argv[2]])\n"
+        "print(loaded())\n"
     )
-    run = run_python("-c", code)
+    run = run_python("-c", code, str(pfile), str(tmp_path / "out.csv"))
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.split() == ["[]", "[]"]
+    assert (tmp_path / "out.csv").read_text().endswith("2,0.9,1.3333333333333333,1.2,0\n")
