@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 import numpy as np
 
-from . import identities, simulate
+from . import _pool, identities, simulate
 from .classification import (
     ClassificationForest,
     load_forest,
@@ -41,8 +40,9 @@ class InputError(Exception):
 
 
 def read_pvalues(path) -> np.ndarray:
-    """One decimal per line, or CSV rows of index,value (any header row is
-    skipped, and each index must appear once); values must lie in [0, 1]."""
+    """One decimal per line, or CSV rows of exactly index,value, each index
+    once; a first line in which no token is a number is a header and is
+    skipped. Values must lie in [0, 1]."""
     with open(path) as fh:
         try:
             # the plain format, streamed; float() strips what str.strip() does
@@ -64,26 +64,22 @@ def _read_pvalue_lines(fh, path) -> np.ndarray:
     plain = []
     for lineno, line in enumerate(fh):
         line = line.strip()
-        if not line:
+        if not line or (lineno == 0 and _is_header(line)):
             continue
-        if "," in line:
-            idx_s, val_s = [f.strip() for f in line.split(",")[:2]]
-            try:
-                idx, val = int(idx_s), float(val_s)
-            except ValueError:
-                if lineno == 0:
-                    continue  # header
-                raise InputError(f"{path}:{lineno + 1}: cannot parse {line!r}")
-            if idx in values:
-                raise InputError(f"{path}:{lineno + 1}: index {idx} appears twice")
-            values[idx] = val
+        fields = line.split(",")
+        if len(fields) > 2:
+            raise InputError(f"{path}:{lineno + 1}: expected index,value, got {len(fields)} fields")
+        try:
+            val = float(fields[-1])
+            idx = int(fields[0]) if len(fields) == 2 else None
+        except ValueError:
+            raise InputError(f"{path}:{lineno + 1}: cannot parse {line!r}")
+        if idx is None:
+            plain.append(val)
+        elif idx in values:
+            raise InputError(f"{path}:{lineno + 1}: index {idx} appears twice")
         else:
-            try:
-                plain.append(float(line))
-            except ValueError:
-                if lineno == 0:
-                    continue
-                raise InputError(f"{path}:{lineno + 1}: cannot parse {line!r}")
+            values[idx] = val
     if values and plain:
         raise InputError(f"{path}: mixed plain and indexed rows")
     if values:
@@ -91,6 +87,18 @@ def _read_pvalue_lines(fh, path) -> np.ndarray:
             raise InputError(f"{path}: index column must cover 0..{len(values) - 1}")
         return np.array([values[i] for i in range(len(values))])
     return np.array(plain)
+
+
+def _is_header(line: str) -> bool:
+    """A first line is a header when none of its comma- or
+    whitespace-separated tokens reads as a number."""
+    for token in line.replace(",", " ").split():
+        try:
+            float(token)
+            return False
+        except ValueError:
+            pass
+    return True
 
 
 def read_truth(path) -> np.ndarray:
@@ -178,7 +186,6 @@ def cmd_test(args) -> int:
 _BLOCK_ROWS = 2**13
 _PARALLEL_ROWS = 2**17  # smaller tables are formatted here, with no worker
 _REJECTED = ("0\n", "1\n")
-_worker_columns: tuple = ()  # a table writer process's columns, set by _set_worker_columns
 
 
 def _write_table(fh, pvalues, weights, outcome) -> None:
@@ -192,25 +199,16 @@ def _write_table(fh, pvalues, weights, outcome) -> None:
     weight_reprs = [repr(w) for w in distinct.view(np.float64).tolist()]
     columns = (pvalues, weight_reprs, weight_ids, outcome.weighted_pvalues, outcome.rejected)
     n = pvalues.size
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    cpus = _pool.cpu_count()
     if n < _PARALLEL_ROWS or cpus < 2:
         fh.writelines(_rows(columns, 0, n))
         return
-    import multiprocessing
-
-    # fork, so the workers inherit the columns rather than unpickle a copy; a
-    # pool forks its workers before it starts its own threads
-    with multiprocessing.get_context("fork").Pool(cpus, _set_worker_columns, (columns,)) as pool:
+    with _pool.fork_pool(cpus, columns) as pool:
         fh.writelines(pool.imap(_format_block, range(0, n, _BLOCK_ROWS)))
 
 
-def _set_worker_columns(columns) -> None:
-    global _worker_columns
-    _worker_columns = columns
-
-
 def _format_block(start: int) -> str:
-    return "".join(_rows(_worker_columns, start, start + _BLOCK_ROWS))
+    return "".join(_rows(_pool.shared, start, start + _BLOCK_ROWS))
 
 
 def _rows(columns, start: int, stop: int):

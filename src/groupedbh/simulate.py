@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pool
 from .classification import HierTree, tree_from_levels
 from .stepup import outcome_metrics, weighted_bh
 from .weights import (
@@ -74,6 +75,11 @@ class SimulationPlan:
             problems.append("density grid values must lie in [0, 1]")
         if self.replicates < 1:
             problems.append("replicates must be >= 1")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            problems.append(f"repeated methods: {repeated}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             problems.append(f"unknown methods: {sorted(unknown)}")
@@ -194,46 +200,87 @@ def replicate_rng(seed: int, point_index: int, replicate: int) -> np.random.Gene
     )
 
 
+_BLOCK_REPLICATES = 20  # consecutive replicates of one grid point per unit of work
+
+
 def run_study(plan: SimulationPlan) -> SimulationSummary:
-    """Run the full density sweep and aggregate FDP and power per method."""
+    """Run the full density sweep and aggregate FDP and power per method.
+
+    The replicates run in blocks of _BLOCK_REPLICATES consecutive replicates
+    of one grid point. Several blocks on several CPUs of this process's
+    affinity mask run on one forked worker per CPU; otherwise they run here.
+    Every replicate draws from its own stream, so the results are the same
+    bits either way."""
     problems = plan.validate()
     if problems:
         raise ValueError("; ".join(problems))
+    import scipy.special  # noqa: F401  imported once here, not in every worker
+
     tree = simulation_tree(plan.m, plan.n)
+    grid, methods = plan.one_minus_pi0_grid, plan.methods
+    fdp = [[np.empty(plan.replicates) for _ in methods] for _ in grid]
+    power = [[np.empty(plan.replicates) for _ in methods] for _ in grid]
+    blocks = [
+        (d, lo, min(lo + _BLOCK_REPLICATES, plan.replicates))
+        for d in range(len(grid))
+        for lo in range(0, plan.replicates, _BLOCK_REPLICATES)
+    ]
+
+    def fill(results):
+        for (d, lo, hi), block in zip(blocks, results):
+            for k in range(len(methods)):
+                fdp[d][k][lo:hi], power[d][k][lo:hi] = block[:, k]
+
+    cpus = min(_pool.cpu_count(), len(blocks))
+    if cpus < 2:
+        fill(_replicate_block(plan, tree, *block) for block in blocks)
+    else:
+        with _pool.fork_pool(cpus, (plan, tree)) as pool:
+            fill(pool.imap(_run_block, blocks))
     rows = []
     records = {}
-    for d, density in enumerate(plan.one_minus_pi0_grid):
-        fdp = {meth: np.empty(plan.replicates) for meth in plan.methods}
-        power = {meth: np.empty(plan.replicates) for meth in plan.methods}
-        for r in range(plan.replicates):
-            rng = replicate_rng(plan.seed, d, r)
-            theta = generate_theta(plan, density, rng)
-            x = generate_statistics(theta, plan.rho_l1, plan.rho_l2, plan.mu, rng)
-            pvalues = pvalues_from_statistics(x)
-            is_null = theta.reshape(-1) == 0
-            for meth in plan.methods:
-                w = _method_weights(meth, tree, pvalues, is_null, plan)
-                outcome = weighted_bh(pvalues, w, plan.alpha)
-                metrics = outcome_metrics(outcome, is_null)
-                fdp[meth][r] = metrics.fdp
-                power[meth][r] = metrics.power
-        for meth in plan.methods:
+    for d, density in enumerate(grid):
+        for k, meth in enumerate(methods):
+            f, p = fdp[d][k], power[d][k]
             rows.append(
                 SummaryRow(
                     method=meth,
                     one_minus_pi0=density,
-                    mean_fdp=float(fdp[meth].mean()),
-                    se_fdp=float(fdp[meth].std(ddof=1) / math.sqrt(plan.replicates))
+                    mean_fdp=float(f.mean()),
+                    se_fdp=float(f.std(ddof=1) / math.sqrt(plan.replicates))
                     if plan.replicates > 1
                     else 0.0,
-                    mean_power=float(power[meth].mean()),
-                    se_power=float(power[meth].std(ddof=1) / math.sqrt(plan.replicates))
+                    mean_power=float(p.mean()),
+                    se_power=float(p.std(ddof=1) / math.sqrt(plan.replicates))
                     if plan.replicates > 1
                     else 0.0,
                 )
             )
-            records[(meth, density)] = (fdp[meth], power[meth])
+            records[(meth, density)] = (f, p)
     return SimulationSummary(plan=plan, rows=rows, replicate_records=records)
+
+
+def _replicate_block(plan: SimulationPlan, tree: HierTree, d: int, lo: int, hi: int) -> np.ndarray:
+    """FDP and power of each method in replicates lo .. hi - 1 of grid point
+    d, as a (2, methods, hi - lo) array."""
+    density = plan.one_minus_pi0_grid[d]
+    out = np.empty((2, len(plan.methods), hi - lo))
+    for r in range(lo, hi):
+        rng = replicate_rng(plan.seed, d, r)
+        theta = generate_theta(plan, density, rng)
+        x = generate_statistics(theta, plan.rho_l1, plan.rho_l2, plan.mu, rng)
+        pvalues = pvalues_from_statistics(x)
+        is_null = theta.reshape(-1) == 0
+        for k, meth in enumerate(plan.methods):
+            w = _method_weights(meth, tree, pvalues, is_null, plan)
+            metrics = outcome_metrics(weighted_bh(pvalues, w, plan.alpha), is_null)
+            out[:, k, r - lo] = metrics.fdp, metrics.power
+    return out
+
+
+def _run_block(block: tuple[int, int, int]) -> np.ndarray:
+    # in a worker of run_study's pool, which shares (plan, tree)
+    return _replicate_block(*_pool.shared, *block)
 
 
 CSV_COLUMNS = (

@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,10 +21,16 @@ def write_lines(path, values):
     path.write_text("\n".join(str(v) for v in values) + "\n")
 
 
-def run_python(*args):
-    """Run the interpreter in a fresh process that imports this package."""
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+def run_python(*args, cpus=None):
+    """Run the interpreter in a fresh process that imports this package,
+    on the given set of CPUs (by default the ones this process may use)."""
     env = {**os.environ, "PYTHONPATH": str(Path(groupedbh.__file__).resolve().parents[1])}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300, preexec_fn=pin)
 
 
 class TestReaders:
@@ -67,6 +74,44 @@ class TestReaders:
         f = tmp_path / "t.txt"
         write_lines(f, [1, 0, 1])
         assert read_truth(f).tolist() == [True, False, True]
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("0.1 0.2\n0.3\n", 1),
+            ("0.1\n0.2 0.3\n", 2),
+            ("0,0.1,junk\n1,0.2\n", 1),
+            ("index,pvalue\n0,0.1\n1,0.2,0.3\n", 3),
+            ("index,pvalue,note\n0,0.1,a\n", 2),
+        ],
+        ids=["pair-first", "pair-later", "three-fields-first", "three-fields-later", "three-columns"],
+    )
+    def test_bad_row_exits_2_with_its_line(self, tmp_path, capsys, text, line):
+        # a first line holding a number is data, not a header, and a CSV
+        # row is exactly index,value
+        from groupedbh.cli import InputError
+
+        f = tmp_path / "p.txt"
+        f.write_text(text)
+        with pytest.raises(InputError, match=f"^{re.escape(str(f))}:{line}: "):
+            read_pvalues(f)
+        assert main(["test", "--pvalues", str(f), "--method", "flat", "--adaptive"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {f}:{line}: ")
+
+    @pytest.mark.parametrize(
+        "text, values",
+        [
+            ("pvalue\n0.1\n", [0.1]),
+            ("p value\n0.1\n", [0.1]),
+            ("index, p\n1,0.2\n0,0.1\n", [0.1, 0.2]),
+            ("id,p,note\n0,0.1\n", [0.1]),
+        ],
+        ids=["word", "words", "csv", "three-names"],
+    )
+    def test_header_without_a_number_is_skipped(self, tmp_path, text, values):
+        f = tmp_path / "p.txt"
+        f.write_text(text)
+        assert read_pvalues(f).tolist() == values
 
     @pytest.mark.parametrize(
         "text",
@@ -330,12 +375,9 @@ class TestCmdTest:
                 "--truth", str(tfile), "--alpha", "0.1"] + (["--out", str(out)] if to_file else [])
 
         def table(cpus):
-            env = {**os.environ, "PYTHONPATH": str(Path(groupedbh.__file__).resolve().parents[1])}
-            run = subprocess.run([sys.executable, "-m", "groupedbh.cli", *args], env=env,
-                                 capture_output=True, timeout=300,
-                                 preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+            run = run_python("-m", "groupedbh.cli", *args, cpus=cpus)
             assert run.returncode == 0, run.stderr
-            return out.read_bytes() if to_file else run.stdout
+            return out.read_bytes() if to_file else run.stdout.encode()
 
         cpus = sorted(os.sched_getaffinity(0))
         serial = table({cpus[0]})
@@ -393,6 +435,35 @@ class TestCmdSimulate:
         assert a.read_bytes() == b.read_bytes()
         lines = a.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 2  # header + grid points x methods
+
+    @pytest.mark.parametrize(
+        "name, extra",
+        [("simulate_rho0.csv", []), ("simulate_rho03_04.csv", ["--rho-l1", "0.3", "--rho-l2", "0.4"])],
+    )
+    def test_fixture_bytes_on_one_cpu_and_on_all(self, tmp_path, name, extra):
+        # 3 blocks of 20 replicates: one worker per CPU runs them, or this process on one CPU
+        out = tmp_path / name
+        args = ["-m", "groupedbh.cli", "simulate", "--out", str(out), "--replicates", "20",
+                "--grid", "3", "--seed", "20240", *extra]
+        cpus = os.sched_getaffinity(0)
+        for mask in ({min(cpus)}, cpus):
+            out.unlink(missing_ok=True)
+            run = run_python(*args, cpus=mask)
+            assert run.returncode == 0, run.stderr
+            assert out.read_bytes() == (FIXTURES / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["--seed", "-1"], "seed must be >= 0"),
+         (["--methods", "BH,HeirGBH,BH"], "repeated methods: ['BH']")],
+        ids=["negative-seed", "repeated-method"],
+    )
+    def test_bad_seed_or_methods_exit_2(self, tmp_path, capsys, args, message):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--out", str(out), "--replicates", "1", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
     def test_invalid_plan_rejected(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path / "x.csv"), "--lambda", "1.5"])
@@ -539,3 +610,23 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["[]", "[]"]
     assert (tmp_path / "out.csv").read_text().endswith("2,0.9,1.3333333333333333,1.2,0\n")
+
+
+@pytest.mark.parametrize(
+    "replicates, cpus", [("40", "one"), ("20", "all")], ids=["one-cpu", "one-block"]
+)
+def test_serial_simulate_loads_no_multiprocessing(tmp_path, replicates, cpus):
+    # a study on one CPU, or of one block of replicates, runs in this process
+    out = tmp_path / "sim.csv"
+    code = (
+        "import sys, groupedbh.cli\n"
+        "rc = groupedbh.cli.main(['simulate', '--out', sys.argv[1], '--grid', '1',\n"
+        "                         '--replicates', sys.argv[2], '--methods', 'BH'])\n"
+        "print(rc, 'multiprocessing' in sys.modules)\n"
+    )
+    mask = os.sched_getaffinity(0)
+    run = run_python("-c", code, str(out), replicates,
+                     cpus={min(mask)} if cpus == "one" else mask)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "False"]
+    assert out.read_text().count("\n") == 2

@@ -1,13 +1,16 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from groupedbh import _pool, simulate
 from groupedbh.classification import validate_tree
 from groupedbh.simulate import (
     DEFAULT_GRID,
     SimulationPlan,
     _blocks,
+    _method_weights,
     generate_statistics,
     generate_theta,
     pvalues_from_statistics,
@@ -16,6 +19,7 @@ from groupedbh.simulate import (
     simulation_tree,
     write_summary_csv,
 )
+from groupedbh.stepup import outcome_metrics, weighted_bh
 
 
 def test_default_grid():
@@ -58,6 +62,14 @@ class TestPlanValidation:
 
     def test_unknown_method(self):
         assert any("unknown" in p for p in SimulationPlan(methods=("XYZ",)).validate())
+
+    def test_negative_seed(self):
+        # SeedSequence rejects it only once the first replicate runs
+        assert SimulationPlan(seed=-1).validate() == ["seed must be >= 0, got -1"]
+
+    def test_repeated_method(self):
+        plan = SimulationPlan(methods=("BH", "HeirGBH", "BH", "HeirGBH", "AdaptiveBH"))
+        assert plan.validate() == ["repeated methods: ['BH', 'HeirGBH']"]
 
     def test_run_study_rejects_invalid_plan(self):
         with pytest.raises(ValueError):
@@ -210,3 +222,54 @@ class TestRunStudy:
         first = lines[1].split(",")
         assert first[0] == "BH"
         assert float(first[1]) == 0.0
+
+
+class TestReplicateBlocks:
+    # three blocks per grid point, the last one short
+    PLAN = SimulationPlan(m=10, n=10, one_minus_pi0_grid=(0.0, 0.5, 1.0), replicates=45, seed=3)
+
+    @staticmethod
+    def study(monkeypatch, cpus):
+        monkeypatch.setattr(_pool, "cpu_count", lambda: cpus)
+        return run_study(TestReplicateBlocks.PLAN)
+
+    def test_same_results_on_one_cpu_and_on_all(self, monkeypatch):
+        serial = self.study(monkeypatch, 1)
+        parallel = self.study(monkeypatch, max(2, len(os.sched_getaffinity(0))))
+        assert serial.rows == parallel.rows
+        assert serial.replicate_records.keys() == parallel.replicate_records.keys()
+        for key, arrays in serial.replicate_records.items():
+            assert all(map(np.array_equal, arrays, parallel.replicate_records[key]))
+
+    def test_records_match_one_replicate_at_a_time(self, monkeypatch):
+        plan = self.PLAN
+        summary = self.study(monkeypatch, 2)
+        tree = simulation_tree(plan.m, plan.n)
+        for d, density in enumerate(plan.one_minus_pi0_grid):
+            for r in (0, 19, 20, 44):
+                rng = replicate_rng(plan.seed, d, r)
+                theta = generate_theta(plan, density, rng)
+                x = generate_statistics(theta, plan.rho_l1, plan.rho_l2, plan.mu, rng)
+                pvalues = pvalues_from_statistics(x)
+                is_null = theta.reshape(-1) == 0
+                for meth in plan.methods:
+                    w = _method_weights(meth, tree, pvalues, is_null, plan)
+                    metrics = outcome_metrics(weighted_bh(pvalues, w, plan.alpha), is_null)
+                    fdp, power = summary.replicate_records[(meth, density)]
+                    assert (fdp[r], power[r]) == (metrics.fdp, metrics.power)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        import multiprocessing
+
+        parent = os.getpid()
+        draw = simulate.generate_statistics
+
+        def fail_in_worker(*args):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("raised in a worker")
+            return draw(*args)
+
+        monkeypatch.setattr(simulate, "generate_statistics", fail_in_worker)
+        with pytest.raises(ZeroDivisionError, match="raised in a worker"):
+            self.study(monkeypatch, 2)
+        assert multiprocessing.active_children() == []
