@@ -101,12 +101,11 @@ class TestReaders:
     @pytest.mark.parametrize(
         "text, values",
         [
-            ("pvalue\n0.1\n", [0.1]),
             ("p value\n0.1\n", [0.1]),
             ("index, p\n1,0.2\n0,0.1\n", [0.1, 0.2]),
             ("id,p,note\n0,0.1\n", [0.1]),
         ],
-        ids=["word", "words", "csv", "three-names"],
+        ids=["words", "csv", "three-names"],
     )
     def test_header_without_a_number_is_skipped(self, tmp_path, text, values):
         f = tmp_path / "p.txt"
