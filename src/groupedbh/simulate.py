@@ -218,8 +218,7 @@ def run_study(plan: SimulationPlan) -> SimulationSummary:
 
     tree = simulation_tree(plan.m, plan.n)
     grid, methods = plan.one_minus_pi0_grid, plan.methods
-    fdp = [[np.empty(plan.replicates) for _ in methods] for _ in grid]
-    power = [[np.empty(plan.replicates) for _ in methods] for _ in grid]
+    out = np.empty((2, len(grid), len(methods), plan.replicates))
     blocks = [
         (d, lo, min(lo + _BLOCK_REPLICATES, plan.replicates))
         for d in range(len(grid))
@@ -228,8 +227,7 @@ def run_study(plan: SimulationPlan) -> SimulationSummary:
 
     def fill(results):
         for (d, lo, hi), block in zip(blocks, results):
-            for k in range(len(methods)):
-                fdp[d][k][lo:hi], power[d][k][lo:hi] = block[:, k]
+            out[:, d, :, lo:hi] = block
 
     cpus = min(_pool.cpu_count(), len(blocks))
     if cpus < 2:
@@ -241,7 +239,7 @@ def run_study(plan: SimulationPlan) -> SimulationSummary:
     records = {}
     for d, density in enumerate(grid):
         for k, meth in enumerate(methods):
-            f, p = fdp[d][k], power[d][k]
+            f, p = out[0, d, k], out[1, d, k]
             rows.append(
                 SummaryRow(
                     method=meth,

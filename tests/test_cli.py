@@ -24,12 +24,13 @@ def write_lines(path, values):
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
-def run_python(*args, cpus=None):
+def run_python(*args, cpus=None, text=True):
     """Run the interpreter in a fresh process that imports this package,
-    on the given set of CPUs (by default the ones this process may use)."""
+    on the given set of CPUs (by default the ones this process may use).
+    With text=False its stdout and stderr are the raw bytes it wrote."""
     env = {**os.environ, "PYTHONPATH": str(Path(groupedbh.__file__).resolve().parents[1])}
     pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=text,
                           timeout=300, preexec_fn=pin)
 
 
@@ -374,9 +375,9 @@ class TestCmdTest:
                 "--truth", str(tfile), "--alpha", "0.1"] + (["--out", str(out)] if to_file else [])
 
         def table(cpus):
-            run = run_python("-m", "groupedbh.cli", *args, cpus=cpus)
+            run = run_python("-m", "groupedbh.cli", *args, cpus=cpus, text=False)
             assert run.returncode == 0, run.stderr
-            return out.read_bytes() if to_file else run.stdout.encode()
+            return out.read_bytes() if to_file else run.stdout
 
         cpus = sorted(os.sched_getaffinity(0))
         serial = table({cpus[0]})
