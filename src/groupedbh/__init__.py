@@ -25,7 +25,6 @@ from .classification import (
 )
 from .stepup import OutcomeMetrics, TestOutcome, brute_force_bh, outcome_metrics, weighted_bh
 from .weights import (
-    NullCountEstimate,
     da_flat_weights,
     da_gen_weights,
     da_hier_effects,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassificationForest",
     "HierTree",
-    "NullCountEstimate",
     "OutcomeMetrics",
     "TestOutcome",
     "brute_force_bh",

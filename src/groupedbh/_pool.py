@@ -1,14 +1,16 @@
-"""Forked worker pools over the CPUs of this process's affinity mask.
+"""An ordered map over blocks of work, on forked workers, one per CPU of this
+process's affinity mask.
 
-`multiprocessing` is imported only when a pool is made, so a command that
-runs in one process never loads it.
+`multiprocessing` is imported only when workers are started, so a command
+that runs in one process never loads it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 
-shared = None  # in a worker: the value its pool was made with
+_work = None  # in a worker: the (fn, shared) its pool was started with
 
 
 def cpu_count() -> int:
@@ -16,17 +18,31 @@ def cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def fork_pool(processes: int, value):
-    """A pool of `processes` forked workers, each of which sees `value` as
-    `_pool.shared`. Forked workers inherit `value` and every module loaded
-    here rather than unpickle or import them again; a pool forks its workers
-    before it starts its own threads. Use it in a `with` block, which stops
-    the workers on the way out, also on an error."""
+@contextlib.contextmanager
+def imap(fn, shared, items):
+    """Yield an iterator over fn(shared, item) for each item, in order.
+
+    With fewer than two CPUs or fewer than two items, the calls run here, one
+    at a time as the iterator is read. Otherwise they run on
+    min(cpu_count(), len(items)) forked workers, which inherit fn, shared and
+    every module loaded here rather than unpickle or import them again; the
+    workers are forked before the pool starts its own threads, and are
+    stopped when the block exits, also on an error."""
+    processes = min(cpu_count(), len(items))
+    if processes < 2:
+        yield (fn(shared, item) for item in items)
+        return
     import multiprocessing
 
-    return multiprocessing.get_context("fork").Pool(processes, _share, (value,))
+    with multiprocessing.get_context("fork").Pool(processes, _start, ((fn, shared),)) as pool:
+        yield pool.imap(_call, items)
 
 
-def _share(value) -> None:
-    global shared
-    shared = value
+def _start(work) -> None:
+    global _work
+    _work = work
+
+
+def _call(item):
+    fn, shared = _work
+    return fn(shared, item)

@@ -190,25 +190,25 @@ _REJECTED = ("0\n", "1\n")
 
 def _write_table(fh, pvalues, weights, outcome) -> None:
     """Write the rows "{},{!r},{!r},{!r},{:d}\n".format(i, p, w, wp, rejected).
-    A table of _PARALLEL_ROWS or more is formatted in blocks of _BLOCK_ROWS by
-    one forked process per CPU of this process's affinity mask, which inherit
-    the columns; the bytes are the same on either path."""
+    A table of _PARALLEL_ROWS or more is formatted in blocks of _BLOCK_ROWS
+    through `_pool.imap`, on one forked worker per CPU of this process's
+    affinity mask; a smaller one is streamed row by row, here. The bytes are
+    the same on every path."""
     # repr once per distinct weight; unique by bit pattern keeps -0.0 apart from 0.0
     bits = np.asarray(weights, dtype=np.float64).view(np.int64)
     distinct, weight_ids = np.unique(bits, return_inverse=True)
     weight_reprs = [repr(w) for w in distinct.view(np.float64).tolist()]
     columns = (pvalues, weight_reprs, weight_ids, outcome.weighted_pvalues, outcome.rejected)
     n = pvalues.size
-    cpus = _pool.cpu_count()
-    if n < _PARALLEL_ROWS or cpus < 2:
+    if n < _PARALLEL_ROWS:
         fh.writelines(_rows(columns, 0, n))
         return
-    with _pool.fork_pool(cpus, columns) as pool:
-        fh.writelines(pool.imap(_format_block, range(0, n, _BLOCK_ROWS)))
+    with _pool.imap(_format_block, columns, range(0, n, _BLOCK_ROWS)) as blocks:
+        fh.writelines(blocks)
 
 
-def _format_block(start: int) -> str:
-    return "".join(_rows(_pool.shared, start, start + _BLOCK_ROWS))
+def _format_block(columns, start: int) -> str:
+    return "".join(_rows(columns, start, start + _BLOCK_ROWS))
 
 
 def _rows(columns, start: int, stop: int):
@@ -228,18 +228,15 @@ def _rows(columns, start: int, stop: int):
 
 
 def cmd_simulate(args) -> int:
+    grid = simulate.DEFAULT_GRID
     if args.grid:
         try:
-            if "," in args.grid:
+            if args.grid.isdecimal():  # a point count
+                grid = tuple(round(float(x), 10) for x in np.linspace(0.0, 1.0, int(args.grid)))
+            else:  # a comma list of densities, maybe of one
                 grid = tuple(float(v) for v in args.grid.split(","))
-            else:
-                grid = tuple(
-                    round(float(x), 10) for x in np.linspace(0.0, 1.0, int(args.grid))
-                )
         except ValueError:
             raise InputError(f"cannot parse --grid {args.grid!r}")
-    else:
-        grid = simulate.DEFAULT_GRID
     plan = simulate.SimulationPlan(
         one_minus_pi0_grid=grid,
         rho_l1=args.rho_l1,
@@ -250,10 +247,10 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         methods=tuple(args.methods.split(",")),
     )
-    problems = plan.validate()
-    if problems:
-        raise InputError("; ".join(problems))
-    summary = simulate.run_study(plan)
+    try:
+        summary = simulate.run_study(plan)
+    except ValueError as exc:  # the library's rejection of a bad plan
+        raise InputError(str(exc))
     simulate.write_summary_csv(summary, args.out)
     return 0
 
@@ -346,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rho-l2", type=float, default=0.0)
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p_sim.add_argument("--grid", help="point count, or comma list of 1-pi0 values")
+    p_sim.add_argument(
+        "--grid", help="an integer point count, else a comma list of 1-pi0 values (0.5 is one point)"
+    )
     p_sim.add_argument("--methods", default=",".join(simulate.METHODS))
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -77,9 +77,10 @@ class SimulationPlan:
             problems.append("replicates must be >= 1")
         if self.seed < 0:
             problems.append(f"seed must be >= 0, got {self.seed}")
-        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
-        if repeated:
-            problems.append(f"repeated methods: {repeated}")
+        for name, values in (("densities", self.one_minus_pi0_grid), ("methods", self.methods)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                problems.append(f"repeated {name}: {repeated}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             problems.append(f"unknown methods: {sorted(unknown)}")
@@ -207,10 +208,9 @@ def run_study(plan: SimulationPlan) -> SimulationSummary:
     """Run the full density sweep and aggregate FDP and power per method.
 
     The replicates run in blocks of _BLOCK_REPLICATES consecutive replicates
-    of one grid point. Several blocks on several CPUs of this process's
-    affinity mask run on one forked worker per CPU; otherwise they run here.
-    Every replicate draws from its own stream, so the results are the same
-    bits either way."""
+    of one grid point, through `_pool.imap`: on one forked worker per CPU of
+    this process's affinity mask, or here on one CPU. Every replicate draws
+    from its own stream, so the results are the same bits either way."""
     problems = plan.validate()
     if problems:
         raise ValueError("; ".join(problems))
@@ -224,43 +224,31 @@ def run_study(plan: SimulationPlan) -> SimulationSummary:
         for d in range(len(grid))
         for lo in range(0, plan.replicates, _BLOCK_REPLICATES)
     ]
-
-    def fill(results):
+    with _pool.imap(_replicate_block, (plan, tree), blocks) as results:
         for (d, lo, hi), block in zip(blocks, results):
             out[:, d, :, lo:hi] = block
-
-    cpus = min(_pool.cpu_count(), len(blocks))
-    if cpus < 2:
-        fill(_replicate_block(plan, tree, *block) for block in blocks)
-    else:
-        with _pool.fork_pool(cpus, (plan, tree)) as pool:
-            fill(pool.imap(_run_block, blocks))
+    mean = out.mean(axis=-1)
+    se = (
+        out.std(axis=-1, ddof=1) / math.sqrt(plan.replicates)
+        if plan.replicates > 1
+        else np.zeros_like(mean)
+    )
+    (fdp_mean, power_mean), (fdp_se, power_se) = mean.tolist(), se.tolist()
     rows = []
     records = {}
     for d, density in enumerate(grid):
         for k, meth in enumerate(methods):
-            f, p = out[0, d, k], out[1, d, k]
             rows.append(
-                SummaryRow(
-                    method=meth,
-                    one_minus_pi0=density,
-                    mean_fdp=float(f.mean()),
-                    se_fdp=float(f.std(ddof=1) / math.sqrt(plan.replicates))
-                    if plan.replicates > 1
-                    else 0.0,
-                    mean_power=float(p.mean()),
-                    se_power=float(p.std(ddof=1) / math.sqrt(plan.replicates))
-                    if plan.replicates > 1
-                    else 0.0,
-                )
+                SummaryRow(meth, density, fdp_mean[d][k], fdp_se[d][k], power_mean[d][k], power_se[d][k])
             )
-            records[(meth, density)] = (f, p)
+            records[(meth, density)] = (out[0, d, k], out[1, d, k])
     return SimulationSummary(plan=plan, rows=rows, replicate_records=records)
 
 
-def _replicate_block(plan: SimulationPlan, tree: HierTree, d: int, lo: int, hi: int) -> np.ndarray:
+def _replicate_block(plan_tree: tuple[SimulationPlan, HierTree], block: tuple[int, int, int]) -> np.ndarray:
     """FDP and power of each method in replicates lo .. hi - 1 of grid point
-    d, as a (2, methods, hi - lo) array."""
+    d, for block = (d, lo, hi), as a (2, methods, hi - lo) array."""
+    (plan, tree), (d, lo, hi) = plan_tree, block
     density = plan.one_minus_pi0_grid[d]
     out = np.empty((2, len(plan.methods), hi - lo))
     for r in range(lo, hi):
@@ -274,11 +262,6 @@ def _replicate_block(plan: SimulationPlan, tree: HierTree, d: int, lo: int, hi: 
             metrics = outcome_metrics(weighted_bh(pvalues, w, plan.alpha), is_null)
             out[:, k, r - lo] = metrics.fdp, metrics.power
     return out
-
-
-def _run_block(block: tuple[int, int, int]) -> np.ndarray:
-    # in a worker of run_study's pool, which shares (plan, tree)
-    return _replicate_block(*_pool.shared, *block)
 
 
 CSV_COLUMNS = (

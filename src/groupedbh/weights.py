@@ -15,7 +15,6 @@ none null) yields the constant weight 1.0 resp. 0.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,30 +194,21 @@ def oracle_gen_weights(forest: ClassificationForest, is_null: np.ndarray) -> np.
 # data-adaptive weights
 
 
-@dataclass(frozen=True)
-class NullCountEstimate:
-    """Storey-type null count estimate for one group of p-values."""
-
-    lam: float
-    r_lambda: int
-    n_hat0: float
-
-
-def storey_null_estimate(pvalues: np.ndarray, lam: float) -> NullCountEstimate:
-    """n_hat0 = (n - R(lambda) + 1) / (1 - lambda); always positive."""
+def storey_null_estimate(pvalues: np.ndarray, lam: float) -> float:
+    """Storey-type null count estimate for one group of p-values,
+    n_hat0 = (n - R(lambda) + 1) / (1 - lambda); always positive."""
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
     pvalues = np.asarray(pvalues, dtype=float)
     r = int(np.count_nonzero(pvalues <= lam))
-    return NullCountEstimate(lam=lam, r_lambda=r, n_hat0=(pvalues.size - r + 1) / (1.0 - lam))
+    return (pvalues.size - r + 1) / (1.0 - lam)
 
 
 def da_flat_weights(pvalues: np.ndarray, lam: float) -> np.ndarray:
     """Adaptive BH weight: the flat Storey estimate of pi0 for every i."""
     pvalues = np.asarray(pvalues, dtype=float)
     _check_inputs(pvalues)
-    est = storey_null_estimate(pvalues, lam)
-    return np.full(pvalues.size, est.n_hat0 / max(pvalues.size, 1))
+    return np.full(pvalues.size, storey_null_estimate(pvalues, lam) / max(pvalues.size, 1))
 
 
 def _da_effects(tree: HierTree, pvalues: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:

@@ -455,8 +455,9 @@ class TestCmdSimulate:
     @pytest.mark.parametrize(
         "args, message",
         [(["--seed", "-1"], "seed must be >= 0"),
-         (["--methods", "BH,HeirGBH,BH"], "repeated methods: ['BH']")],
-        ids=["negative-seed", "repeated-method"],
+         (["--methods", "BH,HeirGBH,BH"], "repeated methods: ['BH']"),
+         (["--grid", "0.5,0,0.5"], "repeated densities: [0.5]")],
+        ids=["negative-seed", "repeated-method", "repeated-density"],
     )
     def test_bad_seed_or_methods_exit_2(self, tmp_path, capsys, args, message):
         out = tmp_path / "x.csv"
@@ -480,6 +481,16 @@ class TestCmdSimulate:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 4
         assert [line.split(",")[1] for line in lines[1:]] == ["0.0", "0.5", "1.0"]
+
+    @pytest.mark.parametrize("grid", ["0.5", "1.0"])
+    def test_grid_of_one_density(self, tmp_path, grid):
+        # an integer is a point count; any other token is a list of densities
+        out = tmp_path / "g.csv"
+        rc = main(["simulate", "--out", str(out), "--grid", grid, "--replicates", "2",
+                   "--methods", "BH"])
+        assert rc == 0
+        lines = out.read_text().strip().split("\n")
+        assert [line.split(",")[1] for line in lines[1:]] == [grid]
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         out = tmp_path / "g.csv"

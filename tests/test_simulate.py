@@ -71,9 +71,19 @@ class TestPlanValidation:
         plan = SimulationPlan(methods=("BH", "HeirGBH", "BH", "HeirGBH", "AdaptiveBH"))
         assert plan.validate() == ["repeated methods: ['BH', 'HeirGBH']"]
 
+    def test_repeated_density(self):
+        plan = SimulationPlan(one_minus_pi0_grid=(0.5, 0.0, 0.5, 1.0))
+        assert plan.validate() == ["repeated densities: [0.5]"]
+
     def test_run_study_rejects_invalid_plan(self):
         with pytest.raises(ValueError):
             run_study(SimulationPlan(alpha=2.0))
+
+    def test_run_study_rejects_repeated_density(self):
+        # a repeated density would give two rows but keep one point's records
+        plan = SimulationPlan(m=10, n=10, one_minus_pi0_grid=(0.5, 0.5), replicates=3, methods=("BH",))
+        with pytest.raises(ValueError, match="repeated densities"):
+            run_study(plan)
 
 
 class TestThetaLayers:
@@ -204,6 +214,12 @@ class TestRunStudy:
             fdp, power = summary.replicate_records[(row.method, row.one_minus_pi0)]
             assert fdp.shape == power.shape == (5,)
             assert fdp.mean() == row.mean_fdp and power.mean() == row.mean_power
+            assert fdp.std(ddof=1) / math.sqrt(5) == row.se_fdp
+            assert power.std(ddof=1) / math.sqrt(5) == row.se_power
+
+    def test_one_replicate_has_zero_standard_error(self):
+        summary = run_study(SimulationPlan(m=10, n=10, one_minus_pi0_grid=(0.5,), replicates=1))
+        assert {(row.se_fdp, row.se_power) for row in summary.rows} == {(0.0, 0.0)}
 
     def test_replicate_streams_independent_of_order(self):
         # the rng for (point, replicate) does not depend on what ran before

@@ -253,13 +253,12 @@ DA_PVALUES = np.array([0.01, 0.2, 0.6, 0.8, 0.05, 0.3, 0.45, 0.55, 0.7, 0.95])
 
 class TestStorey:
     def test_worked_value(self):
-        est = storey_null_estimate(np.array([0.01, 0.2, 0.6, 0.8]), 0.5)
-        assert est.r_lambda == 2
-        assert est.n_hat0 == pytest.approx(6.0)
+        n_hat0 = storey_null_estimate(np.array([0.01, 0.2, 0.6, 0.8]), 0.5)
+        assert n_hat0 == pytest.approx(6.0)
 
     def test_all_small_pvalues_stay_positive(self):
-        est = storey_null_estimate(np.full(9, 0.1), 0.5)
-        assert est.n_hat0 == pytest.approx(1.0 / (1.0 - 0.5))
+        n_hat0 = storey_null_estimate(np.full(9, 0.1), 0.5)
+        assert n_hat0 == pytest.approx(1.0 / (1.0 - 0.5))
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, -0.2, 1.5])
     def test_lambda_range(self, lam):
