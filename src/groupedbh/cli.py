@@ -231,7 +231,7 @@ def cmd_simulate(args) -> int:
     grid = simulate.DEFAULT_GRID
     if args.grid:
         try:
-            if args.grid.isdecimal():  # a point count
+            if args.grid.strip().isdecimal():  # a point count
                 grid = tuple(round(float(x), 10) for x in np.linspace(0.0, 1.0, int(args.grid)))
             else:  # a comma list of densities, maybe of one
                 grid = tuple(float(v) for v in args.grid.split(","))

@@ -16,12 +16,13 @@ def test_results_come_in_item_order(monkeypatch, cpus, count):
     # with 4 CPUs, 3 items are fewer than the CPUs
     monkeypatch.setattr(_pool, "cpu_count", lambda: cpus)
     with _pool.imap(scaled, 10, list(range(count))) as results:
-        pids, values = zip(*results) if count else ((), ())
-    assert list(values) == [10 * i for i in range(count)]
+        got = list(results)
+    assert [value for _, value in got] == [10 * i for i in range(count)]  # nothing for no items
     # two or more items on two or more CPUs run in at most that many workers, others here
     in_workers = cpus > 1 and count > 1
+    pids = {pid for pid, _ in got}
     assert all((pid != os.getpid()) == in_workers for pid in pids)
-    assert len(set(pids)) <= (min(cpus, count) if in_workers else 1)
+    assert len(pids) <= (min(cpus, count) if in_workers else 1)
     assert multiprocessing.active_children() == []
 
 
