@@ -22,7 +22,7 @@ from .classification import (
     tree_from_levels,
     validate_forest,
 )
-from .stepup import _check_inputs, outcome_metrics, weighted_bh
+from .stepup import _check_inputs, _check_length, outcome_metrics, weighted_bh
 from .weights import (
     da_flat_weights,
     da_gen_weights,
@@ -35,8 +35,8 @@ from .weights import (
 )
 
 
-class InputError(Exception):
-    pass
+class InputError(ValueError):
+    """An input problem found by the CLI itself; `main` exits 2 on it, as on any ValueError."""
 
 
 def read_pvalues(path) -> np.ndarray:
@@ -154,15 +154,10 @@ def _compute_weights(args, pvalues, truth) -> np.ndarray:
 def cmd_test(args) -> int:
     pvalues = read_pvalues(args.pvalues)
     truth = read_truth(args.truth) if args.truth else None
-    if truth is not None and truth.size != pvalues.size:
-        raise InputError(
-            f"{truth.size} truth labels but {pvalues.size} p-values"
-        )
-    try:
-        weights = _compute_weights(args, pvalues, truth)
-        outcome = weighted_bh(pvalues, weights, args.alpha)
-    except ValueError as exc:  # the library's rejection of bad input
-        raise InputError(str(exc))
+    if truth is not None:
+        _check_length(truth, pvalues.size, "truth labels")
+    weights = _compute_weights(args, pvalues, truth)
+    outcome = weighted_bh(pvalues, weights, args.alpha)
     lines = [
         f"# method={args.method}",
         f"# adaptive={args.adaptive}",
@@ -247,19 +242,12 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         methods=tuple(args.methods.split(",")),
     )
-    try:
-        summary = simulate.run_study(plan)
-    except ValueError as exc:  # the library's rejection of a bad plan
-        raise InputError(str(exc))
-    simulate.write_summary_csv(summary, args.out)
+    simulate.write_summary_csv(simulate.run_study(plan), args.out)
     return 0
 
 
 def cmd_validate(args) -> int:
-    try:
-        reports = identities.run_sweep(seed=args.seed, trials=args.trials, corrupt=args.corrupt)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    reports = identities.run_sweep(seed=args.seed, trials=args.trials, corrupt=args.corrupt)
     if args.out:
         with open(args.out, "w") as fh:
             for rep in reports:
@@ -309,10 +297,8 @@ def cmd_gen_spec(args) -> int:
     if args.layout == "simulation":
         tree = simulate.simulation_tree()
         forest = ClassificationForest(n=tree.n, trees=(tree,))
-    elif args.layout == "eeg":
+    else:  # "eeg": argparse admits no other layout
         forest = _eeg_shaped_forest()
-    else:
-        raise InputError(f"unknown layout {args.layout!r}")
     save_forest(forest, args.out)
     return 0
 
@@ -368,7 +354,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OSError) as exc:  # OSError: an unreadable input or unwritable output
+    except (ValueError, OSError) as exc:  # OSError: an unreadable input or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .classification import ClassificationForest, HierTree, tree_from_levels, flat_tree
-from .stepup import brute_force_bh, weighted_bh
+from .stepup import _check_length, brute_force_bh, weighted_bh
 from .weights import (
     da_flat_weights,
     da_gen_weights,
@@ -70,6 +70,7 @@ def check_condition1(weights: np.ndarray, is_null: np.ndarray, digest: str = "")
     weights = np.asarray(weights, dtype=float)
     is_null = np.asarray(is_null, dtype=bool)
     n = weights.size
+    _check_length(is_null, n, "truth labels")
     terms = [0.0 if math.isinf(w) else 1.0 / w for w in weights[is_null]]
     total = math.fsum(terms)
     return _report("condition1", total, n, CONDITION1_RTOL * n, digest)
@@ -81,6 +82,7 @@ def check_loo_bound(weight_fn, pvalues: np.ndarray, is_null: np.ndarray, digest:
     pvalues = np.asarray(pvalues, dtype=float)
     is_null = np.asarray(is_null, dtype=bool)
     n = pvalues.size
+    _check_length(is_null, n, "truth labels")
     terms = []
     for i in np.flatnonzero(is_null):
         p_loo = pvalues.copy()
@@ -268,12 +270,6 @@ def check_reductions(rng: np.random.Generator, trials: int = 50) -> list[Identit
 # sweep
 
 
-def _oneway_random_effects(rng, tree, is_null):
-    groups = [tree.members(k) for k in tree.leaves]
-    effects = rng.uniform(0.2, 3.0, size=len(groups))
-    return groups, effects
-
-
 def run_sweep(
     seed: int = 0,
     trials: int = 200,
@@ -287,6 +283,8 @@ def run_sweep(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     reports = []
     for t in range(trials):
@@ -299,10 +297,11 @@ def run_sweep(
             w = w * 1.01
         reports.append(check_condition1(w, is_null, digest + ":hier"))
 
-        groups, effects = _oneway_random_effects(rng, random_tree(rng, depth=1), is_null=None)
-        n_one = int(max(g.max() for g in groups)) + 1
-        truth_one = random_truth(rng, flat_tree(n_one))
-        w = oracle_overlap_oneway_weights(n_one, groups, effects, truth_one)
+        one = random_tree(rng, depth=1)
+        groups = [one.members(k) for k in one.leaves]
+        effects = rng.uniform(0.2, 3.0, size=len(groups))
+        truth_one = random_truth(rng, flat_tree(one.n))
+        w = oracle_overlap_oneway_weights(one.n, groups, effects, truth_one)
         reports.append(check_condition1(w, truth_one, digest + ":oneway"))
 
         forest = random_forest(rng, depth_one=True)

@@ -187,9 +187,8 @@ def _method_weights(method, tree, pvalues, is_null, plan):
         return da_flat_weights(pvalues, plan.lam)
     if method == "HeirGBH":
         return oracle_hier_weights(tree, is_null)
-    if method == "DAHeirGBH":
-        return da_hier_weights(tree, pvalues, plan.lam)
-    raise ValueError(f"unknown method {method!r}")
+    # "DAHeirGBH": SimulationPlan.validate rejects any other name before a block runs
+    return da_hier_weights(tree, pvalues, plan.lam)
 
 
 def replicate_rng(seed: int, point_index: int, replicate: int) -> np.random.Generator:

@@ -33,6 +33,18 @@ def _check_inputs(pvalues: np.ndarray, weights: np.ndarray | None = None) -> Non
         raise ValueError("weights must be non-negative and not NaN")
 
 
+def _check_length(values: np.ndarray, n: int, what: str) -> None:
+    """Raise ValueError unless ``values`` holds one entry per hypothesis."""
+    if values.shape != (n,):
+        raise ValueError(f"length mismatch: {values.size} {what} for {n} hypotheses")
+
+
+def _check_level(name: str, value: float) -> None:
+    """Raise ValueError unless the level (alpha, lambda) lies in (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+
+
 def weighted_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestOutcome:
     """Step-up rule on the weighted p-values W_i * P_i.
 
@@ -53,14 +65,11 @@ def weighted_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestO
     """
     pvalues = np.asarray(pvalues, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if pvalues.shape != weights.shape:
-        raise ValueError(
-            f"length mismatch: {pvalues.size} p-values vs {weights.size} weights"
-        )
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_inputs(pvalues, weights)
     n = pvalues.size
+    _check_length(pvalues, n, "p-values")  # a vector, not a column
+    _check_length(weights, n, "weights")
+    _check_level("alpha", alpha)
+    _check_inputs(pvalues, weights)
     with np.errstate(invalid="ignore"):
         wp = weights * pvalues
     wp[np.isinf(weights)] = np.inf  # never rejectable, even at p = 0
@@ -81,8 +90,11 @@ def brute_force_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> Te
     """
     pvalues = np.asarray(pvalues, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    _check_inputs(pvalues, weights)
     n = pvalues.size
+    _check_length(pvalues, n, "p-values")  # a vector, not a column
+    _check_length(weights, n, "weights")
+    _check_level("alpha", alpha)
+    _check_inputs(pvalues, weights)
     with np.errstate(invalid="ignore"):
         wp = weights * pvalues
     wp[np.isinf(weights)] = np.inf
@@ -97,10 +109,7 @@ def brute_force_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> Te
 def outcome_metrics(outcome: TestOutcome, is_null: np.ndarray) -> OutcomeMetrics:
     """False discovery proportion and power of a rejection set."""
     is_null = np.asarray(is_null, dtype=bool)
-    if is_null.shape != outcome.rejected.shape:
-        raise ValueError(
-            f"length mismatch: {is_null.size} truth labels vs {outcome.rejected.size} decisions"
-        )
+    _check_length(is_null, outcome.rejected.size, "truth labels")
     r = int(outcome.rejected.sum())
     v = int((outcome.rejected & is_null).sum())
     n_false_nulls = int((~is_null).sum())

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .classification import ClassificationForest, HierTree, _as_index_array
-from .stepup import _check_inputs
+from .stepup import _check_inputs, _check_length, _check_level
 
 
 def _assemble(
@@ -66,15 +66,13 @@ def _pi0(is_null: np.ndarray) -> float:
 
 def _truth(is_null, n: int) -> np.ndarray:
     is_null = np.asarray(is_null, dtype=bool)
-    if is_null.shape != (n,):
-        raise ValueError(f"length mismatch: {is_null.size} truth labels for {n} hypotheses")
+    _check_length(is_null, n, "truth labels")
     return is_null
 
 
 def _pvalues(pvalues, n: int) -> np.ndarray:
     pvalues = np.asarray(pvalues, dtype=float)
-    if pvalues.shape != (n,):
-        raise ValueError(f"length mismatch: {pvalues.size} p-values for {n} hypotheses")
+    _check_length(pvalues, n, "p-values")
     _check_inputs(pvalues)
     return pvalues
 
@@ -197,9 +195,9 @@ def oracle_gen_weights(forest: ClassificationForest, is_null: np.ndarray) -> np.
 def storey_null_estimate(pvalues: np.ndarray, lam: float) -> float:
     """Storey-type null count estimate for one group of p-values,
     n_hat0 = (n - R(lambda) + 1) / (1 - lambda); always positive."""
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
+    _check_level("lambda", lam)
     pvalues = np.asarray(pvalues, dtype=float)
+    _check_inputs(pvalues)
     r = int(np.count_nonzero(pvalues <= lam))
     return (pvalues.size - r + 1) / (1.0 - lam)
 
@@ -207,15 +205,13 @@ def storey_null_estimate(pvalues: np.ndarray, lam: float) -> float:
 def da_flat_weights(pvalues: np.ndarray, lam: float) -> np.ndarray:
     """Adaptive BH weight: the flat Storey estimate of pi0 for every i."""
     pvalues = np.asarray(pvalues, dtype=float)
-    _check_inputs(pvalues)
     return np.full(pvalues.size, storey_null_estimate(pvalues, lam) / max(pvalues.size, 1))
 
 
 def _da_effects(tree: HierTree, pvalues: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-node estimated effects and Storey null counts; see
     :func:`da_hier_effects`."""
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
+    _check_level("lambda", lam)
     n, up = max(tree.n, 1), tree.parent[1:]  # max: no division by zero at N = 0
     nhat = (tree.sizes - tree.counts(pvalues <= lam) + 1) / (1.0 - lam)
     effects = np.empty(nhat.size)

@@ -178,6 +178,13 @@ class TestCmdTest:
         assert main(["test", "--pvalues", str(pfile), "--method", "flat"]) == 2
         assert "truth" in capsys.readouterr().err
 
+    def test_truth_of_wrong_length_exit_2(self, tmp_path, capsys):
+        pfile, tfile = tmp_path / "p.txt", tmp_path / "t.txt"
+        write_lines(pfile, [0.1, 0.2, 0.3])
+        write_lines(tfile, [1, 0])
+        assert main(["test", "--pvalues", str(pfile), "--method", "flat", "--truth", str(tfile)]) == 2
+        assert "length mismatch: 2 truth labels for 3 hypotheses" in capsys.readouterr().err
+
     def test_spec_size_mismatch(self, tmp_path, capsys):
         pfile = tmp_path / "p.txt"
         write_lines(pfile, [0.1] * 99)
@@ -516,6 +523,10 @@ class TestCmdValidate:
     def test_trials_below_one_exit_2(self, capsys, trials):
         assert main(["validate", "--trials", trials]) == 2
         assert "trials must be >= 1" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["validate", "--trials", "1", "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_corruption_hook_fails(self, capsys):
         rc = main(["validate", "--trials", "3", "--corrupt"])

@@ -135,6 +135,20 @@ def test_sweep_rejects_fewer_than_one_trial(trials):
         run_sweep(trials=trials)
 
 
+def test_sweep_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        run_sweep(seed=-1, trials=1)
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_checks_reject_truth_of_wrong_length(size):
+    truth = np.ones(size, dtype=bool)
+    with pytest.raises(ValueError, match="length mismatch"):
+        check_condition1(np.ones(3), truth)
+    with pytest.raises(ValueError, match="length mismatch"):
+        check_loo_bound(lambda p: da_flat_weights(p, 0.5), np.full(3, 0.5), truth)
+
+
 def test_sweep_reproducible():
     a = run_sweep(seed=3, trials=3, monotone_trials=3)
     b = run_sweep(seed=3, trials=3, monotone_trials=3)

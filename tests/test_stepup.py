@@ -64,14 +64,18 @@ def test_ties_resolve_by_original_index():
 
 
 def test_length_mismatch_rejected():
-    with pytest.raises(ValueError, match="length"):
-        weighted_bh(np.array([0.1, 0.2]), np.array([1.0]), 0.05)
+    column = np.full((3, 1), 0.01)  # one p-value per hypothesis, but not a vector
+    for rule in (weighted_bh, brute_force_bh):
+        for p, w in [(np.array([0.1, 0.2, 0.3]), np.ones(1)), (column, np.ones(3)), (column, np.ones((3, 1)))]:
+            with pytest.raises(ValueError, match="length"):
+                rule(p, w, 0.05)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 2.0])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, 2.0])
 def test_alpha_range(alpha):
-    with pytest.raises(ValueError, match="alpha"):
-        weighted_bh(np.array([0.1]), np.array([1.0]), alpha)
+    for rule in (weighted_bh, brute_force_bh):
+        with pytest.raises(ValueError, match="alpha"):
+            rule(np.array([0.1, 0.2, 0.3]), np.ones(3), alpha)
 
 
 @st.composite

@@ -438,6 +438,7 @@ class TestInputChecks:
         p[3] = bad
         forest = forest_from_grid((2, 5))
         calls = [
+            lambda: storey_null_estimate(p, 0.5),
             lambda: da_flat_weights(p, 0.5),
             lambda: da_hier_weights(flat_tree(10), p, 0.5),
             lambda: da_hier_weights(ten_hypothesis_tree(), p, 0.5),
