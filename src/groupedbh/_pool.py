@@ -26,16 +26,23 @@ def imap(fn, shared, items):
     at a time as the iterator is read. Otherwise they run on
     min(cpu_count(), len(items)) forked workers, which inherit fn, shared and
     every module loaded here rather than unpickle or import them again; the
-    workers are forked before the pool starts its own threads, and are
-    stopped when the block exits, also on an error."""
+    workers are forked before the pool starts its own threads. When the block
+    exits, also on an error, the items not yet started are dropped, the
+    workers finish the ones they hold and exit, and are joined. No worker is
+    killed: `multiprocessing.Pool.terminate` can kill one while it holds a
+    lock of the result queue, and then hang on that lock."""
     processes = min(cpu_count(), len(items))
     if processes < 2:
         yield (fn(shared, item) for item in items)
         return
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    with multiprocessing.get_context("fork").Pool(processes, _start, ((fn, shared),)) as pool:
-        yield pool.imap(_call, items)
+    pool = ProcessPoolExecutor(processes, multiprocessing.get_context("fork"), _start, ((fn, shared),))
+    try:
+        yield pool.map(_call, items)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _start(work) -> None:

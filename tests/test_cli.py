@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import groupedbh
+from groupedbh import cli
 from groupedbh.classification import load_forest, validate_forest
 from groupedbh.cli import main, read_pvalues, read_truth
 from groupedbh.stepup import weighted_bh
@@ -401,19 +402,21 @@ class TestCmdTest:
 
         pfile = tmp_path / "p.txt"
         write_lines(pfile, np.linspace(0.0, 1.0, 2**17).tolist())
-        iterators = []
+        first_blocks = []
+        format_block = cli._format_block
+        monkeypatch.setattr(cli, "_format_block", lambda columns, start: (os.getpid(), format_block(columns, start)))
 
         class FullDisk(io.StringIO):
             def writelines(self, lines):
-                iterators.append(type(lines).__name__)
-                next(iter(lines))  # one block is formatted, then the device fills up
+                first_blocks.append(next(iter(lines)))  # one block is formatted, then the device fills up
                 raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(sys, "stdout", FullDisk())
         rc = main(["test", "--pvalues", str(pfile), "--method", "flat", "--adaptive"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
-        assert iterators == ["IMapIterator"]  # the rows came from the worker pool
+        [(pid, block)] = first_blocks
+        assert pid != os.getpid() and block.startswith("0,0.0,")  # the rows came from a worker
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
