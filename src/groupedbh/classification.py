@@ -37,9 +37,10 @@ def _isin_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
 
 
 def _as_index_array(members) -> np.ndarray:
-    if not isinstance(members, np.ndarray):
-        members = list(members)
-    return _sorted_unique(np.asarray(members, dtype=np.int64).ravel())
+    """Sorted distinct int64 members. Input that is already a strictly
+    increasing int64 vector is returned as is, without a copy."""
+    members = np.asarray(members if isinstance(members, np.ndarray) else list(members), dtype=np.int64).ravel()
+    return members if (members[1:] > members[:-1]).all() else _sorted_unique(members)
 
 
 @dataclass(eq=False)
@@ -98,11 +99,13 @@ class HierTree:
         """Sorted member indices of node k."""
         return self.indices[self.indptr[k] : self.indptr[k + 1]]
 
-    def counts(self, mask: np.ndarray) -> np.ndarray:
-        """Per-node number of members i with mask[i] set."""
-        hits = np.concatenate((mask[self.indices], [False]))  # so every row start is in range
-        counts = np.add.reduceat(hits, self.indptr[:-1], dtype=np.int64)
-        counts[self.sizes == 0] = 0  # reduceat leaves a value in empty rows
+    def counts(self, mask: np.ndarray, first: int = 0) -> np.ndarray:
+        """Per-node number of members i with mask[i] set, for the nodes
+        first, first + 1, ... to the last leaf."""
+        rows = self.indptr[first:]
+        hits = np.concatenate((mask[self.indices[rows[0] :]], [False]))  # so every row start is in range
+        counts = np.add.reduceat(hits, rows[:-1] - rows[0], dtype=np.int64)
+        counts[self.sizes[first:] == 0] = 0  # reduceat leaves a value in empty rows
         return counts
 
     def leaf_rows(self) -> np.ndarray:

@@ -71,8 +71,9 @@ def check_condition1(weights: np.ndarray, is_null: np.ndarray, digest: str = "")
     is_null = np.asarray(is_null, dtype=bool)
     n = weights.size
     _check_length(is_null, n, "truth labels")
-    terms = [0.0 if math.isinf(w) else 1.0 / w for w in weights[is_null]]
-    total = math.fsum(terms)
+    null_weights = weights[is_null]
+    with np.errstate(divide="ignore"):  # a zero weight gives +inf, so the check fails
+        total = math.fsum(np.where(np.isinf(null_weights), 0.0, 1.0 / null_weights))
     return _report("condition1", total, n, CONDITION1_RTOL * n, digest)
 
 
@@ -125,7 +126,17 @@ def random_tree(
     depth: int | None = None,
     max_overlap: float = 0.3,
 ) -> HierTree:
-    """Random hierarchy with covering, possibly overlapping siblings."""
+    """Random hierarchy with covering, possibly overlapping siblings.
+
+    The draw contract, which fixes every tree (and so every identity sweep)
+    for a given generator state: ``integers`` for ``n`` and for ``depth``
+    when not given; then, per parent in level order, one ``integers`` for
+    its child count k (only when it has >= 12 members) and one
+    ``permutation`` of its size, cut into k near-equal chunks; then, when
+    k > 1 and ``max_overlap`` > 0, one ``integers`` per child for its extra
+    members and, unless that is 0, one ``choice`` of them without
+    replacement from the parent's members outside the chunk.
+    """
     if n is None:
         n = int(rng.integers(10, 501))
     if depth is None:
@@ -139,16 +150,14 @@ def random_tree(
             size = members.size
             # keep every group at size >= 4 so mixed truths stay reachable
             k = int(rng.integers(2, 4)) if size >= 12 else 1
-            perm = rng.permutation(members)
-            parts = [np.sort(chunk) for chunk in np.array_split(perm, k)]
-            for j, part in enumerate(parts, start=1):
+            for j, chunk in enumerate(np.array_split(rng.permutation(size), k), start=1):
+                part = members[np.sort(chunk)]  # members are sorted, so part is too
                 if k > 1 and max_overlap > 0.0:
                     extra = int(rng.integers(0, int(max_overlap * size) + 1))
                     if extra:
-                        others = np.setdiff1d(members, part)
-                        take = min(extra, others.size)
-                        if take:
-                            part = np.union1d(part, rng.choice(others, size=take, replace=False))
+                        others = np.delete(members, chunk)  # sorted, like members
+                        chosen = rng.choice(others, size=min(extra, others.size), replace=False)
+                        part = np.sort(np.concatenate((part, chosen)))  # disjoint, so distinct
                 child_path = path + (j,)
                 level.append((child_path, part))
                 next_frontier.append((child_path, part))

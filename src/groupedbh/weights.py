@@ -50,11 +50,6 @@ def _assemble(
     return weights
 
 
-def _leaf_weights(tree: HierTree, effects: np.ndarray, null_mass: np.ndarray) -> np.ndarray:
-    leaves = tree.leaves
-    return _assemble(tree.n, tree.leaf_rows(), tree.sizes[leaves], effects[leaves], null_mass[leaves])
-
-
 def _by_path(tree: HierTree, effects: np.ndarray) -> dict[tuple[int, ...], float]:
     return dict(zip(tree.paths, effects.tolist()))
 
@@ -165,7 +160,9 @@ def oracle_hier_weights(tree: HierTree, is_null: np.ndarray) -> np.ndarray:
     pi0 = _pi0(is_null)
     if pi0 == 0.0 or pi0 == 1.0 or tree.depth == 0:
         return np.full(tree.n, pi0)
-    return _leaf_weights(tree, *_oracle_effects(tree, is_null))
+    effects, n0 = _oracle_effects(tree, is_null)
+    leaves = tree.leaves
+    return _assemble(tree.n, tree.leaf_rows(), tree.sizes[leaves], effects[leaves], n0[leaves])
 
 
 def oracle_sway_weights(forest: ClassificationForest, is_null: np.ndarray) -> np.ndarray:
@@ -208,15 +205,15 @@ def da_flat_weights(pvalues: np.ndarray, lam: float) -> np.ndarray:
     return np.full(pvalues.size, storey_null_estimate(pvalues, lam) / max(pvalues.size, 1))
 
 
-def _da_effects(tree: HierTree, pvalues: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node estimated effects and Storey null counts; see
-    :func:`da_hier_effects`."""
+def _da_effects(tree: HierTree, pvalues: np.ndarray, lam: float, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Estimated effects and Storey null counts of the nodes first,
+    first + 1, ... to the last leaf; see :func:`da_hier_effects`."""
     _check_level("lambda", lam)
-    n, up = max(tree.n, 1), tree.parent[1:]  # max: no division by zero at N = 0
-    nhat = (tree.sizes - tree.counts(pvalues <= lam) + 1) / (1.0 - lam)
-    effects = np.empty(nhat.size)
-    effects[0] = nhat[0] / n
-    effects[1:] = nhat[1:] * tree.mult[up] * tree.m[up] / n
+    n, up = max(tree.n, 1), tree.parent[first:]  # max: no division by zero at N = 0
+    nhat = (tree.sizes[first:] - tree.counts(pvalues <= lam, first) + 1) / (1.0 - lam)
+    effects = nhat * tree.mult[up] * tree.m[up] / n
+    if first == 0:
+        effects[0] = nhat[0] / n  # the root has no parent
     return effects, nhat
 
 
@@ -233,12 +230,18 @@ def da_hier_effects(tree: HierTree, pvalues: np.ndarray, lam: float) -> dict[tup
     return _by_path(tree, _da_effects(tree, _pvalues(pvalues, tree.n), lam)[0])
 
 
+def _da_leaf_weights(tree: HierTree, pvalues: np.ndarray, lam: float) -> np.ndarray:
+    """:func:`da_hier_weights` on checked p-values, from the leaves' effects
+    alone."""
+    effects, nhat = _da_effects(tree, pvalues, lam, int(tree.leaves[0]))
+    if tree.depth == 0 or tree.n == 0:
+        return np.full(tree.n, effects[0])  # the flat Storey estimate of pi0
+    return _assemble(tree.n, tree.leaf_rows(), tree.sizes[tree.leaves], effects, nhat)
+
+
 def da_hier_weights(tree: HierTree, pvalues: np.ndarray, lam: float) -> np.ndarray:
     """Data-adaptive hierarchically grouped weights (overlap-aware)."""
-    pvalues = _pvalues(pvalues, tree.n)
-    if tree.depth == 0 or tree.n == 0:
-        return da_flat_weights(pvalues, lam)
-    return _leaf_weights(tree, *_da_effects(tree, pvalues, lam))
+    return _da_leaf_weights(tree, _pvalues(pvalues, tree.n), lam)
 
 
 def da_sway_weights(forest: ClassificationForest, pvalues: np.ndarray, lam: float) -> np.ndarray:
@@ -256,5 +259,5 @@ def da_gen_weights(forest: ClassificationForest, pvalues: np.ndarray, lam: float
     pvalues = _pvalues(pvalues, forest.n)
     inv_acc = np.zeros(forest.n)
     for tree in forest.trees:
-        inv_acc += 1.0 / da_hier_weights(tree, pvalues, lam)
+        inv_acc += 1.0 / _da_leaf_weights(tree, pvalues, lam)
     return forest.s_count / inv_acc

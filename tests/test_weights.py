@@ -11,8 +11,9 @@ from groupedbh.classification import (
     forest_from_grid,
     tree_from_levels,
 )
-from groupedbh.identities import _alternate_hier_effects
+from groupedbh.identities import _alternate_hier_effects, random_tree
 from groupedbh.weights import (
+    _assemble,
     da_flat_weights,
     da_gen_weights,
     da_hier_effects,
@@ -311,6 +312,24 @@ class TestDAHier:
             da_hier_weights(ten_hypothesis_tree(), DA_PVALUES[:-1], 0.5)
 
 
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("max_overlap", [0.0, 0.3])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_da_hier_weights_assemble_the_leaf_effects(depth, max_overlap, lam):
+    # the leaves-only weight path equals the whole-tree effects of
+    # da_hier_effects, restricted to the leaves and assembled, bit for bit
+    rng = np.random.default_rng(depth * 100 + int(lam * 10))
+    for _ in range(5):
+        tree = random_tree(rng, n=int(rng.integers(12, 300)), depth=depth, max_overlap=max_overlap)
+        p = rng.uniform(size=tree.n)
+        leaves = tree.leaves.tolist()
+        effects = da_hier_effects(tree, p, lam)
+        leaf_effects = np.array([effects[tree.paths[k]] for k in leaves])
+        nhat = np.array([storey_null_estimate(p[tree.members(k)], lam) for k in leaves])
+        expected = _assemble(tree.n, tree.leaf_rows(), tree.sizes[leaves], leaf_effects, nhat)
+        assert np.array_equal(da_hier_weights(tree, p, lam), expected)
+
+
 def depth_two_disjoint_tree():
     """Two level-1 groups of 4, each split into two leaves of 2 (N = 8)."""
     level1 = [((1,), np.arange(0, 4)), ((2,), np.arange(4, 8))]
@@ -449,6 +468,23 @@ class TestInputChecks:
         for call in calls:
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 call()
+
+    @pytest.mark.parametrize(
+        "pvalues, lam, match",
+        [
+            (np.r_[np.linspace(0.05, 0.95, 9), np.nan], 0.5, r"\[0, 1\]"),
+            (np.r_[np.linspace(0.05, 0.95, 9), 1.5], 0.5, r"\[0, 1\]"),
+            (np.linspace(0.05, 0.95, 9), 0.5, "length"),
+            (np.linspace(0.05, 0.95, 10), 0.0, "lambda"),
+            (np.linspace(0.05, 0.95, 10), 1.0, "lambda"),
+        ],
+    )
+    def test_forest_adaptive_weights_check_their_inputs(self, pvalues, lam, match):
+        # the p-values are checked once per forest, not once per tree
+        forest = forest_from_grid((2, 5))
+        for weights in (da_gen_weights, da_sway_weights):
+            with pytest.raises(ValueError, match=match):
+                weights(forest, pvalues, lam)
 
     def test_forest_without_trees(self):
         empty = ClassificationForest(n=10, trees=())
