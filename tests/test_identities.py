@@ -166,9 +166,9 @@ def test_checks_reject_truth_of_wrong_length(size):
 
 
 def test_random_tree_draw_contract_is_pinned():
-    # 200 trees drawn from one stream: their structure and the generator
-    # state after them, as recorded before the draw was last optimized.
-    # A change here re-seeds every sweep, acceptance criterion and xfail.
+    # 200 trees drawn from one stream, and the generator state after them.
+    # A change to either re-seeds every sweep, every acceptance criterion
+    # and the pinned xfail below.
     rng = np.random.default_rng(0)
     h = hashlib.sha256()
     for _ in range(200):

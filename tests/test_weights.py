@@ -469,22 +469,22 @@ class TestInputChecks:
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 call()
 
-    @pytest.mark.parametrize(
-        "pvalues, lam, match",
-        [
-            (np.r_[np.linspace(0.05, 0.95, 9), np.nan], 0.5, r"\[0, 1\]"),
-            (np.r_[np.linspace(0.05, 0.95, 9), 1.5], 0.5, r"\[0, 1\]"),
-            (np.linspace(0.05, 0.95, 9), 0.5, "length"),
-            (np.linspace(0.05, 0.95, 10), 0.0, "lambda"),
-            (np.linspace(0.05, 0.95, 10), 1.0, "lambda"),
-        ],
-    )
-    def test_forest_adaptive_weights_check_their_inputs(self, pvalues, lam, match):
-        # the p-values are checked once per forest, not once per tree
+    @pytest.mark.parametrize("lam", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_adaptive_weights_reject_lambda_outside_unit_interval(self, lam):
+        p = np.linspace(0.05, 0.95, 10)
         forest = forest_from_grid((2, 5))
-        for weights in (da_gen_weights, da_sway_weights):
-            with pytest.raises(ValueError, match=match):
-                weights(forest, pvalues, lam)
+        calls = [
+            lambda: storey_null_estimate(p, lam),
+            lambda: da_flat_weights(p, lam),
+            lambda: da_hier_weights(flat_tree(10), p, lam),
+            lambda: da_hier_weights(ten_hypothesis_tree(), p, lam),
+            lambda: da_hier_effects(ten_hypothesis_tree(), p, lam),
+            lambda: da_gen_weights(forest, p, lam),
+            lambda: da_sway_weights(forest, p, lam),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="lambda"):
+                call()
 
     def test_forest_without_trees(self):
         empty = ClassificationForest(n=10, trees=())
