@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import contextlib
 import os
+from collections import deque
+from collections.abc import Sized
+from itertools import islice
 
 _work = None  # in a worker: the (fn, shared) its pool was started with
 
@@ -22,16 +25,20 @@ def cpu_count() -> int:
 def imap(fn, shared, items):
     """Yield an iterator over fn(shared, item) for each item, in order.
 
-    With fewer than two CPUs or fewer than two items, the calls run here, one
-    at a time as the iterator is read. Otherwise they run on
-    min(cpu_count(), len(items)) forked workers, which inherit fn, shared and
-    every module loaded here rather than unpickle or import them again; the
-    workers are forked before the pool starts its own threads. When the block
-    exits, also on an error, the items not yet started are dropped, the
-    workers finish the ones they hold and exit, and are joined. No worker is
-    killed: `multiprocessing.Pool.terminate` can kill one while it holds a
-    lock of the result queue, and then hang on that lock."""
-    processes = min(cpu_count(), len(items))
+    ``items`` is any iterable; a generator is read here, in this process, one
+    item at a time as results are taken, so at most 2 x workers items are
+    drawn ahead of the consumer. With fewer than two CPUs, or a sized
+    ``items`` of fewer than two, the calls run here, one at a time as the
+    iterator is read. Otherwise they run on cpu_count() forked workers (no
+    more than len(items) when it has a length), which inherit fn, shared and
+    every module loaded here rather than unpickle or import them again; each
+    item is pickled. The workers are forked before the pool starts its own
+    threads. When the block exits, also on an error, the items not yet
+    started are dropped, the workers finish the ones they hold and exit, and
+    are joined. No worker is killed: `multiprocessing.Pool.terminate` can
+    kill one while it holds a lock of the result queue, and then hang on
+    that lock."""
+    processes = min(cpu_count(), len(items)) if isinstance(items, Sized) else cpu_count()
     if processes < 2:
         yield (fn(shared, item) for item in items)
         return
@@ -40,9 +47,18 @@ def imap(fn, shared, items):
 
     pool = ProcessPoolExecutor(processes, multiprocessing.get_context("fork"), _start, ((fn, shared),))
     try:
-        yield pool.map(_call, items)
+        yield _ordered(pool, iter(items), 2 * processes)
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _ordered(pool, items, depth: int):
+    """Results of the items in order, with at most ``depth`` of them drawn
+    and not yet handed on; the next item is drawn while the workers run."""
+    pending = deque(pool.submit(_call, item) for item in islice(items, depth))
+    while pending:
+        yield pending.popleft().result()
+        pending.extend(pool.submit(_call, item) for item in islice(items, 1))
 
 
 def _start(work) -> None:

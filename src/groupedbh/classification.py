@@ -12,6 +12,7 @@ recover the unclassified and S-way special cases.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -126,6 +127,21 @@ class ClassificationForest:
     @property
     def s_count(self) -> int:
         return len(self.trees)
+
+    @functools.cached_property
+    def partition_error(self) -> str | None:
+        """Why this forest is not an S-way design, or None when every tree is
+        a depth-1 partition of 0..n-1. Found once per forest, so the trees
+        must not change after it is first read."""
+        for tree in self.trees:
+            if tree.depth != 1:
+                return "S-way weights need depth-1 trees; use the generalized form otherwise"
+            hits = np.bincount(tree.leaf_rows(), minlength=self.n)
+            if (hits > 1).any():
+                return "S-way trees must not have overlapping groups"
+            if (hits == 0).any():
+                return "every hypothesis must belong to a group in each tree"
+        return None
 
 
 def flat_tree(n: int) -> HierTree:

@@ -11,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
+from . import _pool
 from .classification import ClassificationForest, HierTree, tree_from_levels, flat_tree
 from .stepup import _check_length, brute_force_bh, weighted_bh
 from .weights import (
@@ -102,14 +104,29 @@ def check_monotone(
     trials: int = 100,
     digest: str = "",
 ) -> IdentityReport:
-    """Raising any single p-value must never decrease any weight."""
+    """Raising any single p-value must never decrease any weight.
+
+    The draw contract: per bump, one ``integers`` for the index j and then
+    one ``uniform`` for its new value in [p_j, 1); all ``trials`` bumps are
+    drawn before ``weight_fn`` runs."""
     pvalues = np.asarray(pvalues, dtype=float)
-    base = weight_fn(pvalues)
-    violations = 0
+    return _monotone_report(weight_fn, pvalues, _monotone_bumps(rng, pvalues, trials), digest)
+
+
+def _monotone_bumps(rng: np.random.Generator, pvalues: np.ndarray, trials: int) -> list[tuple[int, float]]:
+    bumps = []
     for _ in range(trials):
         j = int(rng.integers(pvalues.size))
+        bumps.append((j, rng.uniform(pvalues[j], 1.0)))
+    return bumps
+
+
+def _monotone_report(weight_fn, pvalues: np.ndarray, bumps, digest: str) -> IdentityReport:
+    base = weight_fn(pvalues)
+    violations = 0
+    for j, value in bumps:
         bumped = pvalues.copy()
-        bumped[j] = rng.uniform(pvalues[j], 1.0)
+        bumped[j] = value
         after = weight_fn(bumped)
         if (after < base - 1e-9 * np.abs(base) - 1e-12).any():
             violations += 1
@@ -289,68 +306,96 @@ def run_sweep(
 
     ``corrupt`` deliberately perturbs one weight vector per trial group, as
     a negative control that the checks can fail.
+
+    This process draws each trial's configuration from the one generator,
+    in a fixed order, and the trials are checked through `_pool.imap`: on
+    one forked worker per CPU of this process's affinity mask, or here on
+    one CPU. Those checks draw nothing; the last item takes the generator
+    itself on to the reductions and step-up cases. So the reports are the
+    same bits on any number of CPUs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    draws = _sweep_draws(np.random.default_rng(seed), seed, trials, monotone_trials, corrupt)
     reports = []
-    for t in range(trials):
-        digest = _digest(seed, t)
+    with _pool.imap(_run, None, draws) as results:
+        for part in results:
+            reports.extend(part)
+    return reports
 
+
+def _run(_, check) -> list[IdentityReport]:
+    return check()
+
+
+def _sweep_draws(rng: np.random.Generator, seed: int, trials: int, monotone_trials: int, corrupt: bool):
+    """The sweep's items, each a call that runs its checks, drawn one at a
+    time in a fixed order: one per oracle trial, one per adaptive trial
+    (with its monotone bumps), and last the reductions and step-up cases."""
+    for t in range(trials):
         tree = random_tree(rng)
         is_null = random_truth(rng, tree)
-        w = oracle_hier_weights(tree, is_null)
-        if corrupt:
-            w = w * 1.01
-        reports.append(check_condition1(w, is_null, digest + ":hier"))
-
         one = random_tree(rng, depth=1)
-        groups = [one.members(k) for k in one.leaves]
-        effects = rng.uniform(0.2, 3.0, size=len(groups))
+        effects = rng.uniform(0.2, 3.0, size=one.leaves.size)
         truth_one = random_truth(rng, flat_tree(one.n))
-        w = oracle_overlap_oneway_weights(one.n, groups, effects, truth_one)
-        reports.append(check_condition1(w, truth_one, digest + ":oneway"))
-
         forest = random_forest(rng, depth_one=True)
         truth_f = random_truth(rng, forest)
-        reports.append(check_condition1(oracle_sway_weights(forest, truth_f), truth_f, digest + ":sway"))
-
         gen = random_forest(rng)
         truth_g = random_truth(rng, gen)
-        reports.append(check_condition1(oracle_gen_weights(gen, truth_g), truth_g, digest + ":gen"))
-
         flat_truth = random_truth(rng, flat_tree(int(rng.integers(10, 501))))
-        reports.append(check_condition1(oracle_flat_weights(flat_truth), flat_truth, digest + ":flat"))
+        configs = (tree, is_null, one, effects, truth_one, forest, truth_f, gen, truth_g, flat_truth)
+        yield partial(_oracle_checks, _digest(seed, t), corrupt, *configs)
 
     # adaptive variants: leave-one-out bound and monotonicity
     lam = 0.5
     for t in range(max(1, trials // 4)):
-        digest = _digest(seed, "adaptive", t)
         tree = random_tree(rng, n=int(rng.integers(20, 200)))
         is_null = random_truth(rng, tree)
         pvalues = rng.uniform(size=tree.n)
-
-        fn = lambda p: da_hier_weights(tree, p, lam)
-        reports.append(check_loo_bound(fn, pvalues, is_null, digest + ":hier"))
-        reports.append(check_monotone(fn, pvalues, rng, monotone_trials, digest + ":hier"))
-
+        bumps = partial(_monotone_bumps, rng, pvalues, monotone_trials)
+        checks = [(":hier", partial(da_hier_weights, tree, lam=lam), bumps())]
         forest = random_forest(rng, n=tree.n, depth_one=True)
-        fn = lambda p: da_sway_weights(forest, p, lam)
-        reports.append(check_loo_bound(fn, pvalues, is_null, digest + ":sway"))
-        reports.append(check_monotone(fn, pvalues, rng, monotone_trials, digest + ":sway"))
-
+        checks.append((":sway", partial(da_sway_weights, forest, lam=lam), bumps()))
         gen = random_forest(rng, n=tree.n)
-        fn = lambda p: da_gen_weights(gen, p, lam)
-        reports.append(check_loo_bound(fn, pvalues, is_null, digest + ":gen"))
-        reports.append(check_monotone(fn, pvalues, rng, monotone_trials, digest + ":gen"))
+        checks.append((":gen", partial(da_gen_weights, gen, lam=lam), bumps()))
+        checks.append((":flat", partial(da_flat_weights, lam=lam), bumps()))
+        yield partial(_adaptive_checks, _digest(seed, "adaptive", t), pvalues, is_null, checks)
 
-        fn = lambda p: da_flat_weights(p, lam)
-        reports.append(check_loo_bound(fn, pvalues, is_null, digest + ":flat"))
-        reports.append(check_monotone(fn, pvalues, rng, monotone_trials, digest + ":flat"))
+    # the reductions and the step-up cases draw as they check, so the
+    # generator itself goes with the last item; its draws come in the same
+    # order here or in a worker, and nothing here draws after it
+    yield partial(_final_checks, seed, rng)
 
-    reports.extend(check_reductions(rng))
+
+def _oracle_checks(
+    digest, corrupt, tree, is_null, one, effects, truth_one, forest, truth_f, gen, truth_g, flat_truth
+) -> list[IdentityReport]:
+    w = oracle_hier_weights(tree, is_null)
+    if corrupt:
+        w = w * 1.01
+    groups = [one.members(k) for k in one.leaves]
+    w_one = oracle_overlap_oneway_weights(one.n, groups, effects, truth_one)
+    return [
+        check_condition1(w, is_null, digest + ":hier"),
+        check_condition1(w_one, truth_one, digest + ":oneway"),
+        check_condition1(oracle_sway_weights(forest, truth_f), truth_f, digest + ":sway"),
+        check_condition1(oracle_gen_weights(gen, truth_g), truth_g, digest + ":gen"),
+        check_condition1(oracle_flat_weights(flat_truth), flat_truth, digest + ":flat"),
+    ]
+
+
+def _adaptive_checks(digest, pvalues, is_null, checks) -> list[IdentityReport]:
+    reports = []
+    for suffix, weight_fn, bumps in checks:
+        reports.append(check_loo_bound(weight_fn, pvalues, is_null, digest + suffix))
+        reports.append(_monotone_report(weight_fn, pvalues, bumps, digest + suffix))
+    return reports
+
+
+def _final_checks(seed, rng) -> list[IdentityReport]:
+    reports = check_reductions(rng)
 
     # production step-up vs the counting oracle
     worst = 0

@@ -79,14 +79,8 @@ def _check_trees(forest: ClassificationForest) -> None:
 
 def _check_partitions(forest: ClassificationForest) -> None:
     """The S-way precondition: every tree is a depth-1 partition."""
-    for tree in forest.trees:
-        if tree.depth != 1:
-            raise ValueError("S-way weights need depth-1 trees; use the generalized form otherwise")
-        hits = np.bincount(tree.leaf_rows(), minlength=forest.n)
-        if (hits > 1).any():
-            raise ValueError("S-way trees must not have overlapping groups")
-        if (hits == 0).any():
-            raise ValueError("every hypothesis must belong to a group in each tree")
+    if forest.partition_error is not None:
+        raise ValueError(forest.partition_error)
 
 
 # ---------------------------------------------------------------------------

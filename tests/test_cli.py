@@ -655,3 +655,20 @@ def test_serial_simulate_loads_no_multiprocessing(tmp_path, replicates, cpus):
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["0", "False"]
     assert out.read_text().count("\n") == 2
+
+
+@pytest.mark.parametrize("cpus", ["one", "all"])
+def test_validate_loads_no_scipy_and_on_one_cpu_no_multiprocessing(tmp_path, cpus):
+    # the sweep's checks run on forked workers only when there are CPUs for them
+    out = tmp_path / "report.jsonl"
+    code = (
+        "import sys, groupedbh.cli\n"
+        "rc = groupedbh.cli.main(['validate', '--trials', '8', '--out', sys.argv[1]])\n"
+        "print(rc, any(m.partition('.')[0] == 'scipy' for m in sys.modules), 'multiprocessing' in sys.modules)\n"
+    )
+    mask = os.sched_getaffinity(0)
+    run = run_python("-c", code, str(out), cpus={min(mask)} if cpus == "one" else mask)
+    assert run.returncode == 0, run.stderr
+    workers = cpus == "all" and len(mask) > 1
+    assert run.stdout.split()[-3:] == ["0", "False", str(workers)]
+    assert out.read_text().count("\n") == 5 * 8 + 8 * 2 + 5

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from groupedbh import _pool, identities
 from groupedbh.classification import flat_tree, validate_tree, validate_forest
 from groupedbh.identities import (
     check_condition1,
@@ -195,6 +198,33 @@ def test_sweep_reports_are_pinned():
     assert hashlib.sha256(reports.encode()).hexdigest() == (
         "73bd54c33a39091a5d6f5a7400e2f863f94ad551c10fdd6a8094db636e583429"
     )
+
+
+@pytest.mark.parametrize(
+    "seed, corrupt", [(0, False), (12, False), (12, True)], ids=["seed-0", "seed-12", "corrupt"]
+)
+def test_sweep_is_the_same_on_one_cpu_and_on_two(monkeypatch, seed, corrupt):
+    # the configurations are drawn here, in order; workers only check them
+    sweeps = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(_pool, "cpu_count", lambda: cpus)
+        reports = run_sweep(seed=seed, trials=24, monotone_trials=5, corrupt=corrupt)
+        sweeps.append(json.dumps([r.to_dict() for r in reports]))
+    assert sweeps[0] == sweeps[1]
+    assert multiprocessing.active_children() == []
+
+
+def _broken_weights(*args):
+    raise ValueError(f"broken weights in process {os.getpid()}")
+
+
+def test_sweep_raises_a_worker_error_and_stops_the_workers(monkeypatch):
+    monkeypatch.setattr(_pool, "cpu_count", lambda: 2)
+    monkeypatch.setattr(identities, "oracle_gen_weights", _broken_weights)
+    with pytest.raises(ValueError, match="broken weights in process") as raised:
+        run_sweep(seed=0, trials=8)
+    assert int(str(raised.value).split()[-1]) != os.getpid()  # raised in a worker
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_reproducible():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -219,6 +220,40 @@ class TestOracleSway:
         forest = ClassificationForest(n=4, trees=(tree,))
         with pytest.raises(ValueError, match="depth-1"):
             oracle_sway_weights(forest, np.array([1, 0, 1, 0], dtype=bool))
+
+
+def _deep_tree():
+    halves = [((1,), np.arange(0, 3)), ((2,), np.arange(3, 6))]
+    return tree_from_levels(6, [halves, [((1, 1), np.arange(0, 3)), ((2, 1), np.arange(3, 6))]])
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        (_deep_tree(), "S-way weights need depth-1 trees; use the generalized form otherwise"),
+        (
+            tree_from_levels(6, [[((1,), np.arange(0, 4)), ((2,), np.arange(2, 6))]]),
+            "S-way trees must not have overlapping groups",
+        ),
+        (
+            tree_from_levels(6, [[((1,), np.arange(0, 2)), ((2,), np.arange(3, 6))]]),
+            "every hypothesis must belong to a group in each tree",
+        ),
+    ],
+    ids=["deep", "overlapping", "uncovered"],
+)
+def test_sway_partition_messages_hold_on_every_call(second, message):
+    # the check runs once per forest; every later call raises the same message
+    first = tree_from_levels(6, [[((1,), np.arange(0, 3)), ((2,), np.arange(3, 6))]])
+    forest = ClassificationForest(n=6, trees=(first, second))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            oracle_sway_weights(forest, np.arange(6) % 2 == 0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            da_sway_weights(forest, np.linspace(0.1, 0.9, 6), 0.5)
+    valid = ClassificationForest(n=6, trees=(first, first))
+    assert valid.partition_error is None
+    assert (da_sway_weights(valid, np.linspace(0.1, 0.9, 6), 0.5) > 0).all()
 
 
 class TestOracleGeneralized:
