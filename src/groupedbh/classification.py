@@ -12,7 +12,6 @@ recover the unclassified and S-way special cases.
 
 from __future__ import annotations
 
-import functools
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -22,9 +21,8 @@ import numpy as np
 
 
 def _sorted_unique(arr: np.ndarray) -> np.ndarray:
-    """Sorted distinct values; a sort and a neighbour compare, which is far
-    cheaper than ``np.unique`` on large integer arrays."""
-    arr = np.sort(arr)
+    """Sorted distinct values of arr, sorted in place; far cheaper than ``np.unique`` on large integer arrays."""
+    arr.sort()
     keep = np.ones(arr.size, dtype=bool)
     keep[1:] = arr[1:] != arr[:-1]
     return arr[keep]
@@ -41,7 +39,7 @@ def _as_index_array(members) -> np.ndarray:
     """Sorted distinct int64 members. Input that is already a strictly
     increasing int64 vector is returned as is, without a copy."""
     members = np.asarray(members if isinstance(members, np.ndarray) else list(members), dtype=np.int64).ravel()
-    return members if (members[1:] > members[:-1]).all() else _sorted_unique(members)
+    return members if (members[1:] > members[:-1]).all() else _sorted_unique(members.copy())
 
 
 @dataclass(eq=False)
@@ -59,9 +57,9 @@ class HierTree:
     (depth of node k), ``m[k]`` (number of children), ``mult[k]`` (product
     of the ancestors' ``m``), ``levels`` (node ids of levels 1..depth as
     slices), ``leaves`` (the deepest level's ids, the tail of the order) and
-    ``depth``. In a valid tree all leaves sit at the same depth, and every
-    hypothesis is covered at every level; sibling groups may overlap.
-    Depth 0 means the root is the only group.
+    ``depth``. Depth 0 means the root is the only group. Every HierTree is
+    valid (leaves at one depth, members in 0..n-1, overlapping siblings
+    covering their parent): its constructor raises ValueError otherwise.
     """
 
     n: int
@@ -95,6 +93,8 @@ class HierTree:
         for depth, s in enumerate(self.levels, start=1):
             self.level[s] = depth
             self.mult[s] = self.mult[parent[s]] * self.m[parent[s]]
+        if problems := validate_tree(self):
+            raise ValueError("; ".join(problems))
 
     def members(self, k: int) -> np.ndarray:
         """Sorted member indices of node k."""
@@ -104,10 +104,9 @@ class HierTree:
         """Per-node number of members i with mask[i] set, for the nodes
         first, first + 1, ... to the last leaf."""
         rows = self.indptr[first:]
-        hits = np.concatenate((mask[self.indices[rows[0] :]], [False]))  # so every row start is in range
-        counts = np.add.reduceat(hits, rows[:-1] - rows[0], dtype=np.int64)
-        counts[self.sizes[first:] == 0] = 0  # reduceat leaves a value in empty rows
-        return counts
+        # only an N = 0 tree has empty rows: all start at the appended False
+        hits = np.concatenate((mask[self.indices[rows[0] :]], [False]))
+        return np.add.reduceat(hits, rows[:-1] - rows[0], dtype=np.int64)
 
     def leaf_rows(self) -> np.ndarray:
         """Members of every leaf, concatenated in leaf order."""
@@ -123,24 +122,21 @@ class ClassificationForest:
 
     def __post_init__(self):
         self.trees = tuple(self.trees)
+        if problems := validate_forest(self):
+            raise ValueError("; ".join(problems))
 
     @property
     def s_count(self) -> int:
         return len(self.trees)
 
-    @functools.cached_property
+    @property
     def partition_error(self) -> str | None:
-        """Why this forest is not an S-way design, or None when every tree is
-        a depth-1 partition of 0..n-1. Found once per forest, so the trees
-        must not change after it is first read."""
+        """Why this forest is not an S-way design (each tree a valid depth-1 tree of n members), or None."""
         for tree in self.trees:
             if tree.depth != 1:
                 return "S-way weights need depth-1 trees; use the generalized form otherwise"
-            hits = np.bincount(tree.leaf_rows(), minlength=self.n)
-            if (hits > 1).any():
+            if tree.leaf_rows().size != self.n:
                 return "S-way trees must not have overlapping groups"
-            if (hits == 0).any():
-                return "every hypothesis must belong to a group in each tree"
         return None
 
 
@@ -156,7 +152,7 @@ def tree_from_levels(n: int, levels: list[list[tuple[tuple[int, ...], np.ndarray
     appear at the previous level. Overlapping siblings are allowed, and the
     same member set may appear under several parents (distinct paths).
     """
-    paths, parent, members = [()], [-1], [np.arange(n, dtype=np.int64)]
+    paths, parent, members = [()], [-1], []
     above = {(): 0}  # path -> node id, over the previous level
     for level_groups in levels:
         level = []
@@ -172,8 +168,9 @@ def tree_from_levels(n: int, levels: list[list[tuple[tuple[int, ...], np.ndarray
             paths.append(path)
             parent.append(up)
             members.append(_as_index_array(mem))
-    indptr = np.array(list(accumulate((mem.size for mem in members), initial=0)), dtype=np.int64)
-    return HierTree(n=n, paths=paths, parent=parent, indptr=indptr, indices=np.concatenate(members))
+    indptr = np.array(list(accumulate((n, *(mem.size for mem in members)), initial=0)), dtype=np.int64)
+    indices = np.concatenate([np.arange(n, dtype=np.int64)] + members)  # the root's range lives only in indices
+    return HierTree(n=n, paths=paths, parent=parent, indptr=indptr, indices=indices)
 
 
 def tree_from_groups(n: int, levels: list[list[np.ndarray]]) -> HierTree:
@@ -221,46 +218,56 @@ def forest_from_grid(shape: tuple[int, ...]) -> ClassificationForest:
 
 
 def validate_tree(tree: HierTree) -> list[str]:
-    """Structural invariant check; returns a list of violations (empty = ok)."""
-    n, paths, sizes, indptr, indices = tree.n, tree.paths, tree.sizes, tree.indptr, tree.indices
+    """Structural invariant check, run by the constructor; returns a list of
+    violations (empty = ok). An N = 0 tree is valid: its groups are
+    necessarily empty. A valid tree costs one sort per level (one in all for
+    a small tree): its children's sorted, distinct (parent, member) keys
+    equal its parents' keys. Only when they differ is the culprit sought."""
+    n, paths, parent, sizes, indptr, indices = tree.n, tree.paths, tree.parent, tree.sizes, tree.indptr, tree.indices
     violations = []
-    if not np.array_equal(tree.members(0), np.arange(n)):
+    if indptr[1] != n or (indices[:n] != np.arange(n)).any():
         violations.append(f"root members must be exactly 0..{n - 1}")
-    filled = np.flatnonzero(sizes)
-    low, high = indices[indptr[filled]], indices[indptr[filled + 1] - 1]
-    violations += [f"empty group at path {paths[k]}" for k in np.flatnonzero(sizes == 0)]
-    violations += [f"index out of range [0, {n}) at path {paths[k]}" for k in filled[(low < 0) | (high >= n)]]
+    if n and not sizes.all():  # at N = 0 every group is necessarily empty
+        violations += [f"empty group at path {paths[k]}" for k in np.flatnonzero(sizes == 0)]
+    lo, high = int(indices.min(initial=0)), int(indices.max(initial=-1))
+    if lo < 0 or high >= n:
+        filled = np.flatnonzero(sizes)
+        lows, highs = indices[indptr[filled]], indices[indptr[filled + 1] - 1]
+        violations += [f"index out of range [0, {n}) at path {paths[k]}" for k in filled[(lows < 0) | (highs >= n)]]
     falls = np.flatnonzero(indices[1:] <= indices[:-1]) + 1  # a fall is fine where a node starts
     rows = np.searchsorted(indptr, falls, side="right") - 1
-    violations += [f"members of {paths[k]} are not sorted and distinct" for k in _sorted_unique(rows[indptr[rows] != falls])]
-    with_children = np.flatnonzero(tree.m)
-    for k, first in zip(with_children.tolist(), np.searchsorted(tree.parent, with_children).tolist()):
-        kids = paths[first : first + int(tree.m[k])]
-        violations += [f"sibling groups share path {p}" for p, count in Counter(kids).items() if count > 1]
-        if kids != [paths[k] + (j,) for j in range(1, len(kids) + 1)]:
+    if (unsorted := rows[indptr[rows] != falls]).size:
+        violations += [f"members of {paths[k]} are not sorted and distinct" for k in _sorted_unique(unsorted)]
+    first = 1
+    for k, count in enumerate(tree.m[: tree.leaves[0]].tolist()):  # k's children are the next count nodes
+        kids, first = paths[first : first + count], first + count
+        if kids != [paths[k] + (j,) for j in range(1, count + 1)]:
+            violations += [f"sibling groups share path {p}" for p, times in Counter(kids).items() if times > 1]
             violations.append(f"children of {paths[k]} are not numbered 1..{len(kids)}")
     # (node, member) keys; sorted members make one node's keys sorted
-    lo = min(int(indices.min(initial=0)), 0)
-    width = max(int(indices.max(initial=-1)) + 1, n) - lo
+    width = max(high + 1, n) - lo
 
     def keys(nodes: slice, owners: np.ndarray) -> np.ndarray:
-        members = indices[indptr[nodes.start] : indptr[nodes.stop]]
-        return np.repeat(owners, sizes[nodes]) * width + (members - lo)
+        out = np.repeat(owners * width - lo, sizes[nodes])
+        out += indices[indptr[nodes.start] : indptr[nodes.stop]]
+        return out
 
-    covered = np.zeros(len(paths), dtype=np.int64)
-    for level in tree.levels:  # one level and its parents at a time
-        parents = slice(int(tree.parent[level.start]), int(tree.parent[level.stop - 1]) + 1)
-        held = keys(parents, np.arange(parents.start, parents.stop))
-        up = keys(level, tree.parent[level])  # each child's members, keyed under its parent
-        outside = np.flatnonzero(~_isin_sorted(up, held)) + indptr[level.start]
-        for k in _sorted_unique(np.searchsorted(indptr, outside, side="right") - 1):
-            violations.append(f"child {paths[k]} not contained in parent {paths[tree.parent[k]]}")
-        union = _sorted_unique(up)
-        del up
-        covered += np.bincount(union[_isin_sorted(union, held)] // width, minlength=len(paths))
-    violations += [
-        f"children of {paths[k]} do not cover the parent" for k in np.flatnonzero((tree.m > 0) & (covered != sizes))
-    ]
+    uncovered = []
+    # a small tree is keyed in one span; a big one, or one with unsorted members, a level at a time
+    for nodes in tree.levels if indices.size > 1 << 16 or unsorted.size else [slice(1, len(paths))][: tree.depth]:
+        parents = slice(int(parent[nodes.start]), int(parent[nodes.stop - 1]) + 1)
+        up = _sorted_unique(keys(nodes, parent[nodes]))  # each child's members, keyed under its parent
+        held = keys(parents, np.arange(parents.start, parents.stop))  # made second: a lower peak
+        if up.size != held.size or (up != held).any():
+            up = keys(nodes, parent[nodes])
+            outside = np.flatnonzero(~_isin_sorted(up, held)) + indptr[nodes.start]
+            for k in _sorted_unique(np.searchsorted(indptr, outside, side="right") - 1):
+                violations.append(f"child {paths[k]} not contained in parent {paths[parent[k]]}")
+            union = _sorted_unique(up)
+            covered = np.bincount(union[_isin_sorted(union, held)] // width, minlength=parents.stop)
+            uncovered += [k for k in range(parents.start, parents.stop) if tree.m[k] and covered[k] != sizes[k]]
+        del held, up  # before the next level's keys are made
+    violations += [f"children of {paths[k]} do not cover the parent" for k in uncovered]
     depths = sorted(set(tree.level[tree.m == 0].tolist()))
     if len(depths) > 1:
         violations.append(f"leaves at unequal depths: {depths}")
@@ -268,15 +275,11 @@ def validate_tree(tree: HierTree) -> list[str]:
 
 
 def validate_forest(forest: ClassificationForest) -> list[str]:
-    """Validate every tree; all trees must share the same index universe."""
-    violations = []
-    if forest.s_count < 1:
-        violations.append("forest must contain at least one tree")
-    for s, tree in enumerate(forest.trees):
-        if tree.n != forest.n:
-            violations.append(f"tree {s} has n={tree.n}, forest has n={forest.n}")
-        violations.extend(f"tree {s}: {v}" for v in validate_tree(tree))
-    return violations
+    """The forest's rules, run by its constructor: one tree or more, each over n."""
+    violations = [] if forest.trees else ["forest must contain at least one tree"]
+    return violations + [
+        f"tree {s} has n={tree.n}, forest has n={forest.n}" for s, tree in enumerate(forest.trees) if tree.n != forest.n
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +360,7 @@ def _decode_members(encoded: list, n: int) -> np.ndarray:
             if 0 <= member < n:
                 spans.append((member, member + 1))
             else:
-                strays.append(member)  # out of range: kept for validation to report
+                strays.append(member)  # out of range: kept for the tree's constructor to report
     merged: list[list[int]] = []
     for start, stop in sorted(spans):
         if merged and start <= merged[-1][1]:
@@ -391,12 +394,15 @@ def forest_from_dict(data: dict) -> ClassificationForest:
     integer raises ValueError."""
     n = _integer(_key(data, "n"), "n")
     trees = []
-    for tdata in _list(_key(data, "trees"), "trees"):
+    for s, tdata in enumerate(_list(_key(data, "trees"), "trees")):
         levels = [
             [_decode_group(g, n) for g in _list(level_groups, "a level")]
             for level_groups in _list(_key(tdata, "levels"), "levels")
         ]
-        trees.append(tree_from_levels(n, levels))
+        try:
+            trees.append(tree_from_levels(n, levels))
+        except ValueError as exc:
+            raise ValueError(f"tree {s}: {exc}") from None
     return ClassificationForest(n=n, trees=tuple(trees))
 
 

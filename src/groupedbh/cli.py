@@ -20,7 +20,6 @@ from .classification import (
     load_forest,
     save_forest,
     tree_from_levels,
-    validate_forest,
 )
 from .stepup import _check_inputs, _check_length, outcome_metrics, weighted_bh
 from .weights import (
@@ -117,9 +116,6 @@ def _load_structure(args, n: int) -> ClassificationForest:
         forest = load_forest(args.spec)
     except (OSError, ValueError) as exc:
         raise InputError(f"malformed classification spec {args.spec}: {exc}")
-    problems = validate_forest(forest)
-    if problems:
-        raise InputError(f"invalid classification spec {args.spec}: " + "; ".join(problems))
     if forest.n != n:
         raise InputError(f"spec has N={forest.n} but {n} p-values were supplied")
     return forest

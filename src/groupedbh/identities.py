@@ -167,12 +167,14 @@ def random_tree(
             size = members.size
             # keep every group at size >= 4 so mixed truths stay reachable
             k = int(rng.integers(2, 4)) if size >= 12 else 1
-            for j, chunk in enumerate(np.array_split(rng.permutation(size), k), start=1):
-                part = members[np.sort(chunk)]  # members are sorted, so part is too
+            chunk_of, (q, r) = np.empty(size, dtype=np.int64), divmod(size, k)  # position -> chunk, sized as np.array_split would
+            chunk_of[rng.permutation(size)] = np.repeat(np.arange(1, k + 1), [q + (j < r) for j in range(k)])
+            for j in range(1, k + 1):
+                part = members[chunk_of == j]  # members are sorted, so part is too
                 if k > 1 and max_overlap > 0.0:
                     extra = int(rng.integers(0, int(max_overlap * size) + 1))
                     if extra:
-                        others = np.delete(members, chunk)  # sorted, like members
+                        others = members[chunk_of != j]  # sorted, like members
                         chosen = rng.choice(others, size=min(extra, others.size), replace=False)
                         part = np.sort(np.concatenate((part, chosen)))  # disjoint, so distinct
                 child_path = path + (j,)

@@ -72,11 +72,6 @@ def _pvalues(pvalues, n: int) -> np.ndarray:
     return pvalues
 
 
-def _check_trees(forest: ClassificationForest) -> None:
-    if forest.s_count < 1:
-        raise ValueError("forest must contain at least one tree")
-
-
 def _check_partitions(forest: ClassificationForest) -> None:
     """The S-way precondition: every tree is a depth-1 partition."""
     if forest.partition_error is not None:
@@ -170,7 +165,6 @@ def oracle_sway_weights(forest: ClassificationForest, is_null: np.ndarray) -> np
 def oracle_gen_weights(forest: ClassificationForest, is_null: np.ndarray) -> np.ndarray:
     """Generalized oracle weights: harmonic mean over trees of the per-tree
     hierarchical weights."""
-    _check_trees(forest)
     is_null = _truth(is_null, forest.n)
     inv_acc = np.zeros(forest.n)
     with np.errstate(divide="ignore"):
@@ -249,7 +243,6 @@ def da_sway_weights(forest: ClassificationForest, pvalues: np.ndarray, lam: floa
 def da_gen_weights(forest: ClassificationForest, pvalues: np.ndarray, lam: float) -> np.ndarray:
     """Data-adaptive generalized weights: harmonic mean over trees of the
     per-tree hierarchical weights."""
-    _check_trees(forest)
     pvalues = _pvalues(pvalues, forest.n)
     inv_acc = np.zeros(forest.n)
     for tree in forest.trees:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -90,10 +91,16 @@ def test_tree_from_levels_rejects_parent_off_previous_level(levels):
         tree_from_levels(4, levels)
 
 
+def _problems(build) -> list[str]:
+    """The messages of the ValueError that building a tree or forest raises."""
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value).split("; ")
+
+
 def test_validate_catches_coverage_gap():
-    t = tree_from_levels(6, [[((1,), np.arange(0, 3)), ((2,), np.arange(3, 5))]])
-    problems = validate_tree(t)
-    assert any("cover" in msg for msg in problems)
+    problems = _problems(lambda: tree_from_levels(6, [[((1,), np.arange(0, 3)), ((2,), np.arange(3, 5))]]))
+    assert problems == ["children of () do not cover the parent"]
 
 
 def test_validate_catches_containment_violation():
@@ -102,39 +109,41 @@ def test_validate_catches_containment_violation():
         ((1, 1), np.arange(0, 3)),
         ((2, 1), np.array([2, 3, 4, 5])),  # 2 is not in parent (2,)
     ]
-    t = tree_from_levels(6, [level1, level2])
-    assert any("not contained" in msg for msg in validate_tree(t))
+    assert _problems(lambda: tree_from_levels(6, [level1, level2])) == ["child (2, 1) not contained in parent (2,)"]
 
 
 def test_validate_catches_unequal_leaf_depth():
     level1 = [((1,), np.arange(0, 3)), ((2,), np.arange(3, 6))]
     level2 = [((1, 1), np.arange(0, 3))]  # group (2,) keeps no children
-    t = tree_from_levels(6, [level1, level2])
-    assert any("unequal depths" in msg for msg in validate_tree(t))
+    assert _problems(lambda: tree_from_levels(6, [level1, level2])) == ["leaves at unequal depths: [1, 2]"]
 
 
 def test_validate_catches_siblings_sharing_a_path():
     # both groups hang under the root as (1,), so path-keyed effects merge them
-    t = tree_from_levels(10, [[((1,), np.arange(0, 4)), ((1,), np.arange(4, 10))]])
-    problems = validate_tree(t)
-    assert "sibling groups share path (1,)" in problems
-    assert "children of () are not numbered 1..2" in problems
-    assert validate_forest(forest_from_dict(forest_to_dict(ClassificationForest(n=10, trees=(t,)))))
+    problems = _problems(lambda: tree_from_levels(10, [[((1,), np.arange(0, 4)), ((1,), np.arange(4, 10))]]))
+    assert problems == ["sibling groups share path (1,)", "children of () are not numbered 1..2"]
+    groups = [{"path": [1], "members": [[0, 4]]}, {"path": [1], "members": [[4, 10]]}]
+    with pytest.raises(ValueError, match=r"^tree 0: sibling groups share path \(1,\)"):
+        forest_from_dict({"n": 10, "trees": [{"levels": [groups]}]})
 
 
 def test_validate_catches_sibling_numbering_gap():
-    t = tree_from_levels(6, [[((1,), np.arange(0, 3)), ((3,), np.arange(3, 6))]])
-    assert validate_tree(t) == ["children of () are not numbered 1..2"]
+    problems = _problems(lambda: tree_from_levels(6, [[((1,), np.arange(0, 3)), ((3,), np.arange(3, 6))]]))
+    assert problems == ["children of () are not numbered 1..2"]
 
 
 def test_validate_catches_path_outside_parent_lineage():
-    t = HierTree(n=4, paths=[(), (1,), (2, 1)], parent=[-1, 0, 1], indptr=[0, 4, 8, 12], indices=np.tile(np.arange(4), 3))
-    assert validate_tree(t) == ["children of (1,) are not numbered 1..1"]
+    problems = _problems(
+        lambda: HierTree(n=4, paths=[(), (1,), (2, 1)], parent=[-1, 0, 1], indptr=[0, 4, 8, 12], indices=np.tile(np.arange(4), 3))
+    )
+    assert problems == ["children of (1,) are not numbered 1..1"]
 
 
 def test_validate_catches_unsorted_or_repeated_members():
-    t = HierTree(n=4, paths=[(), (1,), (2,)], parent=[-1, 0, 0], indptr=[0, 4, 6, 9], indices=[0, 1, 2, 3, 1, 0, 2, 2, 3])
-    assert validate_tree(t) == [
+    problems = _problems(
+        lambda: HierTree(n=4, paths=[(), (1,), (2,)], parent=[-1, 0, 0], indptr=[0, 4, 6, 9], indices=[0, 1, 2, 3, 1, 0, 2, 2, 3])
+    )
+    assert problems == [
         "members of (1,) are not sorted and distinct",
         "members of (2,) are not sorted and distinct",
     ]
@@ -158,13 +167,103 @@ def test_tree_rejects_inconsistent_arrays():
 
 
 def test_validate_catches_empty_and_out_of_range_groups():
-    t = tree_from_levels(
-        4, [[((1,), np.arange(0, 4)), ((2,), np.array([], dtype=np.int64)), ((3,), np.array([2, 7]))]]
+    problems = _problems(
+        lambda: tree_from_levels(
+            4, [[((1,), np.arange(0, 4)), ((2,), np.array([], dtype=np.int64)), ((3,), np.array([2, 7]))]]
+        )
     )
-    problems = validate_tree(t)
-    assert "empty group at path (2,)" in problems
-    assert "index out of range [0, 4) at path (3,)" in problems
-    assert "child (3,) not contained in parent ()" in problems
+    assert problems == [
+        "empty group at path (2,)",
+        "index out of range [0, 4) at path (3,)",
+        "child (3,) not contained in parent ()",
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, groups, problems",
+    [
+        # weights used to give 8 and 9 +inf, and Condition 1 still held
+        (10, [((1,), np.arange(0, 4)), ((2,), np.arange(4, 8))], ["children of () do not cover the parent"]),
+        # weights used to raise IndexError
+        (5, [((1,), [0, 1, 2]), ((2,), [3, 4, 7])], ["index out of range [0, 5) at path (2,)", "child (2,) not contained in parent ()"]),
+    ],
+    ids=["uncovered", "out-of-range"],
+)
+def test_invalid_tree_is_not_built(n, groups, problems):
+    assert _problems(lambda: tree_from_levels(n, [groups])) == problems
+
+
+def test_trees_without_hypotheses_are_valid():
+    # at N = 0 every group is necessarily empty
+    assert flat_tree(0).depth == 0 and validate_tree(flat_tree(0)) == []
+    partition = tree_from_levels(0, [[((1,), [])], [((1, 1), []), ((1, 2), [])]])
+    assert partition.depth == 2 and validate_tree(partition) == []
+    assert _problems(lambda: tree_from_levels(0, [[((1,), [0])]])) == [
+        "index out of range [0, 0) at path (1,)",
+        "child (1,) not contained in parent ()",
+    ]
+
+
+PERTURBATIONS = ("drop", "foreign", "out-of-range", "repeat", "renumber", "empty", "strip")
+
+
+def _perturbed_tree(seed: int, kind: str) -> dict:
+    """The arrays of a seeded random tree with one fault put in at a random
+    node: a member dropped, a member from outside its parent (or, failing
+    that, itself) or out of range added, a member repeated, its path
+    renumbered, the group emptied, or one parent's subtree stripped."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng)
+    paths, parent = list(tree.paths), tree.parent.tolist()
+    members = [tree.members(k) for k in range(len(paths))]
+    k = int(rng.integers(1, len(paths))) if len(paths) > 1 else 0
+    mem = members[k]
+    if kind == "drop" and mem.size:
+        members[k] = np.delete(mem, rng.integers(mem.size))
+    elif kind == "foreign":
+        outside = np.setdiff1d(np.arange(tree.n), members[parent[k]] if k else mem)
+        if outside.size == 0:
+            outside = np.setdiff1d(np.arange(tree.n), mem)
+        if outside.size:
+            members[k] = np.sort(np.append(mem, rng.choice(outside)))
+    elif kind == "out-of-range":
+        members[k] = np.append(mem, tree.n) if rng.integers(2) else np.insert(mem, 0, -1)
+    elif kind == "repeat" and mem.size:
+        members[k] = np.insert(mem, j := int(rng.integers(mem.size)), mem[j])
+    elif kind == "renumber" and k:
+        paths[k] = paths[k][:-1] + (paths[k][-1] + int(rng.integers(1, 3)),)
+    elif kind == "empty":
+        members[k] = mem[:0]
+    elif kind == "strip" and tree.depth:
+        up = int(rng.choice(np.flatnonzero(tree.m)))
+        gone = set()
+        for j in range(1, len(paths)):
+            if parent[j] == up or parent[j] in gone:
+                gone.add(j)
+        keep = [j for j in range(len(paths)) if j not in gone]
+        new_id = {j: i for i, j in enumerate(keep)}
+        paths = [paths[j] for j in keep]
+        parent = [-1] + [new_id[parent[j]] for j in keep[1:]]
+        members = [members[j] for j in keep]
+    indptr = np.concatenate(([0], np.cumsum([m.size for m in members])))
+    return dict(n=tree.n, paths=paths, parent=parent, indptr=indptr, indices=np.concatenate(members))
+
+
+def test_constructor_reports_what_the_separate_check_reported():
+    # 210 perturbed random trees; the digest is of the message lists that
+    # validate_tree returned for them when it was a separate step, before
+    # the constructor ran it
+    reports = []
+    for seed in range(30):
+        for kind in PERTURBATIONS:
+            try:
+                HierTree(**_perturbed_tree(seed, kind))
+                reports.append([])
+            except ValueError as exc:
+                reports.append(str(exc).split("; "))
+    assert sum(map(bool, reports)) == 162
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "2fe3365d2a235ce619b22d5a113b218cf4a9674cb9acd0b25470fb993e37f5f2"
 
 
 def test_compiled_form_is_level_ordered_csr():
@@ -192,7 +291,7 @@ def test_member_runs_encode_from_three():
 
 def test_unsorted_overlapping_runs_decode_to_their_union():
     # runs are merged before they are expanded; members out of range are
-    # kept for validation to report
+    # kept for the tree's constructor to report
     encoded = [[6, 9], 2, [0, 3], [4, 7], 8, [4, 7], 20, -1, [5, 5]]
     decoded = _decode_members(encoded, 10)
     assert decoded.tolist() == [0, 1, 2, 4, 5, 6, 7, 8, 20, -1]
@@ -210,8 +309,15 @@ def test_forest_from_grid():
 
 
 def test_forest_mismatched_n_flagged():
-    f = ClassificationForest(n=5, trees=(flat_tree(4),))
-    assert any("n=4" in msg for msg in validate_forest(f))
+    # weight functions used to blame the labels: "5 truth labels for 4 hypotheses"
+    assert _problems(lambda: ClassificationForest(n=5, trees=(flat_tree(4), flat_tree(5), flat_tree(3)))) == [
+        "tree 0 has n=4, forest has n=5",
+        "tree 2 has n=3, forest has n=5",
+    ]
+
+
+def test_spec_without_trees_is_not_built():
+    assert _problems(lambda: forest_from_dict({"n": 3, "trees": []})) == ["forest must contain at least one tree"]
 
 
 def test_group_stats():
@@ -386,12 +492,10 @@ def spec_documents(draw):
 @given(spec_documents(), st.integers(0, 2**32 - 1))
 @example(_spec(n=1, members=[2**63]), 0)  # was an OverflowError past int64
 def test_adversarial_spec_fails_only_with_value_error(doc, seed):
-    # decode -> validate -> adaptive weights, as `groupedbh test` runs them
+    # decode (which checks the structure) -> adaptive weights, as `groupedbh test` runs them
     try:
         forest = forest_from_dict(doc)
     except ValueError:
-        return
-    if validate_forest(forest):
         return
     weights = da_gen_weights(forest, np.random.default_rng(seed).uniform(size=forest.n), 0.5)
     assert np.isfinite(weights).all() and (weights >= 0).all()

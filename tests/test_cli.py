@@ -269,6 +269,24 @@ class TestCmdTest:
         assert rc == 2
         assert "error: malformed classification spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "groups, problem",
+        [
+            ([[[0, 2]], [[3, 6]]], "children of () do not cover the parent"),
+            ([[[0, 3]], [[3, 6], 7]], "index out of range [0, 6) at path (2,); child (2,) not contained in parent ()"),
+        ],
+        ids=["coverage-gap", "member-past-n"],
+    )
+    def test_structurally_invalid_spec_exits_2(self, tmp_path, capsys, groups, problem):
+        pfile, path = tmp_path / "p.txt", tmp_path / "spec.json"
+        write_lines(pfile, [0.1, 0.2, 0.3, 0.5, 0.7, 0.9])
+        bad = {"levels": [[{"path": [j], "members": members} for j, members in enumerate(groups, start=1)]]}
+        good = {"levels": [[{"path": [1], "members": [[0, 6]]}]]}
+        path.write_text(json.dumps({"n": 6, "trees": [good, bad]}))
+        rc = main(["test", "--pvalues", str(pfile), "--method", "gen", "--adaptive", "--spec", str(path)])
+        assert rc == 2
+        assert f"error: malformed classification spec {path}: tree 1: {problem}\n" in capsys.readouterr().err
+
     def test_oversized_run_is_rejected_before_it_is_allocated(self, tmp_path):
         # a run is checked against [0, n] before it is expanded; expanding
         # [0, 10^7) first and validating after peaked at 434 MB

@@ -235,15 +235,11 @@ def _deep_tree():
             tree_from_levels(6, [[((1,), np.arange(0, 4)), ((2,), np.arange(2, 6))]]),
             "S-way trees must not have overlapping groups",
         ),
-        (
-            tree_from_levels(6, [[((1,), np.arange(0, 2)), ((2,), np.arange(3, 6))]]),
-            "every hypothesis must belong to a group in each tree",
-        ),
     ],
-    ids=["deep", "overlapping", "uncovered"],
+    ids=["deep", "overlapping"],
 )
 def test_sway_partition_messages_hold_on_every_call(second, message):
-    # the check runs once per forest; every later call raises the same message
+    # every call raises the same message
     first = tree_from_levels(6, [[((1,), np.arange(0, 3)), ((2,), np.arange(3, 6))]])
     forest = ClassificationForest(n=6, trees=(first, second))
     for _ in range(2):
@@ -254,6 +250,12 @@ def test_sway_partition_messages_hold_on_every_call(second, message):
     valid = ClassificationForest(n=6, trees=(first, first))
     assert valid.partition_error is None
     assert (da_sway_weights(valid, np.linspace(0.1, 0.9, 6), 0.5) > 0).all()
+
+
+def test_sway_uncovered_tree_cannot_be_built():
+    # every tree covers 0..n-1, so S-way weights need no check of their own
+    with pytest.raises(ValueError, match=r"^children of \(\) do not cover the parent$"):
+        tree_from_levels(6, [[((1,), np.arange(0, 2)), ((2,), np.arange(3, 6))]])
 
 
 class TestOracleGeneralized:
@@ -522,15 +524,9 @@ class TestInputChecks:
                 call()
 
     def test_forest_without_trees(self):
-        empty = ClassificationForest(n=10, trees=())
-        for call in (
-            lambda: oracle_gen_weights(empty, TEN_TRUTH),
-            lambda: oracle_sway_weights(empty, TEN_TRUTH),
-            lambda: da_gen_weights(empty, DA_PVALUES, 0.5),
-            lambda: da_sway_weights(empty, DA_PVALUES, 0.5),
-        ):
-            with pytest.raises(ValueError, match="at least one tree"):
-                call()
+        # no weight function sees such a forest: it cannot be built
+        with pytest.raises(ValueError, match="^forest must contain at least one tree$"):
+            ClassificationForest(n=10, trees=())
 
     def test_no_hypotheses_give_empty_weights(self):
         # N = 0: every weight entry point returns an empty array, with no
