@@ -21,7 +21,8 @@ import numpy as np
 
 
 def _sorted_unique(arr: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of arr, sorted in place; far cheaper than ``np.unique`` on large integer arrays."""
+    """Sorted distinct values of arr, which is sorted in place; a sort and a
+    neighbour compare, far cheaper than ``np.unique`` on large integer arrays."""
     arr.sort()
     keep = np.ones(arr.size, dtype=bool)
     keep[1:] = arr[1:] != arr[:-1]
@@ -102,10 +103,9 @@ class HierTree:
 
     def counts(self, mask: np.ndarray, first: int = 0) -> np.ndarray:
         """Per-node number of members i with mask[i] set, for the nodes
-        first, first + 1, ... to the last leaf."""
+        first, first + 1, ... to the last leaf. An empty node (N = 0 only) reads the appended False."""
         rows = self.indptr[first:]
-        # only an N = 0 tree has empty rows: all start at the appended False
-        hits = np.concatenate((mask[self.indices[rows[0] :]], [False]))
+        hits = np.concatenate((mask[self.indices[rows[0] :]], [False]))  # so every row start is in range
         return np.add.reduceat(hits, rows[:-1] - rows[0], dtype=np.int64)
 
     def leaf_rows(self) -> np.ndarray:
@@ -220,53 +220,52 @@ def forest_from_grid(shape: tuple[int, ...]) -> ClassificationForest:
 def validate_tree(tree: HierTree) -> list[str]:
     """Structural invariant check, run by the constructor; returns a list of
     violations (empty = ok). An N = 0 tree is valid: its groups are
-    necessarily empty. A valid tree costs one sort per level (one in all for
-    a small tree): its children's sorted, distinct (parent, member) keys
-    equal its parents' keys. Only when they differ is the culprit sought."""
+    necessarily empty. A valid tree costs one sort per level: the sorted,
+    distinct (parent, member) keys of a level's children equal the keys of
+    its parents. Only when they differ is the culprit sought."""
     n, paths, parent, sizes, indptr, indices = tree.n, tree.paths, tree.parent, tree.sizes, tree.indptr, tree.indices
     violations = []
     if indptr[1] != n or (indices[:n] != np.arange(n)).any():
         violations.append(f"root members must be exactly 0..{n - 1}")
     if n and not sizes.all():  # at N = 0 every group is necessarily empty
         violations += [f"empty group at path {paths[k]}" for k in np.flatnonzero(sizes == 0)]
-    lo, high = int(indices.min(initial=0)), int(indices.max(initial=-1))
-    if lo < 0 or high >= n:
+    width = n  # members in 0..n-1 give (node, member) keys node * n + member
+    if indices.min(initial=0) < 0 or indices.max(initial=-1) >= n:
         filled = np.flatnonzero(sizes)
-        lows, highs = indices[indptr[filled]], indices[indptr[filled + 1] - 1]
-        violations += [f"index out of range [0, {n}) at path {paths[k]}" for k in filled[(lows < 0) | (highs >= n)]]
+        low, high = indices[indptr[filled]], indices[indptr[filled + 1] - 1]
+        violations += [f"index out of range [0, {n}) at path {paths[k]}" for k in filled[(low < 0) | (high >= n)]]
+        values = _sorted_unique(indices.copy())
+        indices = np.searchsorted(values, indices)  # ranks keep the order, and their keys fit in int64
+        width = values.size
     falls = np.flatnonzero(indices[1:] <= indices[:-1]) + 1  # a fall is fine where a node starts
     rows = np.searchsorted(indptr, falls, side="right") - 1
-    if (unsorted := rows[indptr[rows] != falls]).size:
-        violations += [f"members of {paths[k]} are not sorted and distinct" for k in _sorted_unique(unsorted)]
-    first = 1
-    for k, count in enumerate(tree.m[: tree.leaves[0]].tolist()):  # k's children are the next count nodes
-        kids, first = paths[first : first + count], first + count
-        if kids != [paths[k] + (j,) for j in range(1, count + 1)]:
+    violations += [f"members of {paths[k]} are not sorted and distinct" for k in _sorted_unique(rows[indptr[rows] != falls])]
+    with_children = np.flatnonzero(tree.m)
+    for k, first in zip(with_children.tolist(), np.searchsorted(parent, with_children).tolist()):
+        kids = paths[first : first + tree.m[k]]
+        if kids != [paths[k] + (j,) for j in range(1, len(kids) + 1)]:
             violations += [f"sibling groups share path {p}" for p, times in Counter(kids).items() if times > 1]
             violations.append(f"children of {paths[k]} are not numbered 1..{len(kids)}")
-    # (node, member) keys; sorted members make one node's keys sorted
-    width = max(high + 1, n) - lo
 
     def keys(nodes: slice, owners: np.ndarray) -> np.ndarray:
-        out = np.repeat(owners * width - lo, sizes[nodes])
+        """(owner, member) keys of the nodes' members; sorted members make one node's keys sorted."""
+        out = np.repeat(owners * width, sizes[nodes])
         out += indices[indptr[nodes.start] : indptr[nodes.stop]]
         return out
 
     uncovered = []
-    # a small tree is keyed in one span; a big one, or one with unsorted members, a level at a time
-    for nodes in tree.levels if indices.size > 1 << 16 or unsorted.size else [slice(1, len(paths))][: tree.depth]:
+    for nodes in tree.levels:
         parents = slice(int(parent[nodes.start]), int(parent[nodes.stop - 1]) + 1)
-        up = _sorted_unique(keys(nodes, parent[nodes]))  # each child's members, keyed under its parent
+        union = _sorted_unique(keys(nodes, parent[nodes]))  # each child's members, keyed under its parent
         held = keys(parents, np.arange(parents.start, parents.stop))  # made second: a lower peak
-        if up.size != held.size or (up != held).any():
+        if union.size != held.size or (union != held).any():
             up = keys(nodes, parent[nodes])
             outside = np.flatnonzero(~_isin_sorted(up, held)) + indptr[nodes.start]
             for k in _sorted_unique(np.searchsorted(indptr, outside, side="right") - 1):
                 violations.append(f"child {paths[k]} not contained in parent {paths[parent[k]]}")
-            union = _sorted_unique(up)
             covered = np.bincount(union[_isin_sorted(union, held)] // width, minlength=parents.stop)
             uncovered += [k for k in range(parents.start, parents.stop) if tree.m[k] and covered[k] != sizes[k]]
-        del held, up  # before the next level's keys are made
+        del held, union  # before the next level's keys are made
     violations += [f"children of {paths[k]} do not cover the parent" for k in uncovered]
     depths = sorted(set(tree.level[tree.m == 0].tolist()))
     if len(depths) > 1:
@@ -276,10 +275,10 @@ def validate_tree(tree: HierTree) -> list[str]:
 
 def validate_forest(forest: ClassificationForest) -> list[str]:
     """The forest's rules, run by its constructor: one tree or more, each over n."""
-    violations = [] if forest.trees else ["forest must contain at least one tree"]
-    return violations + [
+    violations = [
         f"tree {s} has n={tree.n}, forest has n={forest.n}" for s, tree in enumerate(forest.trees) if tree.n != forest.n
     ]
+    return violations if forest.trees else ["forest must contain at least one tree"]
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,8 @@ def random_tree(
             size = members.size
             # keep every group at size >= 4 so mixed truths stay reachable
             k = int(rng.integers(2, 4)) if size >= 12 else 1
-            chunk_of, (q, r) = np.empty(size, dtype=np.int64), divmod(size, k)  # position -> chunk, sized as np.array_split would
+            q, r = divmod(size, k)
+            chunk_of = np.empty(size, dtype=np.int64)  # position -> chunk, sized as np.array_split would
             chunk_of[rng.permutation(size)] = np.repeat(np.arange(1, k + 1), [q + (j < r) for j in range(k)])
             for j in range(1, k + 1):
                 part = members[chunk_of == j]  # members are sorted, so part is too

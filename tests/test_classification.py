@@ -193,6 +193,21 @@ def test_invalid_tree_is_not_built(n, groups, problems):
     assert _problems(lambda: tree_from_levels(n, [groups])) == problems
 
 
+def test_far_out_of_range_members_do_not_wrap_the_keys():
+    # keys made as parent * (2**62 + 1) + member passed 2**63 under node 2 and
+    # wrapped, which reported every other group of the tree as well
+    far = 2**62
+    levels = [
+        [((1,), [0, 1, 2, far]), ((2,), [0, 1, 2])],
+        [((1, 1), [0, 1, 2, far]), ((2, 1), [0, 1, 2])],
+    ]
+    assert _problems(lambda: tree_from_levels(3, levels)) == [
+        "index out of range [0, 3) at path (1,)",
+        "index out of range [0, 3) at path (1, 1)",
+        "child (1,) not contained in parent ()",
+    ]
+
+
 def test_trees_without_hypotheses_are_valid():
     # at N = 0 every group is necessarily empty
     assert flat_tree(0).depth == 0 and validate_tree(flat_tree(0)) == []

@@ -274,8 +274,10 @@ class TestCmdTest:
         [
             ([[[0, 2]], [[3, 6]]], "children of () do not cover the parent"),
             ([[[0, 3]], [[3, 6], 7]], "index out of range [0, 6) at path (2,); child (2,) not contained in parent ()"),
+            # members spanning more than the int64 range still give keys that fit in int64
+            ([[[0, 6], -(2**63), 2**63 - 1]], "index out of range [0, 6) at path (1,); child (1,) not contained in parent ()"),
         ],
-        ids=["coverage-gap", "member-past-n"],
+        ids=["coverage-gap", "member-past-n", "members-span-past-int64"],
     )
     def test_structurally_invalid_spec_exits_2(self, tmp_path, capsys, groups, problem):
         pfile, path = tmp_path / "p.txt", tmp_path / "spec.json"
