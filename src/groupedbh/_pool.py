@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import os
 from collections import deque
-from collections.abc import Sized
 from itertools import islice
 
 _work = None  # in a worker: the (fn, shared) its pool was started with
@@ -23,22 +22,21 @@ def cpu_count() -> int:
 
 @contextlib.contextmanager
 def imap(fn, shared, items):
-    """Yield an iterator over fn(shared, item) for each item, in order.
+    """Yield an iterator over fn(shared, item) for each of the sized
+    ``items``, in order.
 
-    ``items`` is any iterable; a generator is read here, in this process, one
-    item at a time as results are taken, so at most 2 x workers items are
-    drawn ahead of the consumer. With fewer than two CPUs, or a sized
-    ``items`` of fewer than two, the calls run here, one at a time as the
-    iterator is read. Otherwise they run on cpu_count() forked workers (no
-    more than len(items) when it has a length), which inherit fn, shared and
-    every module loaded here rather than unpickle or import them again; each
-    item is pickled. The workers are forked before the pool starts its own
-    threads. When the block exits, also on an error, the items not yet
+    With fewer than two CPUs, or fewer than two items, the calls run here,
+    one at a time as the iterator is read. Otherwise they run on
+    min(cpu_count(), len(items)) forked workers, which inherit fn, shared
+    and every module loaded here rather than unpickle or import them again;
+    each item is pickled, and at most 2 x workers items are handed out
+    ahead of the consumer. The workers are forked before the pool starts its
+    own threads. When the block exits, also on an error, the items not yet
     started are dropped, the workers finish the ones they hold and exit, and
     are joined. No worker is killed: `multiprocessing.Pool.terminate` can
     kill one while it holds a lock of the result queue, and then hang on
     that lock."""
-    processes = min(cpu_count(), len(items)) if isinstance(items, Sized) else cpu_count()
+    processes = min(cpu_count(), len(items))
     if processes < 2:
         yield (fn(shared, item) for item in items)
         return
@@ -53,8 +51,9 @@ def imap(fn, shared, items):
 
 
 def _ordered(pool, items, depth: int):
-    """Results of the items in order, with at most ``depth`` of them drawn
-    and not yet handed on; the next item is drawn while the workers run."""
+    """Results of the items in order, with at most ``depth`` of them
+    submitted and not yet handed on; the next item is submitted while the
+    workers run."""
     pending = deque(pool.submit(_call, item) for item in islice(items, depth))
     while pending:
         yield pending.popleft().result()

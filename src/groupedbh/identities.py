@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from . import _pool
+from . import _pool, simulate
 from .classification import ClassificationForest, HierTree, tree_from_levels, flat_tree
 from .stepup import _check_length, brute_force_bh, weighted_bh
 from .weights import (
@@ -104,29 +104,14 @@ def check_monotone(
     trials: int = 100,
     digest: str = "",
 ) -> IdentityReport:
-    """Raising any single p-value must never decrease any weight.
-
-    The draw contract: per bump, one ``integers`` for the index j and then
-    one ``uniform`` for its new value in [p_j, 1); all ``trials`` bumps are
-    drawn before ``weight_fn`` runs."""
+    """Raising any single p-value must never decrease any weight."""
     pvalues = np.asarray(pvalues, dtype=float)
-    return _monotone_report(weight_fn, pvalues, _monotone_bumps(rng, pvalues, trials), digest)
-
-
-def _monotone_bumps(rng: np.random.Generator, pvalues: np.ndarray, trials: int) -> list[tuple[int, float]]:
-    bumps = []
-    for _ in range(trials):
-        j = int(rng.integers(pvalues.size))
-        bumps.append((j, rng.uniform(pvalues[j], 1.0)))
-    return bumps
-
-
-def _monotone_report(weight_fn, pvalues: np.ndarray, bumps, digest: str) -> IdentityReport:
     base = weight_fn(pvalues)
     violations = 0
-    for j, value in bumps:
+    for _ in range(trials):
+        j = int(rng.integers(pvalues.size))
         bumped = pvalues.copy()
-        bumped[j] = value
+        bumped[j] = rng.uniform(pvalues[j], 1.0)
         after = weight_fn(bumped)
         if (after < base - 1e-9 * np.abs(base) - 1e-12).any():
             violations += 1
@@ -310,71 +295,48 @@ def run_sweep(
     ``corrupt`` deliberately perturbs one weight vector per trial group, as
     a negative control that the checks can fail.
 
-    This process draws each trial's configuration from the one generator,
-    in a fixed order, and the trials are checked through `_pool.imap`: on
-    one forked worker per CPU of this process's affinity mask, or here on
-    one CPU. Those checks draw nothing; the last item takes the generator
-    itself on to the reductions and step-up cases. So the reports are the
-    same bits on any number of CPUs.
+    The sweep's items are the oracle trials, the adaptive trials, and last
+    the reductions and step-up cases. Each draws its configuration from its
+    own stream, `simulate.replicate_rng(seed, kind, t)` with kind 0, 1 and 2
+    in that order (t = 0 for the last item), and the items run through
+    `_pool.imap`: on one forked worker per CPU of this process's affinity
+    mask, or here on one CPU. So the reports are the same bits on any
+    number of CPUs, and a trial's reports do not depend on ``trials``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    draws = _sweep_draws(np.random.default_rng(seed), seed, trials, monotone_trials, corrupt)
+    items = [(0, t) for t in range(trials)] + [(1, t) for t in range(max(1, trials // 4))] + [(2, 0)]
     reports = []
-    with _pool.imap(_run, None, draws) as results:
+    with _pool.imap(_sweep_item, (seed, monotone_trials, corrupt), items) as results:
         for part in results:
             reports.extend(part)
     return reports
 
 
-def _run(_, check) -> list[IdentityReport]:
-    return check()
+def _sweep_item(settings, item) -> list[IdentityReport]:
+    """The reports of sweep item (kind, t), drawn from its own stream."""
+    (seed, monotone_trials, corrupt), (kind, t) = settings, item
+    rng = simulate.replicate_rng(seed, kind, t)
+    if kind == 0:
+        return _oracle_checks(rng, _digest(seed, t), corrupt)
+    if kind == 1:
+        return _adaptive_checks(rng, _digest(seed, "adaptive", t), monotone_trials)
+    return _final_checks(rng, seed)
 
 
-def _sweep_draws(rng: np.random.Generator, seed: int, trials: int, monotone_trials: int, corrupt: bool):
-    """The sweep's items, each a call that runs its checks, drawn one at a
-    time in a fixed order: one per oracle trial, one per adaptive trial
-    (with its monotone bumps), and last the reductions and step-up cases."""
-    for t in range(trials):
-        tree = random_tree(rng)
-        is_null = random_truth(rng, tree)
-        one = random_tree(rng, depth=1)
-        effects = rng.uniform(0.2, 3.0, size=one.leaves.size)
-        truth_one = random_truth(rng, flat_tree(one.n))
-        forest = random_forest(rng, depth_one=True)
-        truth_f = random_truth(rng, forest)
-        gen = random_forest(rng)
-        truth_g = random_truth(rng, gen)
-        flat_truth = random_truth(rng, flat_tree(int(rng.integers(10, 501))))
-        configs = (tree, is_null, one, effects, truth_one, forest, truth_f, gen, truth_g, flat_truth)
-        yield partial(_oracle_checks, _digest(seed, t), corrupt, *configs)
-
-    # adaptive variants: leave-one-out bound and monotonicity
-    lam = 0.5
-    for t in range(max(1, trials // 4)):
-        tree = random_tree(rng, n=int(rng.integers(20, 200)))
-        is_null = random_truth(rng, tree)
-        pvalues = rng.uniform(size=tree.n)
-        bumps = partial(_monotone_bumps, rng, pvalues, monotone_trials)
-        checks = [(":hier", partial(da_hier_weights, tree, lam=lam), bumps())]
-        forest = random_forest(rng, n=tree.n, depth_one=True)
-        checks.append((":sway", partial(da_sway_weights, forest, lam=lam), bumps()))
-        gen = random_forest(rng, n=tree.n)
-        checks.append((":gen", partial(da_gen_weights, gen, lam=lam), bumps()))
-        checks.append((":flat", partial(da_flat_weights, lam=lam), bumps()))
-        yield partial(_adaptive_checks, _digest(seed, "adaptive", t), pvalues, is_null, checks)
-
-    # the reductions and the step-up cases draw as they check, so the
-    # generator itself goes with the last item; its draws come in the same
-    # order here or in a worker, and nothing here draws after it
-    yield partial(_final_checks, seed, rng)
-
-
-def _oracle_checks(
-    digest, corrupt, tree, is_null, one, effects, truth_one, forest, truth_f, gen, truth_g, flat_truth
-) -> list[IdentityReport]:
+def _oracle_checks(rng, digest, corrupt) -> list[IdentityReport]:
+    tree = random_tree(rng)
+    is_null = random_truth(rng, tree)
+    one = random_tree(rng, depth=1)
+    effects = rng.uniform(0.2, 3.0, size=one.leaves.size)
+    truth_one = random_truth(rng, flat_tree(one.n))
+    forest = random_forest(rng, depth_one=True)
+    truth_f = random_truth(rng, forest)
+    gen = random_forest(rng)
+    truth_g = random_truth(rng, gen)
+    flat_truth = random_truth(rng, flat_tree(int(rng.integers(10, 501))))
     w = oracle_hier_weights(tree, is_null)
     if corrupt:
         w = w * 1.01
@@ -389,15 +351,27 @@ def _oracle_checks(
     ]
 
 
-def _adaptive_checks(digest, pvalues, is_null, checks) -> list[IdentityReport]:
+def _adaptive_checks(rng, digest, monotone_trials) -> list[IdentityReport]:
+    """Leave-one-out bound and monotonicity of the adaptive variants."""
+    lam = 0.5
+    tree = random_tree(rng, n=int(rng.integers(20, 200)))
+    is_null = random_truth(rng, tree)
+    pvalues = rng.uniform(size=tree.n)
+    forest = random_forest(rng, n=tree.n, depth_one=True)
+    gen = random_forest(rng, n=tree.n)
     reports = []
-    for suffix, weight_fn, bumps in checks:
+    for suffix, weight_fn in (
+        (":hier", partial(da_hier_weights, tree, lam=lam)),
+        (":sway", partial(da_sway_weights, forest, lam=lam)),
+        (":gen", partial(da_gen_weights, gen, lam=lam)),
+        (":flat", partial(da_flat_weights, lam=lam)),
+    ):
         reports.append(check_loo_bound(weight_fn, pvalues, is_null, digest + suffix))
-        reports.append(_monotone_report(weight_fn, pvalues, bumps, digest + suffix))
+        reports.append(check_monotone(weight_fn, pvalues, rng, monotone_trials, digest + suffix))
     return reports
 
 
-def _final_checks(seed, rng) -> list[IdentityReport]:
+def _final_checks(rng, seed) -> list[IdentityReport]:
     reports = check_reductions(rng)
 
     # production step-up vs the counting oracle

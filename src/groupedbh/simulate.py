@@ -53,7 +53,9 @@ class SimulationPlan:
     def total(self) -> int:
         return self.m * self.n
 
-    def validate(self) -> list[str]:
+    def __post_init__(self) -> None:
+        """Raise one ValueError that lists every problem of the plan,
+        joined by "; "."""
         problems = []
         for name in ("pi1", "pi1_star", "pi2"):
             v = getattr(self, name)
@@ -84,7 +86,8 @@ class SimulationPlan:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             problems.append(f"unknown methods: {sorted(unknown)}")
-        return problems
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass
@@ -187,7 +190,7 @@ def _method_weights(method, tree, pvalues, is_null, plan):
         return da_flat_weights(pvalues, plan.lam)
     if method == "HeirGBH":
         return oracle_hier_weights(tree, is_null)
-    # "DAHeirGBH": SimulationPlan.validate rejects any other name before a block runs
+    # "DAHeirGBH": a SimulationPlan with any other name cannot be built
     return da_hier_weights(tree, pvalues, plan.lam)
 
 
@@ -210,9 +213,6 @@ def run_study(plan: SimulationPlan) -> SimulationSummary:
     of one grid point, through `_pool.imap`: on one forked worker per CPU of
     this process's affinity mask, or here on one CPU. Every replicate draws
     from its own stream, so the results are the same bits either way."""
-    problems = plan.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
     import scipy.special  # noqa: F401  imported once here, not in every worker
 
     tree = simulation_tree(plan.m, plan.n)

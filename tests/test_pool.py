@@ -34,14 +34,22 @@ def test_leaving_after_the_first_result_stops_the_workers(monkeypatch, cpus):
     assert multiprocessing.active_children() == []
 
 
-def draws(log, count, fail_at=None):
-    """The items 0 .. count - 1, logging each as it is drawn; raises at
-    ``fail_at``, here, in the consumer's process."""
-    for i in range(count):
-        if i == fail_at:
-            raise ValueError(f"draw {i} failed")
-        log.append(i)
-        yield i
+class Logged:
+    """The sized items 0 .. count - 1, logging each as it is iterated;
+    raises at ``fail_at``, here, in the consumer's process."""
+
+    def __init__(self, log, count, fail_at=None):
+        self.log, self.count, self.fail_at = log, count, fail_at
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        for i in range(self.count):
+            if i == self.fail_at:
+                raise ValueError(f"draw {i} failed")
+            self.log.append(i)
+            yield i
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
@@ -49,7 +57,7 @@ def test_a_generator_is_drawn_in_order_and_at_most_two_per_worker_ahead(monkeypa
     monkeypatch.setattr(_pool, "cpu_count", lambda: cpus)
     log = []
     ahead = []
-    with _pool.imap(scaled, 10, draws(log, 40)) as results:
+    with _pool.imap(scaled, 10, Logged(log, 40)) as results:
         for taken, (pid, value) in enumerate(results, start=1):
             assert value == 10 * (taken - 1)
             assert (pid != os.getpid()) == (cpus > 1)
@@ -65,7 +73,7 @@ def test_an_error_drawing_an_item_reaches_the_caller(monkeypatch, cpus):
     monkeypatch.setattr(_pool, "cpu_count", lambda: cpus)
     got = []
     with pytest.raises(ValueError, match="draw 12 failed"):
-        with _pool.imap(scaled, 1, draws([], 40, fail_at=12)) as results:
+        with _pool.imap(scaled, 1, Logged([], 40, fail_at=12)) as results:
             got.extend(value for _, value in results)
     # the error comes when item 12 is drawn: up to 2 x workers earlier results are not taken
     assert got == list(range(len(got))) and 12 - 2 * cpus <= len(got) <= 12
@@ -76,7 +84,7 @@ def test_an_error_drawing_an_item_reaches_the_caller(monkeypatch, cpus):
 def test_leaving_a_generator_early_stops_drawing_and_the_workers(monkeypatch, cpus):
     monkeypatch.setattr(_pool, "cpu_count", lambda: cpus)
     log = []
-    with _pool.imap(scaled, 1, draws(log, 1000)) as results:
+    with _pool.imap(scaled, 1, Logged(log, 1000)) as results:
         for _, value in results:
             if value == 5:
                 break

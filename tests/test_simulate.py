@@ -53,27 +53,29 @@ def test_simulation_tree_geometry():
 
 class TestPlanValidation:
     def test_default_plan_valid(self):
-        assert SimulationPlan().validate() == []
+        SimulationPlan()
 
     def test_bad_fields_reported(self):
-        plan = SimulationPlan(pi1=1.5, rho_l1=1.0, lam=0.0, alpha=0.0, replicates=0)
-        problems = plan.validate()
-        assert len(problems) == 5
+        with pytest.raises(ValueError) as raised:
+            SimulationPlan(pi1=1.5, rho_l1=1.0, lam=0.0, alpha=0.0, replicates=0)
+        assert len(str(raised.value).split("; ")) == 5
 
     def test_unknown_method(self):
-        assert any("unknown" in p for p in SimulationPlan(methods=("XYZ",)).validate())
+        with pytest.raises(ValueError, match="unknown"):
+            SimulationPlan(methods=("XYZ",))
 
     def test_negative_seed(self):
-        # SeedSequence rejects it only once the first replicate runs
-        assert SimulationPlan(seed=-1).validate() == ["seed must be >= 0, got -1"]
+        # SeedSequence would reject it only once the first replicate runs
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            SimulationPlan(seed=-1)
 
     def test_repeated_method(self):
-        plan = SimulationPlan(methods=("BH", "HeirGBH", "BH", "HeirGBH", "AdaptiveBH"))
-        assert plan.validate() == ["repeated methods: ['BH', 'HeirGBH']"]
+        with pytest.raises(ValueError, match=r"^repeated methods: \['BH', 'HeirGBH'\]$"):
+            SimulationPlan(methods=("BH", "HeirGBH", "BH", "HeirGBH", "AdaptiveBH"))
 
     def test_repeated_density(self):
-        plan = SimulationPlan(one_minus_pi0_grid=(0.5, 0.0, 0.5, 1.0))
-        assert plan.validate() == ["repeated densities: [0.5]"]
+        with pytest.raises(ValueError, match=r"^repeated densities: \[0.5\]$"):
+            SimulationPlan(one_minus_pi0_grid=(0.5, 0.0, 0.5, 1.0))
 
     def test_run_study_rejects_invalid_plan(self):
         with pytest.raises(ValueError):
@@ -81,9 +83,8 @@ class TestPlanValidation:
 
     def test_run_study_rejects_repeated_density(self):
         # a repeated density would give two rows but keep one point's records
-        plan = SimulationPlan(m=10, n=10, one_minus_pi0_grid=(0.5, 0.5), replicates=3, methods=("BH",))
         with pytest.raises(ValueError, match="repeated densities"):
-            run_study(plan)
+            run_study(SimulationPlan(m=10, n=10, one_minus_pi0_grid=(0.5, 0.5), replicates=3, methods=("BH",)))
 
 
 class TestThetaLayers:
