@@ -38,8 +38,12 @@ def _isin_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
 
 def _as_index_array(members) -> np.ndarray:
     """Sorted distinct int64 members. Input that is already a strictly
-    increasing int64 vector is returned as is, without a copy."""
-    members = np.asarray(members if isinstance(members, np.ndarray) else list(members), dtype=np.int64).ravel()
+    increasing int64 vector is returned as is, without a copy. Members must
+    be integers: a float or bool member would be truncated, so it raises."""
+    members = np.asarray(members if isinstance(members, np.ndarray) else list(members))
+    if members.size and members.dtype.kind not in "iu":
+        raise ValueError(f"group members must be integers, got {members.dtype} values")
+    members = members.astype(np.int64, copy=False).ravel()
     return members if (members[1:] > members[:-1]).all() else _sorted_unique(members.copy())
 
 
@@ -157,7 +161,7 @@ def tree_from_levels(n: int, levels: list[list[tuple[tuple[int, ...], np.ndarray
     for level_groups in levels:
         level = []
         for path, mem in level_groups:
-            path = tuple(int(v) for v in path)
+            path = tuple(_integer(v, "a path entry") for v in path)
             if path[:-1] not in above:
                 raise ValueError(f"group {path} has no parent {path[:-1]}")
             level.append((above[path[:-1]], path, mem))

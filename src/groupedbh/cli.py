@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import sys
 
 import numpy as np
 
-from . import _pool, identities, simulate
+from . import identities, simulate
 from .classification import (
     ClassificationForest,
     load_forest,
@@ -42,13 +43,12 @@ def read_pvalues(path) -> np.ndarray:
     """One decimal per line, or CSV rows of exactly index,value, each index
     once; a first line in which no token is a number is a header and is
     skipped. Values must lie in [0, 1]."""
-    with open(path) as fh:
-        try:
-            # the plain format, streamed; float() strips what str.strip() does
-            arr = np.fromiter(map(float, fh), float)
-        except ValueError:  # a header, CSV rows, a blank line or a bad value
+    with open(path, "rb") as fh:
+        arr = _read_plain_pvalues(fh)
+        if arr is None:  # not one JSON number per line: a header, CSV rows, padding, ...
             fh.seek(0)
-            arr = _read_pvalue_lines(fh, path)
+            with io.TextIOWrapper(fh) as text:  # closes fh too
+                arr = _read_pvalue_lines(text, path)
     if arr.size == 0:
         raise InputError(f"{path}: no p-values found")
     try:
@@ -56,6 +56,35 @@ def read_pvalues(path) -> np.ndarray:
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
     return arr
+
+
+_READ_BYTES = 2**16
+_PLAIN_BYTES = b"0123456789.eE+-\n"
+
+
+def _read_plain_pvalues(fh) -> np.ndarray | None:
+    """The plain format in bulk, from a binary file: each chunk of whole
+    lines is parsed as one JSON array. A JSON number has the value float()
+    gives its text, except the integer -0, whose sign JSON drops. None, for
+    the line loop to read the file, when a line holds a byte not in
+    _PLAIN_BYTES, is a bare -0, or is no JSON number."""
+    import orjson
+
+    parts, tail = [], b""
+    while True:
+        chunk = fh.read(_READ_BYTES)
+        if chunk:
+            body, _, tail = (tail + chunk).rpartition(b"\n")
+        else:  # the end: the last line may lack its newline
+            body, tail = tail, b""
+        if body.translate(None, _PLAIN_BYTES) or b"\n-0\n" in b"\n%b\n" % body:
+            return None
+        try:
+            parts.append(np.array(orjson.loads(b"[%b]" % body.replace(b"\n", b",")), dtype=float))
+        except orjson.JSONDecodeError:  # a blank line, or a line of these bytes that is no number
+            return None
+        if not chunk:
+            return np.concatenate(parts)
 
 
 def _read_pvalue_lines(fh, path) -> np.ndarray:
@@ -174,48 +203,44 @@ def cmd_test(args) -> int:
     return 0
 
 
-_BLOCK_ROWS = 2**13
-_PARALLEL_ROWS = 2**17  # smaller tables are formatted here, with no worker
-_REJECTED = ("0\n", "1\n")
+_BLOCK_ROWS = 2**11
+_REJECTED = np.array([",0\n", ",1\n"], dtype=object)
 
 
 def _write_table(fh, pvalues, weights, outcome) -> None:
-    """Write the rows "{},{!r},{!r},{!r},{:d}\n".format(i, p, w, wp, rejected).
-    A table of _PARALLEL_ROWS or more is formatted in blocks of _BLOCK_ROWS
-    through `_pool.imap`, on one forked worker per CPU of this process's
-    affinity mask; a smaller one is streamed row by row, here. The bytes are
-    the same on every path."""
+    """Write the rows "{},{!r},{!r},{!r},{:d}\n".format(i, p, w, wp, rejected),
+    in blocks of _BLOCK_ROWS rows, each block with one write."""
     # repr once per distinct weight; unique by bit pattern keeps -0.0 apart from 0.0
     bits = np.asarray(weights, dtype=np.float64).view(np.int64)
     distinct, weight_ids = np.unique(bits, return_inverse=True)
-    weight_reprs = [repr(w) for w in distinct.view(np.float64).tolist()]
-    columns = (pvalues, weight_reprs, weight_ids, outcome.weighted_pvalues, outcome.rejected)
+    weight_cells = np.array([f",{w!r}," for w in distinct.view(np.float64).tolist()], dtype=object)
     n = pvalues.size
-    if n < _PARALLEL_ROWS:
-        fh.writelines(_rows(columns, 0, n))
-        return
-    with _pool.imap(_format_block, columns, range(0, n, _BLOCK_ROWS)) as blocks:
-        fh.writelines(blocks)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        cells = [","] * (6 * (hi - lo))  # i "," p ",w," wp ",r\n" per row
+        cells[0::6] = _reprs(np.arange(lo, hi))
+        cells[2::6] = _reprs(pvalues[lo:hi])
+        cells[3::6] = weight_cells[weight_ids[lo:hi]].tolist()
+        cells[4::6] = _reprs(outcome.weighted_pvalues[lo:hi])
+        cells[5::6] = _REJECTED[outcome.rejected[lo:hi].view(np.uint8)].tolist()
+        fh.write("".join(cells))
 
 
-def _format_block(columns, start: int) -> str:
-    return "".join(_rows(columns, start, start + _BLOCK_ROWS))
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of each number of a contiguous int64 or float64 block, from one
+    orjson call. orjson writes integers as repr does, and floats with the
+    same shortest round-trip digits and, for |x| in [1e-4, 1e16), the same
+    text. Outside that range, and for inf and nan, its notation differs
+    (0.00001 for 1e-05, 1e16 for 1e+16, null for inf), so those cells come
+    from repr itself."""
+    import orjson
 
-
-def _rows(columns, start: int, stop: int):
-    """Rows start .. stop - 1 of the table, one at a time; the columns are
-    turned into Python objects one block at a time."""
-    pvalues, weight_reprs, weight_ids, weighted, rejected = columns
-    for lo in range(start, stop, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, stop)
-        for i, p, k, wp, r in zip(
-            range(lo, hi),
-            pvalues[lo:hi].tolist(),
-            weight_ids[lo:hi].tolist(),
-            weighted[lo:hi].tolist(),
-            rejected[lo:hi].tolist(),
-        ):
-            yield f"{i},{p!r},{weight_reprs[k]},{wp!r},{_REJECTED[r]}"
+    cells = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitude = np.abs(values)
+    other = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)))
+    for i, value in zip(other.tolist(), values[other].tolist()):
+        cells[i] = repr(value)
+    return cells
 
 
 def cmd_simulate(args) -> int:

@@ -91,6 +91,29 @@ def test_tree_from_levels_rejects_parent_off_previous_level(levels):
         tree_from_levels(4, levels)
 
 
+def test_tree_from_levels_rejects_a_non_integer_path_entry():
+    # int() would truncate 1.7 to 1 and build the path (1,)
+    with pytest.raises(ValueError, match=r"a path entry must be an integer in int64 range, got 1\.7"):
+        tree_from_levels(4, [[((1.7,), np.arange(0, 2)), ((2,), np.arange(2, 4))]])
+
+
+@pytest.mark.parametrize(
+    "members",
+    [[0.5, 1.5], [0.9, 1.9], np.array([0.5, 1.5]), np.array([True, True]), [True, True]],
+    ids=["halves", "nines", "float-array", "bool-mask", "bool-list"],
+)
+def test_tree_from_levels_rejects_non_integer_members(members):
+    # a cast to int64 would truncate floats to [0, 1] and read the mask as member 1
+    with pytest.raises(ValueError, match="group members must be integers"):
+        tree_from_levels(4, [[((1,), members), ((2,), np.arange(0, 4))]])
+
+
+@pytest.mark.parametrize("members", [[], np.zeros(0), np.zeros(0, dtype=bool)], ids=["list", "float", "bool"])
+def test_empty_members_of_any_dtype_are_accepted(members):
+    tree = tree_from_levels(0, [[((1,), members)]])
+    assert tree.members(1).dtype == np.int64 and tree.members(1).size == 0
+
+
 def _problems(build) -> list[str]:
     """The messages of the ValueError that building a tree or forest raises."""
     with pytest.raises(ValueError) as info:

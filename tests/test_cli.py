@@ -1,3 +1,4 @@
+import decimal
 import errno
 import io
 import json
@@ -127,13 +128,29 @@ class TestReaders:
             "0.3\n0.1 0.2\n",
             "0.1\nnan\n",
             "",
+            "0.5\n-0\n",
+            "-0",
+            "-0.0\n-0e0\n0\n1\n",
+            "0.5\n1e400\n",
+            "1e-400\n0.5",
+            "true\n",
+            "null\n",
+            "[0.5]\n",
+            '"0.5"\n',
+            "0.1\n1,2\n",
+            "\n\n",
+            "0.5\n.5\n5.\n+0.5\n05e-1\n",
+            "e\n0.5\n",
+            "0." + "0" * 70000 + "5\n0.25\n",
         ],
         ids=["plain", "padded", "header", "csv", "blank", "crlf", "pair-first", "pair-later", "nan",
-             "empty"],
+             "empty", "minus-zero", "minus-zero-last", "signed-zeros", "overflow", "underflow", "true",
+             "null", "array", "string", "plain-then-csv", "only-blank", "not-json", "e-header",
+             "line-past-a-chunk"],
     )
     def test_streamed_parse_matches_the_line_loop(self, tmp_path, monkeypatch, text):
-        # the streamed plain parse must give what the per-line loop gives,
-        # an array or an error; failing the stream forces the loop
+        # the bulk parse must give what the per-line loop gives, the same
+        # bits (-0.0 too) or the same error; disabling it forces the loop
         from groupedbh.cli import InputError
 
         f = tmp_path / "p.txt"
@@ -141,17 +158,76 @@ class TestReaders:
 
         def parse():
             try:
-                return read_pvalues(f).tolist()
+                return read_pvalues(f).tobytes()
             except InputError as exc:
                 return str(exc)
 
-        streamed = parse()
+        bulk = parse()
+        monkeypatch.setattr(cli, "_read_plain_pvalues", lambda fh: None)
+        assert parse() == bulk
 
-        def fail(*args, **kwargs):
-            raise ValueError("streaming disabled")
 
-        monkeypatch.setattr(np, "fromiter", fail)
-        assert parse() == streamed
+def _writer_corpus() -> np.ndarray:
+    """Seeded float64 values for the table writer, most in [1e-4, 1e16),
+    where orjson's text is used, and the boundaries of that range."""
+    rng = np.random.default_rng(20181)
+    size = 2**15
+    sign = rng.integers(0, 2, size, dtype=np.uint64) << np.uint64(63)
+    exponent = rng.integers(1009, 1077, size, dtype=np.uint64) << np.uint64(52)  # 2**-14 .. 2**53
+    mantissa = rng.integers(0, 2**52, size, dtype=np.uint64)
+    powers = 2.0 ** np.arange(-1074, 1024)
+    near_2_53 = 2.0**53 + np.arange(-2**12, 2**12)
+    p = rng.uniform(size=size)
+    edges = [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+             1e-310, -1e-310, np.inf, -np.inf, np.nan, 1.0, 0.1, 1 / 3, 0.24999999999999997]
+    return np.concatenate([
+        rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False).view(np.float64),  # any bit pattern
+        (sign | exponent | mantissa).view(np.float64),
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        rng.integers(-2**53, 2**53, size).astype(float), near_2_53, -near_2_53,
+        [float("%.*f" % (k, x)) for k, x in zip(rng.integers(1, 9, size).tolist(), rng.uniform(0, 1000, size))],
+        p, p**8, np.exp(-rng.uniform(0, 20, size)),  # p-values, some small
+        p * rng.uniform(0, 5, size), p * 19 / 17,  # weighted p-values
+        edges,
+    ])
+
+
+def _reader_corpus() -> list[str]:
+    """Decimal strings in the JSON number grammar for the bulk reader."""
+    rng = np.random.default_rng(20182)
+    values = _writer_corpus()
+    values = values[np.isfinite(values)][:: 7]
+    lines = [f for v in values.tolist() for f in (repr(v), "%.17g" % v, "%.25e" % v)]
+    for _ in range(2**13):
+        digits = "".join(map(str, rng.integers(0, 10, rng.integers(1, 41))))
+        digits = str(rng.integers(1, 10)) + digits[1:]
+        sign = "-" if rng.integers(2) else ""
+        point = rng.integers(1, len(digits) + 1)
+        mantissa = digits[:point] + ("." + digits[point:] if point < len(digits) else "")
+        top = 300 - point  # below 1e301: JSON has no inf
+        lines.append(sign + mantissa + ["", f"e{rng.integers(-340, top)}", f"E+{rng.integers(0, top)}"][rng.integers(3)])
+    decimal.getcontext().prec = 2000
+    for x in np.exp(rng.uniform(-700, 700, 2**11)).tolist() + (2.0 ** np.arange(-1070, 1020, 7)).tolist():
+        halfway = (decimal.Decimal(x) + decimal.Decimal(np.nextafter(x, np.inf))) / 2  # exact: ties to even
+        lines.append(format(halfway, "e"))
+    return lines
+
+
+class TestCodec:
+    def test_block_writer_cells_equal_repr(self):
+        values = _writer_corpus()
+        for lo in range(0, values.size, cli._BLOCK_ROWS):
+            block = values[lo:lo + cli._BLOCK_ROWS]
+            assert cli._reprs(block) == list(map(repr, block.tolist()))
+        assert cli._reprs(np.arange(2**53 - 10, 2**53 + 10)) == list(map(repr, range(2**53 - 10, 2**53 + 10)))
+
+    def test_bulk_reader_equals_float_per_line(self):
+        lines = _reader_corpus()
+        data = ("\n".join(lines) + "\n").encode()
+        assert len(data) > 8 * cli._READ_BYTES  # lines straddle the chunks
+        bulk = cli._read_plain_pvalues(io.BytesIO(data))
+        assert bulk is not None, "the corpus must take the bulk path"
+        assert bulk.tobytes() == np.array([float(line) for line in lines]).tobytes()
 
 
 class TestCmdTest:
@@ -373,11 +449,11 @@ class TestCmdTest:
         assert out.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-    def test_table_bytes_match_on_one_cpu_and_on_all(self, tmp_path, to_file):
-        # the pinned table tiled 14564 times: N = 131076 rows, just above the
-        # size at which the rows are formatted by one worker per CPU; it keeps
-        # inf and 0 weights, p = 0 under an inf weight and weighted p-values
-        # tied exactly on the last rejected rank's threshold
+    def test_table_bytes_match_the_per_row_reference(self, tmp_path, to_file):
+        # the pinned table tiled 14564 times: N = 131076 rows, 64 blocks of
+        # 2**11 rows and 4 more; it keeps inf and 0 weights, p = 0 under an
+        # inf weight and weighted p-values tied exactly on the last rejected
+        # rank's threshold
         copies = 14564
         pvalues = np.tile([0.0, 0.5, 1.0, 0.9, 0.3, 1.0, 0.24999999999999997, 0.3000000000000001,
                            0.24999999999999997], copies)
@@ -401,43 +477,31 @@ class TestCmdTest:
         out = tmp_path / "result.csv"
         args = ["test", "--pvalues", str(pfile), "--method", "hier", "--spec", str(spec),
                 "--truth", str(tfile), "--alpha", "0.1"] + (["--out", str(out)] if to_file else [])
-
-        def table(cpus):
-            run = run_python("-m", "groupedbh.cli", *args, cpus=cpus, text=False)
-            assert run.returncode == 0, run.stderr
-            return out.read_bytes() if to_file else run.stdout
-
-        cpus = sorted(os.sched_getaffinity(0))
-        serial = table({cpus[0]})
-        header, _, rows = serial.partition(b"index,pvalue,weight,weighted_pvalue,rejected\n")
+        run = run_python("-m", "groupedbh.cli", *args, text=False)
+        assert run.returncode == 0, run.stderr
+        table = out.read_bytes() if to_file else run.stdout
+        header, _, rows = table.partition(b"index,pvalue,weight,weighted_pvalue,rejected\n")
         assert rows == reference
         assert header.startswith(b"# method=hier\n") and header.endswith(b"# power=0.75\n")
-        if len(cpus) < 2:
-            pytest.skip("one CPU: the parallel table writer is not used")
-        assert table(set(cpus)) == serial
 
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
-    def test_failed_parallel_write_exits_2_and_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
-        import multiprocessing
-
+    def test_failed_write_exits_2(self, tmp_path, monkeypatch, capsys):
         pfile = tmp_path / "p.txt"
         write_lines(pfile, np.linspace(0.0, 1.0, 2**17).tolist())
-        first_blocks = []
-        format_block = cli._format_block
-        monkeypatch.setattr(cli, "_format_block", lambda columns, start: (os.getpid(), format_block(columns, start)))
+        writes = []
 
         class FullDisk(io.StringIO):
-            def writelines(self, lines):
-                first_blocks.append(next(iter(lines)))  # one block is formatted, then the device fills up
-                raise OSError(errno.ENOSPC, "No space left on device")
+            def write(self, text):
+                writes.append(text)
+                if len(writes) > 1:  # the header is written, then the device fills up
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(text)
 
         monkeypatch.setattr(sys, "stdout", FullDisk())
         rc = main(["test", "--pvalues", str(pfile), "--method", "flat", "--adaptive"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
-        [(pid, block)] = first_blocks
-        assert pid != os.getpid() and block.startswith("0,0.0,")  # the rows came from a worker
-        assert multiprocessing.active_children() == []
+        header, first_block = writes  # nothing is written after the failed block
+        assert header.startswith("# method=flat\n") and first_block.startswith("0,0.0,")
 
     @pytest.mark.parametrize(
         "option, message", [(["--alpha", "2"], "alpha"), (["--lambda", "1.5"], "lambda")]
@@ -638,10 +702,10 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # scipy.stats alone costs about a second at start-up; only simulate
-    # needs scipy, and it imports scipy.special when it runs. Only a table
-    # big enough for the worker pool imports multiprocessing.
+    # needs scipy, and it imports scipy.special when it runs. test writes
+    # even a big table in this process, so it loads no multiprocessing.
     pfile = tmp_path / "p.txt"
-    write_lines(pfile, [0.01, 0.5, 0.9])
+    write_lines(pfile, np.linspace(0.0, 1.0, 2**17).tolist())
     code = (
         "import sys, groupedbh.cli\n"
         "def loaded():\n"
@@ -654,7 +718,18 @@ def test_cli_import_loads_no_scipy(tmp_path):
     run = run_python("-c", code, str(pfile), str(tmp_path / "out.csv"))
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["[]", "[]"]
-    assert (tmp_path / "out.csv").read_text().endswith("2,0.9,1.3333333333333333,1.2,0\n")
+    assert (tmp_path / "out.csv").read_text().endswith("\n131071,1.0,1.0000152587890625,1.0000152587890625,0\n")
+    # only test reads and writes its numbers through orjson
+    code = (
+        "import sys, groupedbh.cli\n"
+        "for argv in (['gen-spec', '--layout', 'simulation'], ['validate', '--trials', '1'],\n"
+        "             ['simulate', '--replicates', '1', '--grid', '1', '--methods', 'BH']):\n"
+        "    rc = groupedbh.cli.main(argv + ['--out', sys.argv[1]])\n"
+        "    print(rc, 'orjson' in sys.modules, file=sys.stderr)\n"
+    )
+    run = run_python("-c", code, str(tmp_path / "out"))
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.split() == ["0", "False"] * 3
 
 
 @pytest.mark.parametrize(

@@ -147,6 +147,12 @@ class TestOracleOneWay:
                 5, [np.arange(3)], np.array([1.0]), np.ones(5, dtype=bool)
             )
 
+    @pytest.mark.parametrize("group", [[0.5, 1.5], np.array([True, True])], ids=["floats", "bool-mask"])
+    def test_rejects_non_integer_members(self, group):
+        # truncated, [0.5, 1.5] would silently become the group [0, 1]
+        with pytest.raises(ValueError, match="group members must be integers"):
+            oracle_overlap_oneway_weights(4, [group, [2, 3]], np.array([1.0, 1.0]), np.ones(4, dtype=bool))
+
     def test_rejects_nonpositive_effects(self):
         with pytest.raises(ValueError, match="positive"):
             oracle_overlap_oneway_weights(
