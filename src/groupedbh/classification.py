@@ -60,9 +60,9 @@ class HierTree:
 
     Derived on construction: ``sizes[k]`` (member count), ``level[k]``
     (depth of node k), ``m[k]`` (number of children), ``mult[k]`` (product
-    of the ancestors' ``m``), ``levels`` (node ids of levels 1..depth as
-    slices), ``leaves`` (the deepest level's ids, the tail of the order) and
-    ``depth``. Depth 0 means the root is the only group. Every HierTree is
+    of the ancestors' ``m``, as a float64), ``levels`` (node ids of levels
+    1..depth as slices), ``leaves`` (the deepest level's ids, the tail of
+    the order) and ``depth``. Depth 0 means the root is the only group. Every HierTree is
     valid (leaves at one depth, members in 0..n-1, overlapping siblings
     covering their parent): its constructor raises ValueError otherwise.
     """
@@ -94,7 +94,10 @@ class HierTree:
         self.levels = [slice(a, b) for a, b in zip(starts[1:-1], starts[2:])]
         self.leaves = np.arange(starts[-2], starts[-1])
         self.depth = len(self.levels)
-        self.level, self.mult = np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64)
+        # mult in float64: overlapping siblings may repeat their parent's
+        # members, so a valid tree of few members can have a product beyond
+        # 2**63, where int64 wraps; below 2**53 the floats are exact
+        self.level, self.mult = np.zeros(k, dtype=np.int64), np.ones(k)
         for depth, s in enumerate(self.levels, start=1):
             self.level[s] = depth
             self.mult[s] = self.mult[parent[s]] * self.m[parent[s]]

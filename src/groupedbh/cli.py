@@ -2,7 +2,9 @@
 Monte Carlo study, run identity-check sweeps, and emit classification spec
 files.
 
-Exit codes: 0 success, 1 identity-check failure, 2 usage or input error.
+Exit codes: 0 success, 1 identity-check failure, 2 usage or input error,
+141 (128 + SIGPIPE, as a shell reports a process that SIGPIPE ended) when
+the reader of the output closed it before the end.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -44,10 +47,10 @@ def read_pvalues(path) -> np.ndarray:
     once; a first line in which no token is a number is a header and is
     skipped. Values must lie in [0, 1]."""
     with open(path, "rb") as fh:
-        arr = _read_plain_pvalues(fh)
+        source = _Rewindable(fh)
+        arr = _read_plain_pvalues(source)
         if arr is None:  # not one JSON number per line: a header, CSV rows, padding, ...
-            fh.seek(0)
-            with io.TextIOWrapper(fh) as text:  # closes fh too
+            with io.TextIOWrapper(source.rewound()) as text:
                 arr = _read_pvalue_lines(text, path)
     if arr.size == 0:
         raise InputError(f"{path}: no p-values found")
@@ -56,6 +59,29 @@ def read_pvalues(path) -> np.ndarray:
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
     return arr
+
+
+class _Rewindable:
+    """A binary file to be read again from its start. A file that can seek
+    seeks back; a pipe cannot, so what is read from it is kept, to be read
+    again before the rest. (Keeping a file's bytes too would cost its size
+    in memory, or a copy.)"""
+
+    def __init__(self, fh):
+        self.fh, self.kept = fh, None if fh.seekable() else []
+
+    def read(self, size: int) -> bytes:
+        chunk = self.fh.read(size)
+        if self.kept is not None:
+            self.kept.append(chunk)
+        return chunk
+
+    def rewound(self):
+        """The file from its start, as a binary stream."""
+        if self.kept is None:
+            self.fh.seek(0)
+            return self.fh
+        return io.BytesIO(b"".join(self.kept) + self.fh.read())
 
 
 _READ_BYTES = 2**16
@@ -374,7 +400,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader of the output stopped early, like `head`: no error of ours
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        return 128 + 13  # 13 is SIGPIPE
     except (ValueError, OSError) as exc:  # OSError: an unreadable input or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2

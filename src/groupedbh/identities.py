@@ -19,6 +19,7 @@ from . import _pool, simulate
 from .classification import ClassificationForest, HierTree, tree_from_levels, flat_tree
 from .stepup import _check_length, brute_force_bh, weighted_bh
 from .weights import (
+    _da_leaf_loo,
     da_flat_weights,
     da_gen_weights,
     da_hier_weights,
@@ -91,10 +92,29 @@ def check_loo_bound(weight_fn, pvalues: np.ndarray, is_null: np.ndarray, digest:
         p_loo = pvalues.copy()
         p_loo[i] = 0.0
         terms.append(1.0 / weight_fn(p_loo)[i])
-    total = math.fsum(terms)
-    # one-sided bound: report the amount by which the sum exceeds N
-    excess = max(total - n, 0.0)
-    return _report("loo_bound", excess, 0.0, CONDITION1_RTOL * n, digest)
+    return _loo_report(terms, n, digest)
+
+
+def _loo_report(terms, n: int, digest: str, tied: bool = True) -> IdentityReport:
+    """The leave-one-out report on the nulls' 1/W_i(P with P_i = 0): the
+    amount by which their sum exceeds N (the bound is one-sided). It fails
+    too unless ``tied``, i.e. unless the terms came from the weights the
+    sweep checks."""
+    report = _report("loo_bound", max(math.fsum(terms) - n, 0.0), 0.0, CONDITION1_RTOL * n, digest)
+    report.passed = report.passed and tied
+    return report
+
+
+def _forest_loo(forest: ClassificationForest, pvalues: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`da_gen_weights`, and W_i(P with P_i = 0)[i] for every i: the
+    trees' own leave-one-out weights, combined as da_gen_weights combines
+    the trees' weights."""
+    inv_acc, loo_inv_acc = np.zeros(forest.n), np.zeros(forest.n)
+    for tree in forest.trees:
+        weights, loo = _da_leaf_loo(tree, pvalues, lam)
+        inv_acc += 1.0 / weights
+        loo_inv_acc += 1.0 / loo
+    return forest.s_count / inv_acc, forest.s_count / loo_inv_acc
 
 
 def check_monotone(
@@ -105,6 +125,11 @@ def check_monotone(
     digest: str = "",
 ) -> IdentityReport:
     """Raising any single p-value must never decrease any weight."""
+    return _monotone(weight_fn, pvalues, rng, trials, digest)[0]
+
+
+def _monotone(weight_fn, pvalues, rng, trials, digest) -> tuple[IdentityReport, np.ndarray]:
+    """:func:`check_monotone`'s report, and the weights at ``pvalues``."""
     pvalues = np.asarray(pvalues, dtype=float)
     base = weight_fn(pvalues)
     violations = 0
@@ -115,7 +140,7 @@ def check_monotone(
         after = weight_fn(bumped)
         if (after < base - 1e-9 * np.abs(base) - 1e-12).any():
             violations += 1
-    return _report("monotone", violations, 0, 0, digest)
+    return _report("monotone", violations, 0, 0, digest), base
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +377,13 @@ def _oracle_checks(rng, digest, corrupt) -> list[IdentityReport]:
 
 
 def _adaptive_checks(rng, digest, monotone_trials) -> list[IdentityReport]:
-    """Leave-one-out bound and monotonicity of the adaptive variants."""
+    """Leave-one-out bound and monotonicity of the adaptive variants.
+
+    The bound is the one :func:`check_loo_bound` checks, every W_i(P with
+    P_i = 0)[i] taken from one pass over the structure's leaves
+    (:func:`weights._da_leaf_loo`, :func:`_forest_loo`). The pass also
+    gives the weights at P, which must equal what the production weight
+    function gives there, or the report fails."""
     lam = 0.5
     tree = random_tree(rng, n=int(rng.integers(20, 200)))
     is_null = random_truth(rng, tree)
@@ -360,14 +391,16 @@ def _adaptive_checks(rng, digest, monotone_trials) -> list[IdentityReport]:
     forest = random_forest(rng, n=tree.n, depth_one=True)
     gen = random_forest(rng, n=tree.n)
     reports = []
-    for suffix, weight_fn in (
-        (":hier", partial(da_hier_weights, tree, lam=lam)),
-        (":sway", partial(da_sway_weights, forest, lam=lam)),
-        (":gen", partial(da_gen_weights, gen, lam=lam)),
-        (":flat", partial(da_flat_weights, lam=lam)),
+    for suffix, weight_fn, structure, loo_fn in (
+        (":hier", partial(da_hier_weights, tree, lam=lam), tree, _da_leaf_loo),
+        (":sway", partial(da_sway_weights, forest, lam=lam), forest, _forest_loo),
+        (":gen", partial(da_gen_weights, gen, lam=lam), gen, _forest_loo),
+        (":flat", partial(da_flat_weights, lam=lam), flat_tree(tree.n), _da_leaf_loo),
     ):
-        reports.append(check_loo_bound(weight_fn, pvalues, is_null, digest + suffix))
-        reports.append(check_monotone(weight_fn, pvalues, rng, monotone_trials, digest + suffix))
+        monotone, base = _monotone(weight_fn, pvalues, rng, monotone_trials, digest + suffix)
+        weights, loo = loo_fn(structure, pvalues, lam)
+        reports.append(_loo_report(1.0 / loo[is_null], tree.n, digest + suffix, np.array_equal(weights, base)))
+        reports.append(monotone)
     return reports
 
 

@@ -38,16 +38,25 @@ def _assemble(
     adaptive). A leaf with w = 0 zeroes its members' weights; one with
     w = +inf adds nothing, so members of no other leaf get +inf.
     """
+    inv, terms = _leaf_terms(leaf_effects, leaf_null_mass)
+    inv_sum = np.bincount(rows, weights=np.repeat(inv, sizes), minlength=n)
+    return _divide(math.fsum(terms) / max(n, 1), inv_sum)
+
+
+def _leaf_terms(leaf_effects: np.ndarray, leaf_null_mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each leaf's 1/w and its normalizer term (null mass)/w, which is 0 for
+    a leaf with no null mass or w = +inf: such a leaf adds nothing to A."""
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / leaf_effects
-        terms = leaf_null_mass / leaf_effects
-    inv_sum = np.bincount(rows, weights=np.repeat(inv, sizes), minlength=n)
-    norm = math.fsum(terms[(leaf_null_mass > 0.0) & ~np.isinf(leaf_effects)]) / max(n, 1)
-    weights = np.full(n, math.inf)
+        terms = np.where((leaf_null_mass > 0.0) & ~np.isinf(leaf_effects), leaf_null_mass / leaf_effects, 0.0)
+    return inv, terms
+
+
+def _divide(norm, inv_sum: np.ndarray) -> np.ndarray:
+    """W = norm / inv_sum: 0 where inv_sum is +inf, +inf where it is 0."""
+    weights = np.full(inv_sum.size, math.inf)
     weights[np.isinf(inv_sum)] = 0.0
-    finite = ~np.isinf(inv_sum) & (inv_sum != 0.0)
-    weights[finite] = norm / inv_sum[finite]
-    return weights
+    return np.divide(norm, inv_sum, out=weights, where=~np.isinf(inv_sum) & (inv_sum != 0.0))
 
 
 def _by_path(tree: HierTree, effects: np.ndarray) -> dict[tuple[int, ...], float]:
@@ -193,12 +202,15 @@ def da_flat_weights(pvalues: np.ndarray, lam: float) -> np.ndarray:
     return np.full(pvalues.size, storey_null_estimate(pvalues, lam) / max(pvalues.size, 1))
 
 
-def _da_effects(tree: HierTree, pvalues: np.ndarray, lam: float, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _da_effects(
+    tree: HierTree, pvalues: np.ndarray, lam: float, first: int = 0, extra: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
     """Estimated effects and Storey null counts of the nodes first,
-    first + 1, ... to the last leaf; see :func:`da_hier_effects`."""
+    first + 1, ... to the last leaf, with each node's R(lambda) raised by
+    ``extra``; see :func:`da_hier_effects`."""
     _check_level("lambda", lam)
     n, up = max(tree.n, 1), tree.parent[first:]  # max: no division by zero at N = 0
-    nhat = (tree.sizes[first:] - tree.counts(pvalues <= lam, first) + 1) / (1.0 - lam)
+    nhat = (tree.sizes[first:] - (tree.counts(pvalues <= lam, first) + extra) + 1) / (1.0 - lam)
     effects = nhat * tree.mult[up] * tree.m[up] / n
     if first == 0:
         effects[0] = nhat[0] / n  # the root has no parent
@@ -225,6 +237,38 @@ def _da_leaf_weights(tree: HierTree, pvalues: np.ndarray, lam: float) -> np.ndar
     if tree.depth == 0 or tree.n == 0:
         return np.full(tree.n, effects[0])  # the flat Storey estimate of pi0
     return _assemble(tree.n, tree.leaf_rows(), tree.sizes[tree.leaves], effects, nhat)
+
+
+def _da_leaf_loo(tree: HierTree, pvalues: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_da_leaf_weights`, and for every i the weight
+    W_i(P with P_i = 0)[i] of the leave-one-out bound, in one pass.
+
+    Setting P_i = 0 changes something only when p_i > lambda, and then only
+    in the leaves containing i: their R(lambda) rises by one. So row i sums
+    its leaves' 1/w, raised or not, in the order :func:`_assemble` sums
+    them, and its normalizer is one fsum over every leaf's term with its
+    own leaves' terms raised. Both vectors are the bits that running the
+    weights on P, resp. on P with P_i = 0, gives. It holds an N x leaves
+    membership table: it is meant for the identity sweep's small trees.
+    """
+    first = int(tree.leaves[0])
+    effects, nhat = _da_effects(tree, pvalues, lam, first)
+    raised, raised_nhat = _da_effects(tree, pvalues, lam, first, extra=1)
+    drop = pvalues > lam
+    if tree.depth == 0 or tree.n == 0:
+        return np.full(tree.n, effects[0]), np.where(drop, raised[0], effects[0])
+    n, rows, sizes = tree.n, tree.leaf_rows(), tree.sizes[tree.leaves]
+    leaf = np.repeat(np.arange(sizes.size), sizes)
+    inv, terms = _leaf_terms(effects, nhat)
+    raised_inv, raised_terms = _leaf_terms(raised, raised_nhat)
+    inv_sum = np.bincount(rows, weights=inv[leaf], minlength=n)
+    loo_inv_sum = np.bincount(rows, weights=np.where(drop[rows], raised_inv[leaf], inv[leaf]), minlength=n)
+    in_leaf = np.zeros((n, sizes.size), dtype=bool)
+    in_leaf[rows, leaf] = True
+    norm = math.fsum(terms) / n
+    loo_norm = np.full(n, norm)
+    loo_norm[drop] = [math.fsum(row) / n for row in np.where(in_leaf[drop], raised_terms, terms).tolist()]
+    return _divide(norm, inv_sum), _divide(loo_norm, loo_inv_sum)
 
 
 def da_hier_weights(tree: HierTree, pvalues: np.ndarray, lam: float) -> np.ndarray:

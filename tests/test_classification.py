@@ -24,7 +24,7 @@ from groupedbh.classification import (
     validate_tree,
 )
 from groupedbh.identities import random_tree
-from groupedbh.weights import da_gen_weights
+from groupedbh.weights import da_gen_weights, da_hier_weights
 
 
 def two_level_overlap_tree(n=12):
@@ -310,7 +310,7 @@ def test_compiled_form_is_level_ordered_csr():
     assert t.parent.tolist() == [-1, 0, 0, 1, 1, 2, 2]
     assert t.level.tolist() == [0, 1, 1, 2, 2, 2, 2]
     assert t.m.tolist() == [2, 2, 2, 0, 0, 0, 0]
-    assert t.mult.tolist() == [1, 2, 2, 4, 4, 4, 4]
+    assert t.mult.tolist() == [1, 2, 2, 4, 4, 4, 4] and t.mult.dtype == np.float64
     assert t.levels == [slice(1, 3), slice(3, 7)] and t.depth == 2
     assert t.leaves.tolist() == [3, 4, 5, 6]
     assert t.indptr.tolist() == [0, 12, 20, 28, 32, 36, 40, 44]
@@ -318,6 +318,21 @@ def test_compiled_form_is_level_ordered_csr():
     assert (t.members(2) == np.arange(4, 12)).all() and t.sizes.tolist() == [12, 8, 8, 4, 4, 4, 4]
     assert (t.leaf_rows() == np.r_[0:8, 4:12]).all()
     assert t.counts(np.arange(12) < 6).tolist() == [6, 6, 2, 4, 2, 2, 0]
+
+
+def test_branching_product_beyond_int64_does_not_wrap():
+    # overlapping siblings may repeat their parent's members, so 4 members
+    # reach a product of 2**65: (1,) = {0, 1} and (2,) = {2, 3}, and along
+    # the first lineage each node has two children, both {0, 1}; in int64
+    # the product wrapped and the weights became [0, 0, inf, inf]
+    levels, first = [[((1,), [0, 1]), ((2,), [2, 3])]], (1,)
+    for _ in range(64):
+        levels.append([(path + (j,), mem) for path, mem in levels[-1] for j in range(1, 2 + (path == first))])
+        first += (1,)
+    tree = tree_from_levels(4, levels)
+    assert tree.depth == 65 and len(tree.paths) == 2211
+    assert tree.mult.max() == 2.0**65 and tree.mult.min() == 1.0
+    assert da_hier_weights(tree, [0.9, 0.95, 0.01, 0.02], 0.5).tolist() == [3.0, 3.0, 1.0, 1.0]
 
 
 def test_member_runs_encode_from_three():

@@ -26,14 +26,17 @@ def write_lines(path, values):
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
-def run_python(*args, cpus=None, text=True):
+PACKAGE_ENV = {**os.environ, "PYTHONPATH": str(Path(groupedbh.__file__).resolve().parents[1])}
+
+
+def run_python(*args, cpus=None, text=True, input=None):
     """Run the interpreter in a fresh process that imports this package,
-    on the given set of CPUs (by default the ones this process may use).
-    With text=False its stdout and stderr are the raw bytes it wrote."""
-    env = {**os.environ, "PYTHONPATH": str(Path(groupedbh.__file__).resolve().parents[1])}
+    on the given set of CPUs (by default the ones this process may use),
+    with ``input`` on its stdin. With text=False its stdout and stderr are
+    the raw bytes it wrote."""
     pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=text,
-                          timeout=300, preexec_fn=pin)
+    return subprocess.run([sys.executable, *args], env=PACKAGE_ENV, capture_output=True, text=text,
+                          timeout=300, preexec_fn=pin, input=input)
 
 
 class TestReaders:
@@ -620,6 +623,19 @@ class TestCmdValidate:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_seed_11_fails_the_pointwise_loo_bound(self, tmp_path, capsys):
+        # adaptive trial 38 (N = 29), the README's known defect; these are
+        # the values that re-running the weights once per null gives
+        report = tmp_path / "report.jsonl"
+        assert main(["validate", "--trials", "200", "--seed", "11", "--out", str(report)]) == 1
+        records = [json.loads(line) for line in report.read_text().splitlines()]
+        assert [(r["name"], r["config_digest"], r["value"]) for r in records if not r["passed"]] == [
+            ("loo_bound", "4f645c970220:hier", 0.34907407407407476),
+            ("loo_bound", "4f645c970220:gen", 0.8256944444444443),
+            ("loo_bound", "4f645c970220:flat", 0.966666666666665),
+        ]
+        assert "loo_bound                  200 checks  FAIL (3/200)" in capsys.readouterr().out
+
 
 class TestCmdGenSpec:
     def test_simulation_layout(self, tmp_path):
@@ -767,3 +783,39 @@ def test_validate_loads_no_scipy_and_on_one_cpu_no_multiprocessing(tmp_path, cpu
     workers = cpus == "all" and len(mask) > 1
     assert run.stdout.split()[-3:] == ["0", "False", str(workers)]
     assert out.read_text().count("\n") == 5 * 8 + 8 * 2 + 5
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["index,p\n0,0.1\n1,0.2\n", "0.5\n" * 20000 + "\n0.25\n", "0.5\n0.25\n"],
+    ids=["csv", "blank-line-past-a-chunk", "plain"],
+)
+def test_pvalues_from_a_pipe_read_as_from_a_file(tmp_path, text):
+    # the line loop takes over from the bulk parse with no seek, which a
+    # pipe cannot do
+    pfile = tmp_path / "p.txt"
+    pfile.write_text(text)
+    args = ["-m", "groupedbh.cli", "test", "--method", "flat", "--adaptive", "--pvalues"]
+    from_file = run_python(*args, str(pfile))
+    piped = run_python(*args, "/dev/stdin", input=text)
+    assert (piped.returncode, piped.stderr) == (0, "")
+    assert piped.stdout == from_file.stdout
+
+
+def test_output_closed_by_its_reader_is_no_error(tmp_path):
+    # `groupedbh test ... | head -3`: no error line and not exit 2 (an
+    # input error), but 128 + SIGPIPE, as a shell reports a process SIGPIPE ended
+    pfile = tmp_path / "p.txt"
+    write_lines(pfile, np.linspace(0.0, 1.0, 10**5).tolist())  # far more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "groupedbh.cli", "test", "--pvalues", str(pfile), "--method", "flat", "--adaptive"],
+        env=PACKAGE_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"# method=flat\n"
+    proc.stdout.close()
+    try:
+        assert proc.wait(timeout=300) == 141
+    finally:
+        proc.kill()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from groupedbh.identities import (
     random_truth,
     run_sweep,
 )
-from groupedbh.weights import da_flat_weights, da_hier_weights, oracle_flat_weights
+from groupedbh.weights import (
+    _da_leaf_loo,
+    da_flat_weights,
+    da_gen_weights,
+    da_hier_weights,
+    da_sway_weights,
+    oracle_flat_weights,
+)
 
 
 def test_condition1_pass_and_fail():
@@ -275,3 +283,97 @@ def test_adaptive_hier_loo_bound_known_failure():
     assert tree.depth == 2 and validate_tree(tree) == []
     report = check_loo_bound(lambda p: da_hier_weights(tree, p, 0.5), pvalues, is_null)
     assert report.passed, f"sum over nulls of 1/W exceeds N by {report.value:.3g}"
+
+
+def _literal_loo_terms(weight_fn, pvalues, is_null) -> np.ndarray:
+    """The nulls' 1/W_i(P with P_i = 0), each by re-running the weights, as
+    check_loo_bound computes them."""
+    terms = []
+    for i in np.flatnonzero(is_null):
+        p_loo = pvalues.copy()
+        p_loo[i] = 0.0
+        terms.append(1.0 / weight_fn(p_loo)[i])
+    return np.array(terms)
+
+
+def _loo_variants(tree, sway, gen, lam):
+    """(name, production weights, one-pass weights and leave-one-out
+    weights) of the four adaptive variants, as the sweep pairs them."""
+    return [
+        ("hier", partial(da_hier_weights, tree, lam=lam), partial(_da_leaf_loo, tree, lam=lam)),
+        ("sway", partial(da_sway_weights, sway, lam=lam), partial(identities._forest_loo, sway, lam=lam)),
+        ("gen", partial(da_gen_weights, gen, lam=lam), partial(identities._forest_loo, gen, lam=lam)),
+        ("flat", partial(da_flat_weights, lam=lam), partial(_da_leaf_loo, flat_tree(tree.n), lam=lam)),
+    ]
+
+
+def _loo_config(seed):
+    """A seeded configuration. Seeds 0..23 cover every depth 0..3, with and
+    without overlap, at every lambda, at N = 1 and 2; later seeds draw N
+    in 3..80. Some p-values equal lambda, some are 0 or 1, and half the
+    configurations round them to one decimal, which makes ties."""
+    rng = np.random.default_rng([20250, seed])
+    lam = (0.3, 0.5, 0.9)[seed // 8 % 3]
+    n = (1, 2)[seed % 2] if seed < 24 else int(rng.integers(3, 81))
+    depth = seed % 4 if seed < 24 else int(rng.integers(0, 4))
+    overlap = (0.0, 0.6)[seed // 4 % 2] if seed < 24 else float(rng.choice([0.0, 0.3, 0.6]))
+    tree = random_tree(rng, n=n, depth=depth, max_overlap=overlap)
+    sway = random_forest(rng, n=n, depth_one=True)
+    gen = random_forest(rng, n=n)
+    pvalues = rng.uniform(size=n)
+    if rng.uniform() < 0.5:
+        pvalues = np.round(pvalues, 1)
+    pvalues[rng.uniform(size=n) < 0.25] = lam
+    pvalues[rng.uniform(size=n) < 0.05] = rng.choice([0.0, 1.0])
+    is_null = rng.uniform(size=n) < rng.uniform(0.2, 1.0)
+    return tree, sway, gen, pvalues, is_null, lam
+
+
+def test_one_pass_loo_equals_the_literal_rerun():
+    # every per-null term, the sum and the report are the bits that
+    # re-running the weights once per null gives, on all four variants
+    covered = set()
+    for seed in range(240):
+        tree, sway, gen, pvalues, is_null, lam = _loo_config(seed)
+        covered.add((tree.depth, lam))
+        for name, weight_fn, loo_fn in _loo_variants(tree, sway, gen, lam):
+            weights, loo = loo_fn(pvalues)
+            assert np.array_equal(weights, weight_fn(pvalues)), (seed, name)
+            closed = 1.0 / loo[is_null]
+            literal = _literal_loo_terms(weight_fn, pvalues, is_null)
+            assert closed.tobytes() == literal.tobytes(), (seed, name)
+            assert math.fsum(closed) == math.fsum(literal)
+            report = identities._loo_report(closed, tree.n, "d")
+            assert report == check_loo_bound(weight_fn, pvalues, is_null, "d"), (seed, name)
+    assert covered == {(d, lam) for d in range(4) for lam in (0.3, 0.5, 0.9)}
+
+
+def test_one_pass_loo_gives_the_known_failure():
+    # the configuration of test_adaptive_hier_loo_bound_known_failure
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": 68106053055180017303363838816867956644,
+            "inc": 265019469443843210940283623418559246249,
+        },
+        "has_uint32": 1,
+        "uinteger": 2323311688,
+    }
+    tree = random_tree(rng, n=41)
+    is_null = random_truth(rng, tree)
+    pvalues = rng.uniform(size=tree.n)
+    literal = check_loo_bound(partial(da_hier_weights, tree, lam=0.5), pvalues, is_null)
+    _, loo = _da_leaf_loo(tree, pvalues, 0.5)
+    closed = identities._loo_report(1.0 / loo[is_null], tree.n, "")
+    assert closed == literal and not closed.passed and closed.value > 6.0
+
+
+def test_sweep_loo_fails_when_its_weights_are_not_the_production_ones(monkeypatch):
+    # the one-pass weights must be the ones da_hier_weights gives, so a
+    # change to da_hier_weights alone fails every loo_bound:hier report
+    production = identities.da_hier_weights
+    monkeypatch.setattr(identities, "da_hier_weights", lambda *args, **kw: 1.01 * production(*args, **kw))
+    loo = [r for r in run_sweep(seed=12, trials=8, monotone_trials=5) if r.name == "loo_bound"]
+    assert len(loo) == 8
+    assert all(r.passed != r.config_digest.endswith(":hier") for r in loo)
