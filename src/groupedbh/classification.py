@@ -13,16 +13,22 @@ recover the unclassified and S-way special cases.
 from __future__ import annotations
 
 import json
+import operator
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, chain, compress, repeat
 
 import numpy as np
 
 
 def _sorted_unique(arr: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of arr, which is sorted in place; a sort and a
-    neighbour compare, far cheaper than ``np.unique`` on large integer arrays."""
+    """Sorted distinct values of arr, which is sorted in place unless it
+    already rises; a sort and a neighbour compare, far cheaper than
+    ``np.unique`` on large integer arrays."""
+    if (arr[1:] > arr[:-1]).all():
+        return arr
     arr.sort()
     keep = np.ones(arr.size, dtype=bool)
     keep[1:] = arr[1:] != arr[:-1]
@@ -158,26 +164,121 @@ def tree_from_levels(n: int, levels: list[list[tuple[tuple[int, ...], np.ndarray
     Paths are 1-based positional lineages; every group's parent path must
     appear at the previous level. Overlapping siblings are allowed, and the
     same member set may appear under several parents (distinct paths).
+    Members are integers, in any order, and may repeat.
     """
-    paths, parent, members = [()], [-1], []
+
+    def split(level) -> tuple[list, list]:
+        level = list(level)
+        return [tuple(path) for path, _ in level], [members for _, members in level]
+
+    return _build_tree(n, map(split, levels), _array_fill)
+
+
+def _build_tree(n, levels, fill) -> HierTree:
+    """The tree over 0..n-1 with the given levels, each a pair (paths,
+    members) in document order. A level's groups are put in order by
+    (parent id, path); fill(order, members) gives their member counts in
+    that order and the writer of their members. Every node's members are
+    written into one preallocated indices, the root's range first."""
+    n = _size(n)
+    paths, parent, fills = [()], [-1], []
     above = {(): 0}  # path -> node id, over the previous level
-    for level_groups in levels:
-        level = []
-        for path, mem in level_groups:
-            path = tuple(_integer(v, "a path entry") for v in path)
-            if path[:-1] not in above:
-                raise ValueError(f"group {path} has no parent {path[:-1]}")
-            level.append((above[path[:-1]], path, mem))
-        level.sort(key=lambda group: group[:2])  # by parent id, then path
-        above = {}
-        for up, path, mem in level:
-            above[path] = len(paths)
-            paths.append(path)
-            parent.append(up)
-            members.append(_as_index_array(mem))
-    indptr = np.array(list(accumulate((n, *(mem.size for mem in members)), initial=0)), dtype=np.int64)
-    indices = np.concatenate([np.arange(n, dtype=np.int64)] + members)  # the root's range lives only in indices
+    for level_paths, members in levels:
+        level_paths, ups = _parent_ids(level_paths, above)
+        order = sorted(range(len(ups)), key=list(zip(ups, level_paths)).__getitem__)  # by parent id, then path
+        level_paths = [level_paths[g] for g in order]
+        above = dict(zip(level_paths, range(len(paths), len(paths) + len(order))))
+        paths += level_paths
+        parent += [ups[g] for g in order]
+        fills.append(fill(order, members))
+    indptr = np.add.accumulate(np.concatenate(([0, n], *(sizes for sizes, _ in fills))))
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    _expand(indptr[:1], indptr[1:2], indices[:n])  # the root: the run [0, n), with no array of size n besides
+    first = 1  # node id
+    for sizes, write in fills:
+        write(indices[indptr[first] : indptr[first + sizes.size]])
+        first += sizes.size
     return HierTree(n=n, paths=paths, parent=parent, indptr=indptr, indices=indices)
+
+
+def _parent_ids(paths: list[tuple], above: dict) -> tuple[list[tuple], list[int]]:
+    """A level's paths, with int entries, and their parents' ids in above,
+    the previous level's {path: node id}. The check runs in bulk; only when
+    it fails are the groups walked in document order, to raise at the first
+    non-integer path entry or missing parent."""
+    if _plain_ints(list(chain.from_iterable(paths))):
+        ups = [above.get(path[:-1]) for path in paths]
+        if None not in ups:
+            return paths, ups
+    checked = []
+    for path in paths:
+        path = tuple(_integer(v, "a path entry") for v in path)
+        if path[:-1] not in above:
+            raise ValueError(f"group {path} has no parent {path[:-1]}")
+        checked.append(path)
+    return checked, [above[path[:-1]] for path in checked]
+
+
+def _run_fill(order: list[int], runs: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple:
+    """The fill of _build_tree for a level given as closed runs (group,
+    first, last), group being a position in the level. Each group's runs
+    are merged before anything is expanded, so that a group holds at most
+    n + (number of its members outside [0, n)) entries."""
+    group, first, last = runs
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    key, first, size = _union_runs(rank[group], first, last)
+    before = np.concatenate(([0], np.cumsum(size)))  # members before each merged run
+    return np.diff(before[np.searchsorted(key, np.arange(len(order) + 1))]), partial(_expand, first, size)
+
+
+def _union_runs(key: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union of each key's closed runs [first, last], as disjoint runs
+    (key, first, size) in (key, first) order: one lexsort of the runs' ends
+    and a running count of the runs open after each end. Exact over all of
+    int64: no key is ever combined with a member."""
+    keep = first <= last
+    keys, ends = np.tile(key[keep], 2), np.concatenate((first[keep], last[keep]))
+    closing = np.arange(ends.size) >= ends.size // 2
+    order = np.lexsort((closing, ends, keys))  # at one place, a run opens before one closes
+    closing = closing[order]
+    still_open = np.cumsum(np.where(closing, -1, 1))
+    opens, closes = order[(still_open == 1) & ~closing], order[still_open == 0]
+    return keys[opens], ends[opens], ends[closes] - ends[opens] + 1
+
+
+def _expand(first: np.ndarray, size: np.ndarray, out: np.ndarray) -> None:
+    """Write the runs first[j], first[j] + 1, ..., first[j] + size[j] - 1,
+    one after another, into out: the steps between members, then one
+    cumsum in place. A step between far-apart runs may wrap in int64; the
+    sum wraps back. Every run is non-empty, unless out is."""
+    if out.size:
+        out.fill(1)
+        out[0] = first[0]
+        if size.size > 1:
+            out[np.add.accumulate(size[:-1])] = first[1:] - (first[:-1] + size[:-1] - 1)
+        np.add.accumulate(out, out=out)
+
+
+def _array_fill(order: list[int], members: list) -> tuple:
+    """The fill of _build_tree for a level given as one member array per
+    group. Members must be integers: a float or bool member would be
+    truncated, so it raises. Only the groups whose members do not already
+    rise are sorted, and rid of repeats."""
+    arrays = [np.asarray(m if isinstance(m, np.ndarray) else list(m)).ravel() for m in map(members.__getitem__, order)]
+    for arr in arrays:
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"group members must be integers, got {arr.dtype} values")
+    sizes = [arr.size for arr in arrays]
+    flat = np.concatenate(arrays, dtype=np.int64, casting="unsafe") if arrays else np.zeros(0, dtype=np.int64)
+    ends = list(accumulate(sizes))
+    # every i with flat[i + 1] <= flat[i], but where a group starts at i + 1
+    falls = set((flat[1:] <= flat[:-1]).nonzero()[0].tolist()).difference(end - 1 for end in ends)
+    if falls:
+        unsorted = {bisect_right(ends, at + 1) for at in falls}
+        arrays = [_sorted_unique(arr.astype(np.int64)) if g in unsorted else arr for g, arr in enumerate(arrays)]
+        return _array_fill(range(len(arrays)), arrays)
+    return np.array(sizes, dtype=np.int64), partial(np.copyto, src=flat)
 
 
 def tree_from_groups(n: int, levels: list[list[np.ndarray]]) -> HierTree:
@@ -337,6 +438,18 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _plain_ints(values: list, low: int = -(2**63), high: int = 2**63 - 1) -> bool:
+    """Whether every value is a plain int (not a bool) in [low, high]."""
+    return not values or (set(map(type, values)) == {int} and low <= min(values) and max(values) <= high)
+
+
+def _size(value) -> int:
+    n = _integer(value, "n")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return n
+
+
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list, got {value!r:.40}")
@@ -349,39 +462,54 @@ def _key(obj, key: str):
     return obj[key]
 
 
-def _decode_members(encoded: list, n: int) -> np.ndarray:
-    """Members of one group, ascending when the encoding is. A run must
-    satisfy 0 <= start <= stop <= n; runs and the members in [0, n) are
-    sorted and merged before anything is allocated, so the decoded array
-    holds at most n + (number of single members) entries."""
-    spans, strays = [], []
-    for item in encoded:
-        if isinstance(item, list):
-            start, stop = (_integer(bound, "a run bound") for bound in item)
-            if not 0 <= start <= stop <= n:
-                raise ValueError(f"run [{start}, {stop}) does not lie within [0, {n}]")
-            spans.append((start, stop))
-        else:
-            member = _integer(item, "a member")
-            if 0 <= member < n:
-                spans.append((member, member + 1))
-            else:
-                strays.append(member)  # out of range: kept for the tree's constructor to report
-    merged: list[list[int]] = []
-    for start, stop in sorted(spans):
-        if merged and start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], stop)
-        else:
-            merged.append([start, stop])
-    parts = [np.arange(start, stop, dtype=np.int64) for start, stop in merged]
-    if strays:
-        parts.append(np.array(strays, dtype=np.int64))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+def _spec_level(groups: list, n: int) -> tuple[list[tuple], tuple]:
+    """The paths and members of one spec level, for _build_tree. Every check
+    runs in bulk over the level; when one fails, the level is read again one
+    group at a time, which raises at the first culprit in document order
+    (or passes numpy integers on as ints)."""
+    return _bulk_level(groups, n) or _bulk_level([_read_group(group, n) for group in groups], n)
 
 
-def _decode_group(group, n: int) -> tuple[tuple[int, ...], np.ndarray]:
-    path = tuple(_integer(v, "a path entry") for v in _list(_key(group, "path"), "a path"))
-    return path, _decode_members(_list(_key(group, "members"), "members"), n)
+def _bulk_level(groups: list, n: int) -> tuple[list[tuple], tuple] | None:
+    """(paths, closed runs (group, first, last)) of a level whose groups
+    are all sound, else None. A single member m is the run [m, m]."""
+    if not set(map(type, groups)) <= {dict}:
+        return None
+    try:
+        paths, members = [group["path"] for group in groups], [group["members"] for group in groups]
+    except KeyError:
+        return None
+    items = list(chain.from_iterable(members)) if set(map(type, members)) <= {list} else None
+    if items is None or not set(map(type, paths)) <= {list} or not _plain_ints(list(chain.from_iterable(paths))):
+        return None
+    is_run = list(map(isinstance, items, repeat(list)))
+    runs, singles = list(compress(items, is_run)), list(compress(items, map(operator.not_, is_run)))
+    bounds = list(chain.from_iterable(runs))
+    if not (_plain_ints(singles) and set(map(len, runs)) <= {2} and _plain_ints(bounds, 0, n)):
+        return None
+    runs = np.array(bounds, dtype=np.int64).reshape(-1, 2)
+    if (runs[:, 0] > runs[:, 1]).any():
+        return None
+    group = np.repeat(np.arange(len(members)), list(map(len, members)))
+    is_run, singles = np.array(is_run, dtype=bool), np.array(singles, dtype=np.int64)
+    first, last = np.concatenate((runs[:, 0], singles)), np.concatenate((runs[:, 1] - 1, singles))
+    return list(map(tuple, paths)), (np.concatenate((group[is_run], group[~is_run])), first, last)
+
+
+def _read_group(group, n: int) -> dict:
+    """One spec group, checked item by item in document order; with int values."""
+    path = [_integer(v, "a path entry") for v in _list(_key(group, "path"), "a path")]
+    members = _list(_key(group, "members"), "members")
+    return {"path": path, "members": [_run(m, n) if isinstance(m, list) else _integer(m, "a member") for m in members]}
+
+
+def _run(item: list, n: int) -> list[int]:
+    if len(item) != 2:
+        raise ValueError(f"a run must be [start, stop], got {item!r:.40}")
+    start, stop = (_integer(bound, "a run bound") for bound in item)
+    if not 0 <= start <= stop <= n:
+        raise ValueError(f"run [{start}, {stop}) does not lie within [0, {n}]")
+    return [start, stop]
 
 
 def forest_to_dict(forest: ClassificationForest) -> dict:
@@ -398,15 +526,12 @@ def forest_to_dict(forest: ClassificationForest) -> dict:
 def forest_from_dict(data: dict) -> ClassificationForest:
     """Decode the schema above; a wrong shape or a value that is not an
     integer raises ValueError."""
-    n = _integer(_key(data, "n"), "n")
+    n = _size(_key(data, "n"))
     trees = []
     for s, tdata in enumerate(_list(_key(data, "trees"), "trees")):
-        levels = [
-            [_decode_group(g, n) for g in _list(level_groups, "a level")]
-            for level_groups in _list(_key(tdata, "levels"), "levels")
-        ]
+        levels = [_spec_level(_list(groups, "a level"), n) for groups in _list(_key(tdata, "levels"), "levels")]
         try:
-            trees.append(tree_from_levels(n, levels))
+            trees.append(_build_tree(n, levels, _run_fill))
         except ValueError as exc:
             raise ValueError(f"tree {s}: {exc}") from None
     return ClassificationForest(n=n, trees=tuple(trees))

@@ -21,7 +21,7 @@ import numpy as np
 from . import identities, simulate
 from .classification import (
     ClassificationForest,
-    load_forest,
+    forest_from_dict,
     save_forest,
     tree_from_levels,
 )
@@ -168,12 +168,14 @@ def _load_structure(args, n: int) -> ClassificationForest:
     if not args.spec:
         raise InputError(f"--method {args.method} requires --spec")
     try:
-        forest = load_forest(args.spec)
+        with open(args.spec) as fh:
+            data = json.load(fh)
+        size = data.get("n") if isinstance(data, dict) else None
+        if type(size) is not int or size == n:  # a wrong N is reported before anything of size N is built
+            return forest_from_dict(data)
     except (OSError, ValueError) as exc:
         raise InputError(f"malformed classification spec {args.spec}: {exc}")
-    if forest.n != n:
-        raise InputError(f"spec has N={forest.n} but {n} p-values were supplied")
-    return forest
+    raise InputError(f"spec has N={size} but {n} p-values were supplied")
 
 
 def _compute_weights(args, pvalues, truth) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from groupedbh.classification import (
     ClassificationForest,
     HierTree,
-    _decode_members,
+    _as_index_array,
     _encode_members,
+    _integer,
+    _key,
+    _list,
     flat_tree,
     forest_from_dict,
     forest_from_grid,
@@ -335,20 +339,53 @@ def test_branching_product_beyond_int64_does_not_wrap():
     assert da_hier_weights(tree, [0.9, 0.95, 0.01, 0.02], 0.5).tolist() == [3.0, 3.0, 1.0, 1.0]
 
 
+def _spec_members(encoded: list, n: int) -> np.ndarray:
+    """Members of group (1,), encoded as given, decoded by forest_from_dict
+    beside a group (2,) that covers the root."""
+    groups = [{"path": [1], "members": encoded}, {"path": [2], "members": [[0, n]]}]
+    return forest_from_dict({"n": n, "trees": [{"levels": [groups]}]}).trees[0].members(1)
+
+
 def test_member_runs_encode_from_three():
     members = np.array([0, 1, 2, 5, 7, 8, 10, 11, 12, 13])
     assert _encode_members(members) == [[0, 3], 5, 7, 8, [10, 14]]
     assert _encode_members(np.array([], dtype=np.int64)) == []
-    assert (_decode_members([[0, 3], 5, 7, 8, [10, 14]], 14) == members).all()
+    assert (_spec_members([[0, 3], 5, 7, 8, [10, 14]], 14) == members).all()
 
 
 def test_unsorted_overlapping_runs_decode_to_their_union():
-    # runs are merged before they are expanded; members out of range are
-    # kept for the tree's constructor to report
-    encoded = [[6, 9], 2, [0, 3], [4, 7], 8, [4, 7], 20, -1, [5, 5]]
-    decoded = _decode_members(encoded, 10)
-    assert decoded.tolist() == [0, 1, 2, 4, 5, 6, 7, 8, 20, -1]
-    assert _decode_members([], 10).tolist() == []
+    # runs are merged before they are expanded
+    encoded = [[6, 9], 2, [0, 3], [4, 7], 8, [4, 7], [5, 5]]
+    assert _spec_members(encoded, 10).tolist() == [0, 1, 2, 4, 5, 6, 7, 8]
+    assert _spec_members([], 0).tolist() == []
+    # members out of range are kept for the tree's constructor to report
+    assert _problems(lambda: _spec_members(encoded + [20, -1], 10)) == [
+        "tree 0: index out of range [0, 10) at path (1,)",
+        "child (1,) not contained in parent ()",
+    ]
+
+
+def test_repeated_runs_are_merged_within_the_memory_rule():
+    # a group holds at most n + (members outside [0, n)) entries: expanding
+    # each of these 10**4 runs before merging them would take 10**4 * 8n bytes
+    n = 10**5
+    doc = {"n": n, "trees": [{"levels": [[{"path": [1], "members": [[0, n]] * 10**4}]]}]}
+    tracemalloc.start()
+    try:
+        tree = forest_from_dict(doc).trees[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tree.members(1) == np.arange(n)).all()
+    assert peak < 6 * 8 * n
+
+
+def test_negative_n_is_reported_as_such():
+    # it was "tree 0: indptr must rise to the length of indices"
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -5$"):
+        forest_from_dict({"n": -5, "trees": [{"levels": []}]})
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -5$"):
+        tree_from_levels(-5, [])
 
 
 def test_forest_from_grid():
@@ -552,3 +589,177 @@ def test_adversarial_spec_fails_only_with_value_error(doc, seed):
         return
     weights = da_gen_weights(forest, np.random.default_rng(seed).uniform(size=forest.n), 0.5)
     assert np.isfinite(weights).all() and (weights >= 0).all()
+
+
+# ---------------------------------------------------------------------------
+# the literal, per-group decoder and builder that forest_from_dict and
+# tree_from_levels replaced, kept as the reference of their parity tests
+
+
+def _reference_members(encoded: list, n: int) -> np.ndarray:
+    spans, strays = [], []
+    for item in encoded:
+        if isinstance(item, list):
+            if len(item) != 2:
+                raise ValueError(f"a run must be [start, stop], got {item!r:.40}")
+            start, stop = (_integer(bound, "a run bound") for bound in item)
+            if not 0 <= start <= stop <= n:
+                raise ValueError(f"run [{start}, {stop}) does not lie within [0, {n}]")
+            spans.append((start, stop))
+        else:
+            member = _integer(item, "a member")
+            if 0 <= member < n:
+                spans.append((member, member + 1))
+            else:
+                strays.append(member)
+    merged = []
+    for start, stop in sorted(spans):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], stop)
+        else:
+            merged.append([start, stop])
+    parts = [np.arange(start, stop, dtype=np.int64) for start, stop in merged]
+    if strays:
+        parts.append(np.array(strays, dtype=np.int64))
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def _reference_tree(n, levels) -> HierTree:
+    n = _integer(n, "n")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    paths, parent, members = [()], [-1], []
+    above = {(): 0}
+    for level_groups in levels:
+        level = []
+        for path, mem in level_groups:
+            path = tuple(_integer(v, "a path entry") for v in path)
+            if path[:-1] not in above:
+                raise ValueError(f"group {path} has no parent {path[:-1]}")
+            level.append((above[path[:-1]], path, mem))
+        level.sort(key=lambda group: group[:2])
+        above = {}
+        for up, path, mem in level:
+            above[path] = len(paths)
+            paths.append(path)
+            parent.append(up)
+            members.append(_as_index_array(mem))
+    indptr = np.cumsum([0, n] + [mem.size for mem in members])
+    indices = np.concatenate([np.arange(n, dtype=np.int64)] + members)
+    return HierTree(n=n, paths=paths, parent=parent, indptr=indptr, indices=indices)
+
+
+def _reference_forest(data) -> ClassificationForest:
+    n = _integer(_key(data, "n"), "n")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    trees = []
+    for s, tdata in enumerate(_list(_key(data, "trees"), "trees")):
+        levels = [
+            [
+                (
+                    tuple(_integer(v, "a path entry") for v in _list(_key(g, "path"), "a path")),
+                    _reference_members(_list(_key(g, "members"), "members"), n),
+                )
+                for g in _list(level_groups, "a level")
+            ]
+            for level_groups in _list(_key(tdata, "levels"), "levels")
+        ]
+        try:
+            trees.append(_reference_tree(n, levels))
+        except ValueError as exc:
+            raise ValueError(f"tree {s}: {exc}") from None
+    return ClassificationForest(n=n, trees=tuple(trees))
+
+
+def _assert_same_build(build, reference):
+    """build() and reference() give trees with equal arrays, or ValueErrors with equal texts."""
+    try:
+        expected = reference()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == str(exc)
+        return
+    got = build()
+    expected_trees, got_trees = getattr(expected, "trees", (expected,)), getattr(got, "trees", (got,))
+    assert len(got_trees) == len(expected_trees)
+    for a, b in zip(got_trees, expected_trees):
+        _assert_same_arrays(a, b)
+        assert np.array_equal(a.mult, b.mult)
+
+
+def _reencode(rng, members: np.ndarray, n: int) -> list:
+    """members in a random spec encoding: runs and singles, each stretch of
+    consecutive members cut at random, in shuffled order, with repeated,
+    overlapping, touching and empty runs and singles inside runs."""
+    items = []
+    cuts = (np.flatnonzero(np.diff(members) != 1) + 1).tolist()
+    for a, b in zip([0] + cuts, cuts + [members.size]):
+        at = a
+        while at < b:
+            stop = int(rng.integers(at + 1, b + 1))
+            start, end = int(members[at]), int(members[stop - 1]) + 1
+            kind = rng.integers(4)
+            if kind == 0:
+                items += list(range(start, end))  # singles
+            else:
+                items.append([start, end])
+            if kind == 2:  # the same run again, or one that overlaps the next
+                items.append([start, int(members[min(stop, b - 1)]) + 1])
+            if kind == 3:  # a single inside the run, and an empty run
+                items.append(int(rng.integers(start, end)))
+                items.append([int(rng.integers(0, n + 1))] * 2)
+            at = stop
+    order = rng.permutation(len(items))
+    return [items[i] for i in order]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.integers(0, 3), st.integers(1, 3), st.booleans())
+def test_spec_decode_matches_the_literal_decoder(seed, n, depth, s_count, strays):
+    rng = np.random.default_rng(seed)
+    forest = ClassificationForest(n=n, trees=tuple(random_tree(rng, n=n, depth=depth) for _ in range(s_count)))
+    doc = forest_to_dict(forest)
+    _assert_same_build(lambda: forest_from_dict(doc), lambda: _reference_forest(doc))
+    for tree in doc["trees"]:
+        for level in tree["levels"]:
+            for group in level:
+                members = _reference_members(group["members"], n)
+                group["members"] = _reencode(rng, members, n)
+                if strays and rng.integers(4) == 0:
+                    group["members"].insert(int(rng.integers(len(group["members"]) + 1)), int(rng.choice([-3, -1, n, n + 5])))
+    _assert_same_build(lambda: forest_from_dict(doc), lambda: _reference_forest(doc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_documents())
+def test_spec_decode_matches_the_literal_decoder_on_any_document(doc):
+    _assert_same_build(lambda: forest_from_dict(doc), lambda: _reference_forest(doc))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_tree_from_levels_matches_the_literal_builder(seed, depth):
+    # members in any order, repeated, sometimes out of range or not integers
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, depth=depth)
+    levels = []
+    for s in tree.levels:
+        level = []
+        for k in rng.permutation(np.arange(s.start, s.stop)):
+            members = tree.members(k)
+            kind = rng.integers(6)
+            if kind == 1:
+                members = rng.permutation(members)
+            elif kind == 2:
+                members = np.concatenate((members, rng.choice(members, 3))).astype(np.int32)
+            elif kind == 3:
+                members = members.tolist()[::-1]
+            elif kind == 4 and rng.integers(5) == 0:
+                members = np.append(members, tree.n + 1)
+            elif kind == 5 and rng.integers(10) == 0:
+                members = members.astype(float)
+            level.append((tree.paths[k], members))
+        levels.append(level)
+    _assert_same_build(lambda: tree_from_levels(tree.n, levels), lambda: _reference_tree(tree.n, levels))

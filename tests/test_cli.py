@@ -318,35 +318,56 @@ class TestCmdTest:
         assert "malformed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, problem",
         [
-            [1],
-            {"n": 3, "trees": 3},
-            {"n": 3, "trees": [{"levels": [[{"path": [1], "members": 5}]]}]},
-            {"n": 3, "trees": [{"levels": [[{"path": [1.7], "members": [[0, 3]]}]]}]},
-            {"n": 3.9, "trees": [{"levels": [[{"path": [1], "members": [[0, 3]]}]]}]},
-            {
-                "n": 3,
-                "trees": [
-                    {"levels": [[{"path": [1], "members": [[0, 3]]}], [{"path": "11", "members": [[0, 3]]}]]}
-                ],
-            },
-            {"n": 3, "trees": [{"levels": [[{"path": [1], "members": [[0, 10000000]]}]]}]},
-            {"n": 3, "trees": [{"levels": [[{"path": [1], "members": [[0, 3], [2, 0]]}]]}]},
+            ([1], ""),
+            ({"n": 3, "trees": 3}, ""),
+            ({"n": 3, "trees": [{"levels": [[{"path": [1], "members": 5}]]}]}, ""),
+            ({"n": 3, "trees": [{"levels": [[{"path": [1.7], "members": [[0, 3]]}]]}]}, ""),
+            ({"n": 3.9, "trees": [{"levels": [[{"path": [1], "members": [[0, 3]]}]]}]}, ""),
+            (
+                {
+                    "n": 3,
+                    "trees": [
+                        {"levels": [[{"path": [1], "members": [[0, 3]]}], [{"path": "11", "members": [[0, 3]]}]]}
+                    ],
+                },
+                "",
+            ),
+            ({"n": 3, "trees": [{"levels": [[{"path": [1], "members": [[0, 10000000]]}]]}]}, ""),
+            ({"n": 3, "trees": [{"levels": [[{"path": [1], "members": [[0, 3], [2, 0]]}]]}]}, ""),
+            # these reported a bare unpack error: "too many values to unpack (expected 2)"
+            (
+                {"n": 3, "trees": [{"levels": [[{"path": [1], "members": [[0, 1, 3]]}]]}]},
+                ": a run must be [start, stop], got [0, 1, 3]\n",
+            ),
+            (
+                {"n": 3, "trees": [{"levels": [[{"path": [1], "members": [[0]]}]]}]},
+                ": a run must be [start, stop], got [0]\n",
+            ),
         ],
         ids=[
             "top-level-list", "trees-int", "members-int", "path-float", "n-float", "path-str",
-            "run-past-n", "run-reversed",
+            "run-past-n", "run-reversed", "run-three-bounds", "run-one-bound",
         ],
     )
-    def test_misshapen_or_non_integer_spec_exits_2(self, tmp_path, capsys, spec):
+    def test_misshapen_or_non_integer_spec_exits_2(self, tmp_path, capsys, spec, problem):
         pfile = tmp_path / "p.txt"
         write_lines(pfile, [0.1, 0.5, 0.9])
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         rc = main(["test", "--pvalues", str(pfile), "--method", "gen", "--adaptive", "--spec", str(path)])
         assert rc == 2
-        assert "error: malformed classification spec" in capsys.readouterr().err
+        assert f"error: malformed classification spec {path}{problem}" in capsys.readouterr().err
+
+    def test_huge_n_is_compared_before_anything_is_built(self, tmp_path, capsys):
+        # np.arange(n) was allocated first: a MemoryError traceback and exit 1
+        pfile, path = tmp_path / "p.txt", tmp_path / "spec.json"
+        write_lines(pfile, [0.1, 0.5, 0.9])
+        path.write_text(json.dumps({"n": 10**13, "trees": [{"levels": []}]}))
+        rc = main(["test", "--pvalues", str(pfile), "--method", "gen", "--adaptive", "--spec", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: spec has N=10000000000000 but 3 p-values were supplied\n"
 
     @pytest.mark.parametrize(
         "groups, problem",
