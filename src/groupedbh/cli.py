@@ -10,10 +10,13 @@ the reader of the output closed it before the end.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import io
+import itertools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -47,11 +50,7 @@ def read_pvalues(path) -> np.ndarray:
     once; a first line in which no token is a number is a header and is
     skipped. Values must lie in [0, 1]."""
     with open(path, "rb") as fh:
-        source = _Rewindable(fh)
-        arr = _read_plain_pvalues(source)
-        if arr is None:  # not one JSON number per line: a header, CSV rows, padding, ...
-            with io.TextIOWrapper(source.rewound()) as text:
-                arr = _read_pvalue_lines(text, path)
+        arr = _read_pvalue_stream(fh, path)
     if arr.size == 0:
         raise InputError(f"{path}: no p-values found")
     try:
@@ -61,86 +60,84 @@ def read_pvalues(path) -> np.ndarray:
     return arr
 
 
-class _Rewindable:
-    """A binary file to be read again from its start. A file that can seek
-    seeks back; a pipe cannot, so what is read from it is kept, to be read
-    again before the rest. (Keeping a file's bytes too would cost its size
-    in memory, or a copy.)"""
-
-    def __init__(self, fh):
-        self.fh, self.kept = fh, None if fh.seekable() else []
-
-    def read(self, size: int) -> bytes:
-        chunk = self.fh.read(size)
-        if self.kept is not None:
-            self.kept.append(chunk)
-        return chunk
-
-    def rewound(self):
-        """The file from its start, as a binary stream."""
-        if self.kept is None:
-            self.fh.seek(0)
-            return self.fh
-        return io.BytesIO(b"".join(self.kept) + self.fh.read())
-
-
 _READ_BYTES = 2**16
 _PLAIN_BYTES = b"0123456789.eE+-\n"
 
 
-def _read_plain_pvalues(fh) -> np.ndarray | None:
-    """The plain format in bulk, from a binary file: each chunk of whole
-    lines is parsed as one JSON array. A JSON number has the value float()
-    gives its text, except the integer -0, whose sign JSON drops. None, for
-    the line loop to read the file, when a line holds a byte not in
-    _PLAIN_BYTES, is a bare -0, or is no JSON number."""
-    import orjson
-
-    parts, tail = [], b""
+def _read_pvalue_stream(fh, path) -> np.ndarray:
+    """The p-values of a binary file, in one pass. Line 1, after a UTF-8
+    byte-order mark, is skipped when blank or a header. Then each chunk of
+    whole lines is parsed in bulk, until one is not plain: that chunk, and
+    the rest of the file, go to the line loop."""
+    head = fh.readline().removeprefix(codecs.BOM_UTF8)
+    first = re.match(rb"[^\r\n]*(\r\n?|\n)?", head).group()  # line 1 ends at a CR as well
+    line = first.decode().strip()
+    lineno, tail = (1, head[len(first):]) if not line or _is_header(line) else (0, head)
+    parts = [np.empty(0)]
     while True:
         chunk = fh.read(_READ_BYTES)
-        if chunk:
-            body, _, tail = (tail + chunk).rpartition(b"\n")
-        else:  # the end: the last line may lack its newline
-            body, tail = tail, b""
-        if body.translate(None, _PLAIN_BYTES) or b"\n-0\n" in b"\n%b\n" % body:
-            return None
-        try:
-            parts.append(np.array(orjson.loads(b"[%b]" % body.replace(b"\n", b",")), dtype=float))
-        except orjson.JSONDecodeError:  # a blank line, or a line of these bytes that is no number
-            return None
+        data = tail + chunk
+        cut = data.rfind(b"\n") + 1 if chunk else len(data)  # at the end, the last line may lack its newline
+        values = _plain_values(data[:cut])
+        if values is None:  # complete the last line, so that no character is cut in two
+            lines = io.TextIOWrapper(io.BytesIO(data + fh.readline()), encoding="utf-8")
+            rest = io.TextIOWrapper(fh, encoding="utf-8")
+            return _read_pvalue_lines(itertools.chain(lines, rest), path, lineno, np.concatenate(parts))
+        parts.append(values)
+        lineno, tail = lineno + values.size, data[cut:]
         if not chunk:
             return np.concatenate(parts)
 
 
-def _read_pvalue_lines(fh, path) -> np.ndarray:
+def _plain_values(lines: bytes) -> np.ndarray | None:
+    """Whole lines in bulk, parsed as one JSON array, a value per line. A
+    JSON number has the value float() gives its text, except the integer
+    -0, whose sign JSON drops. A CR before an LF is part of the newline.
+    None, for the line loop, when a line holds another byte than
+    _PLAIN_BYTES, is blank, is a bare -0, or is no JSON number."""
+    import orjson
+
+    if b"\r" in lines:
+        lines = lines.replace(b"\r\n", b"\n")
+    body = lines.removesuffix(b"\n")
+    if body.translate(None, _PLAIN_BYTES) or b"\n-0\n" in b"\n%b\n" % body or lines == b"\n":
+        return None  # lines == b"\n": one blank line, which "[]" would hide
+    try:
+        return np.array(orjson.loads(b"[%b]" % body.replace(b"\n", b",")), dtype=float)
+    except orjson.JSONDecodeError:  # a blank line, or a line of these bytes that is no number
+        return None
+
+
+def _read_pvalue_lines(lines, path, lineno: int, before: np.ndarray) -> np.ndarray:
+    """The line loop: the lines after line `lineno`, each parsed alone,
+    after the plain values `before` read above them."""
     values = {}
     plain = []
-    for lineno, line in enumerate(fh):
+    for lineno, line in enumerate(lines, lineno + 1):
         line = line.strip()
-        if not line or (lineno == 0 and _is_header(line)):
+        if not line:
             continue
         fields = line.split(",")
         if len(fields) > 2:
-            raise InputError(f"{path}:{lineno + 1}: expected index,value, got {len(fields)} fields")
+            raise InputError(f"{path}:{lineno}: expected index,value, got {len(fields)} fields")
         try:
             val = float(fields[-1])
             idx = int(fields[0]) if len(fields) == 2 else None
         except ValueError:
-            raise InputError(f"{path}:{lineno + 1}: cannot parse {line!r}")
+            raise InputError(f"{path}:{lineno}: cannot parse {line!r}")
         if idx is None:
             plain.append(val)
         elif idx in values:
-            raise InputError(f"{path}:{lineno + 1}: index {idx} appears twice")
+            raise InputError(f"{path}:{lineno}: index {idx} appears twice")
         else:
             values[idx] = val
-    if values and plain:
+    if values and (plain or before.size):
         raise InputError(f"{path}: mixed plain and indexed rows")
     if values:
         if sorted(values) != list(range(len(values))):
             raise InputError(f"{path}: index column must cover 0..{len(values) - 1}")
         return np.array([values[i] for i in range(len(values))])
-    return np.array(plain)
+    return np.concatenate([before, plain])
 
 
 def _is_header(line: str) -> bool:
@@ -157,7 +154,7 @@ def _is_header(line: str) -> bool:
 
 def read_truth(path) -> np.ndarray:
     """Truth labels, one per line: 1 marks a true null, 0 a false null."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # -sig: a leading byte-order mark is dropped
         vals = [line.strip() for line in fh if line.strip()]
     if not all(v in ("0", "1") for v in vals):
         raise InputError(f"{path}: truth labels must be 0 or 1, one per line")
