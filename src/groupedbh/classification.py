@@ -543,6 +543,15 @@ def save_forest(forest: ClassificationForest, path) -> None:
         fh.write("\n")
 
 
-def load_forest(path) -> ClassificationForest:
+def _read_spec(path):
+    """The JSON document of a spec file; ValueError, not RecursionError,
+    when it nests deeper than the JSON decoder follows."""
     with open(path) as fh:
-        return forest_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("nested too deeply to decode") from None
+
+
+def load_forest(path) -> ClassificationForest:
+    return forest_from_dict(_read_spec(path))

@@ -10,13 +10,9 @@ the reader of the output closed it before the end.
 from __future__ import annotations
 
 import argparse
-import codecs
 import contextlib
-import io
-import itertools
 import json
 import os
-import re
 import sys
 
 import numpy as np
@@ -24,6 +20,7 @@ import numpy as np
 from . import identities, simulate
 from .classification import (
     ClassificationForest,
+    _read_spec,
     forest_from_dict,
     save_forest,
     tree_from_levels,
@@ -46,10 +43,11 @@ class InputError(ValueError):
 
 
 def read_pvalues(path) -> np.ndarray:
-    """One decimal per line, or CSV rows of exactly index,value, each index
-    once; a first line in which no token is a number is a header and is
-    skipped. Values must lie in [0, 1]."""
-    with open(path, "rb") as fh:
+    """One decimal per line, or CSV rows of exactly index,value, each index once; a first line
+    in which no token is a number is a header and is skipped. Values must lie in [0, 1]. Read
+    as text: one byte-order mark is dropped, LF, CR LF and a lone CR end a line, and a byte
+    that is not UTF-8 becomes a lone surrogate, which the line loop reports with its line."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         arr = _read_pvalue_stream(fh, path)
     if arr.size == 0:
         raise InputError(f"{path}: no p-values found")
@@ -60,60 +58,51 @@ def read_pvalues(path) -> np.ndarray:
     return arr
 
 
-_READ_BYTES = 2**16
+_READ_CHARS = 2**16
 _PLAIN_BYTES = b"0123456789.eE+-\n"
 
 
 def _read_pvalue_stream(fh, path) -> np.ndarray:
-    """The p-values of a binary file, in one pass. Line 1, after a UTF-8
-    byte-order mark, is skipped when blank or a header. Then each chunk of
-    whole lines is parsed in bulk, until one is not plain: that chunk, and
-    the rest of the file, go to the line loop."""
-    head = fh.readline().removeprefix(codecs.BOM_UTF8)
-    first = re.match(rb"[^\r\n]*(\r\n?|\n)?", head).group()  # line 1 ends at a CR as well
-    line = first.decode().strip()
-    lineno, tail = (1, head[len(first):]) if not line or _is_header(line) else (0, head)
-    parts = [np.empty(0)]
-    while True:
-        chunk = fh.read(_READ_BYTES)
-        data = tail + chunk
-        cut = data.rfind(b"\n") + 1 if chunk else len(data)  # at the end, the last line may lack its newline
-        values = _plain_values(data[:cut])
-        if values is None:  # complete the last line, so that no character is cut in two
-            lines = io.TextIOWrapper(io.BytesIO(data + fh.readline()), encoding="utf-8")
-            rest = io.TextIOWrapper(fh, encoding="utf-8")
-            return _read_pvalue_lines(itertools.chain(lines, rest), path, lineno, np.concatenate(parts))
-        parts.append(values)
-        lineno, tail = lineno + values.size, data[cut:]
-        if not chunk:
-            return np.concatenate(parts)
+    """The p-values of a text stream, in one pass: line 1 unless blank or a header, then
+    chunks of whole lines, each parsed in bulk when plain, else line by line. A plain chunk
+    has a value per line, so needs no newline count; only the last can be one blank line."""
+    first = fh.readline()
+    lineno, chunk = (1, "") if _is_header(first) else (0, first)
+    parts, indexed = [np.empty(0)], {}
+    while chunk or (chunk := fh.read(_READ_CHARS) + fh.readline()):
+        values = _plain_values(chunk)
+        parts.append(_read_pvalue_lines(chunk, path, lineno, indexed) if values is None else values)
+        lineno, chunk = lineno + (chunk.count("\n") if values is None else values.size), ""
+    plain = np.concatenate(parts)
+    if indexed and plain.size:
+        raise InputError(f"{path}: mixed plain and indexed rows")
+    if indexed and sorted(indexed) != list(range(len(indexed))):
+        raise InputError(f"{path}: index column must cover 0..{len(indexed) - 1}")
+    return np.array([indexed[i] for i in range(len(indexed))]) if indexed else plain
 
 
-def _plain_values(lines: bytes) -> np.ndarray | None:
-    """Whole lines in bulk, parsed as one JSON array, a value per line. A
-    JSON number has the value float() gives its text, except the integer
-    -0, whose sign JSON drops. A CR before an LF is part of the newline.
-    None, for the line loop, when a line holds another byte than
-    _PLAIN_BYTES, is blank, is a bare -0, or is no JSON number."""
+def _plain_values(lines: str) -> np.ndarray | None:
+    """Whole lines in bulk, as one JSON array of a value per line; a JSON
+    number has the value float() gives its text, except the integer -0,
+    whose sign JSON drops. None, for the line loop, when a line is blank, a
+    bare -0, no JSON number, or holds a character not in _PLAIN_BYTES."""
     import orjson
 
-    if b"\r" in lines:
-        lines = lines.replace(b"\r\n", b"\n")
-    body = lines.removesuffix(b"\n")
-    if body.translate(None, _PLAIN_BYTES) or b"\n-0\n" in b"\n%b\n" % body or lines == b"\n":
-        return None  # lines == b"\n": one blank line, which "[]" would hide
+    body = lines.removesuffix("\n").encode(errors="surrogateescape")  # a byte that was not UTF-8 comes back
+    if body.translate(None, _PLAIN_BYTES) or b"\n-0\n" in b"\n%b\n" % body:
+        return None
+    body = body.replace(b"\n", b",")  # rebound, so that no more than one copy of the text is held
     try:
-        return np.array(orjson.loads(b"[%b]" % body.replace(b"\n", b",")), dtype=float)
+        return np.array(orjson.loads(b"[%b]" % body), dtype=float)
     except orjson.JSONDecodeError:  # a blank line, or a line of these bytes that is no number
         return None
 
 
-def _read_pvalue_lines(lines, path, lineno: int, before: np.ndarray) -> np.ndarray:
-    """The line loop: the lines after line `lineno`, each parsed alone,
-    after the plain values `before` read above them."""
-    values = {}
+def _read_pvalue_lines(lines: str, path, lineno: int, indexed: dict) -> np.ndarray:
+    """The line loop: each of `lines`, the first being line lineno + 1, parsed
+    alone. Returns the plain values; index,value rows go into `indexed`."""
     plain = []
-    for lineno, line in enumerate(lines, lineno + 1):
+    for lineno, line in enumerate(lines.split("\n"), lineno + 1):
         line = line.strip()
         if not line:
             continue
@@ -127,17 +116,11 @@ def _read_pvalue_lines(lines, path, lineno: int, before: np.ndarray) -> np.ndarr
             raise InputError(f"{path}:{lineno}: cannot parse {line!r}")
         if idx is None:
             plain.append(val)
-        elif idx in values:
+        elif idx in indexed:
             raise InputError(f"{path}:{lineno}: index {idx} appears twice")
         else:
-            values[idx] = val
-    if values and (plain or before.size):
-        raise InputError(f"{path}: mixed plain and indexed rows")
-    if values:
-        if sorted(values) != list(range(len(values))):
-            raise InputError(f"{path}: index column must cover 0..{len(values) - 1}")
-        return np.array([values[i] for i in range(len(values))])
-    return np.concatenate([before, plain])
+            indexed[idx] = val
+    return np.array(plain, dtype=float)
 
 
 def _is_header(line: str) -> bool:
@@ -154,7 +137,7 @@ def _is_header(line: str) -> bool:
 
 def read_truth(path) -> np.ndarray:
     """Truth labels, one per line: 1 marks a true null, 0 a false null."""
-    with open(path, encoding="utf-8-sig") as fh:  # -sig: a leading byte-order mark is dropped
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:  # as in read_pvalues
         vals = [line.strip() for line in fh if line.strip()]
     if not all(v in ("0", "1") for v in vals):
         raise InputError(f"{path}: truth labels must be 0 or 1, one per line")
@@ -165,8 +148,7 @@ def _load_structure(args, n: int) -> ClassificationForest:
     if not args.spec:
         raise InputError(f"--method {args.method} requires --spec")
     try:
-        with open(args.spec) as fh:
-            data = json.load(fh)
+        data = _read_spec(args.spec)
         size = data.get("n") if isinstance(data, dict) else None
         if type(size) is not int or size == n:  # a wrong N is reported before anything of size N is built
             return forest_from_dict(data)
@@ -181,14 +163,12 @@ def _compute_weights(args, pvalues, truth) -> np.ndarray:
     structure = ()
     if args.method != "flat":
         forest = _load_structure(args, pvalues.size)
-        structure = (forest,)
-        if args.method == "hier":
-            if forest.s_count != 1:
-                raise InputError(
-                    f"--method hier needs a spec with exactly one tree, {args.spec} has "
-                    f"{forest.s_count}; use --method gen for several"
-                )
-            structure = forest.trees
+        if args.method == "hier" and forest.s_count != 1:
+            raise InputError(
+                f"--method hier needs a spec with exactly one tree, {args.spec} has "
+                f"{forest.s_count}; use --method gen for several"
+            )
+        structure = forest.trees if args.method == "hier" else (forest,)
     # built per call, so wrappers rebound on these names (perfbench traces them) are called
     adaptive_fn, oracle_fn = {
         "flat": (da_flat_weights, oracle_flat_weights),

@@ -440,6 +440,14 @@ def test_json_file_round_trip(tmp_path):
     assert validate_forest(back) == []
 
 
+def test_spec_nested_past_the_decoder_limit_is_a_value_error(tmp_path):
+    # load_forest raised RecursionError, which no caller catching ValueError sees
+    path = tmp_path / "spec.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ValueError, match="nested too deeply to decode"):
+        load_forest(path)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 6), st.integers(2, 6))
 def test_grid_round_trip_property(rows, cols):

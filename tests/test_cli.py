@@ -89,16 +89,20 @@ class TestReaders:
             ("0,0.1,junk\n1,0.2\n", 1),
             ("index,pvalue\n0,0.1\n1,0.2,0.3\n", 3),
             ("index,pvalue,note\n0,0.1,a\n", 2),
+            ("0.1\r0.2 0.3\r0.4\r", 2),
+            ("0.1\n0.2\udce9\n0.3\n", 2),
         ],
-        ids=["pair-first", "pair-later", "three-fields-first", "three-fields-later", "three-columns"],
+        ids=["pair-first", "pair-later", "three-fields-first", "three-fields-later", "three-columns", "cr",
+             "not-utf-8"],
     )
     def test_bad_row_exits_2_with_its_line(self, tmp_path, capsys, text, line):
         # a first line holding a number is data, not a header, and a CSV
-        # row is exactly index,value
+        # row is exactly index,value; a byte that is not UTF-8 (here 0xe9,
+        # written from its surrogate) was a codec error with no path or line
         from groupedbh.cli import InputError
 
         f = tmp_path / "p.txt"
-        f.write_text(text)
+        f.write_bytes(text.encode(errors="surrogateescape"))
         with pytest.raises(InputError, match=f"^{re.escape(str(f))}:{line}: "):
             read_pvalues(f)
         assert main(["test", "--pvalues", str(f), "--method", "flat", "--adaptive"]) == 2
@@ -156,13 +160,18 @@ class TestReaders:
             "0.5\r\n" * 20000 + "0.1 0.2\r\n0.3\r\n",
             "\ufeff0.5\n0.25\n",
             "pvalue\n\n0.5 0.6",
+            "0.5\r" * 20000 + "0,0.1\r",
+            "0.5\r" * 20000 + "0.1 0.2\r0.3\r",
+            "0.1\n0.2\udce9\n0.3\n",
+            "0.5\n" * 20000 + "0.2\udce9\n",
         ],
         ids=["plain", "padded", "header", "csv", "blank", "crlf", "pair-first", "pair-later", "nan",
              "empty", "minus-zero", "minus-zero-last", "signed-zeros", "overflow", "underflow", "true",
              "null", "array", "string", "plain-then-csv", "only-blank", "not-json", "e-header",
              "line-past-a-chunk", "header-then-chunks", "csv-past-a-chunk", "bad-row-past-a-chunk",
              "crlf-minus-zero", "lf-cr", "cr", "cr-header", "csv-past-crlf-chunks",
-             "bad-row-past-crlf-chunks", "bom", "blank-line-alone-in-a-chunk"],
+             "bad-row-past-crlf-chunks", "bom", "blank-line-alone-in-a-chunk", "csv-past-cr-chunks",
+             "bad-row-past-cr-chunks", "not-utf-8", "not-utf-8-past-a-chunk"],
     )
     def test_streamed_parse_matches_the_line_loop(self, tmp_path, monkeypatch, text):
         # the bulk parse must give what the per-line loop gives, the same
@@ -171,7 +180,7 @@ class TestReaders:
         from groupedbh.cli import InputError
 
         f = tmp_path / "p.txt"
-        f.write_bytes(text.encode())
+        f.write_bytes(text.encode(errors="surrogateescape"))  # a lone surrogate: a byte that is not UTF-8
 
         def parse():
             try:
@@ -189,7 +198,7 @@ class TestReaders:
         # plain, so the line loop is never entered
         f = tmp_path / "p.txt"
         f.write_text(bom + "pvalue\r\n" + "0.5\r\n" * 20000 + "0.25\r\n")
-        assert f.stat().st_size > cli._READ_BYTES
+        assert f.stat().st_size > cli._READ_CHARS
         monkeypatch.setattr(cli, "_read_pvalue_lines", None)  # calling it would raise TypeError
         assert read_pvalues(f).tolist() == [0.5] * 20000 + [0.25]
 
@@ -214,6 +223,37 @@ class TestReaders:
         f = tmp_path / "t.txt"
         f.write_text("\ufeff1\n0\n1\n", encoding="utf-8")
         assert read_truth(f).tolist() == [True, False, True]
+
+    def test_truth_label_not_utf_8_exits_2_with_the_path(self, tmp_path, capsys):
+        # printed the codec error, with no path: "'utf-8' codec can't decode byte 0xe9"
+        from groupedbh.cli import InputError
+
+        pfile, truth = tmp_path / "p.txt", tmp_path / "t.txt"
+        write_lines(pfile, [0.1, 0.2])
+        truth.write_bytes(b"1\n0\xe9\n")
+        message = f"{truth}: truth labels must be 0 or 1, one per line"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            read_truth(truth)
+        assert main(["test", "--pvalues", str(pfile), "--truth", str(truth)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_lone_cr_file_is_read_a_chunk_at_a_time(self, tmp_path):
+        # its lines were read whole as "line 1", with copies: a peak of 24x
+        # the chunk here; long values keep the result array small
+        import tracemalloc
+
+        f = tmp_path / "p.txt"
+        value = "0." + "1234567890" * 30
+        f.write_bytes(("pvalue\r" + f"{value}\r" * (8 * cli._READ_CHARS // len(value))).encode())
+        read_pvalues(f)  # so that first-call imports and caches are not counted
+        tracemalloc.start()
+        try:
+            size = read_pvalues(f).size
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == 8 * cli._READ_CHARS // len(value)
+        assert peak < 4 * cli._READ_CHARS
 
 
 def _writer_corpus() -> np.ndarray:
@@ -272,10 +312,10 @@ class TestCodec:
 
     def test_bulk_reader_equals_float_per_line(self, monkeypatch):
         lines = _reader_corpus()
-        data = ("\n".join(lines) + "\n").encode()
-        assert len(data) > 8 * cli._READ_BYTES  # lines straddle the chunks
+        text = "\n".join(lines) + "\n"
+        assert len(text) > 8 * cli._READ_CHARS  # lines straddle the chunks
         monkeypatch.setattr(cli, "_read_pvalue_lines", None)  # the corpus must take the bulk path
-        bulk = cli._read_pvalue_stream(io.BytesIO(data), "corpus")
+        bulk = cli._read_pvalue_stream(io.StringIO(text), "corpus")
         assert bulk.tobytes() == np.array([float(line) for line in lines]).tobytes()
 
 
@@ -362,6 +402,16 @@ class TestCmdTest:
         )
         assert rc == 2
         assert "malformed" in capsys.readouterr().err
+
+    def test_spec_nested_past_the_decoder_limit_exits_2(self, tmp_path, capsys):
+        # ended in a RecursionError traceback and exit 1
+        pfile = tmp_path / "p.txt"
+        write_lines(pfile, [0.1, 0.2])
+        spec = tmp_path / "spec.json"
+        spec.write_text("[" * 100000 + "]" * 100000)
+        rc = main(["test", "--pvalues", str(pfile), "--method", "gen", "--adaptive", "--spec", str(spec)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: malformed classification spec {spec}: nested too deeply to decode\n"
 
     @pytest.mark.parametrize(
         "spec, problem",
