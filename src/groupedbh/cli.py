@@ -88,7 +88,7 @@ def _plain_values(lines: str) -> np.ndarray | None:
     bare -0, no JSON number, or holds a character not in _PLAIN_BYTES."""
     import orjson
 
-    body = lines.removesuffix("\n").encode(errors="surrogateescape")  # a byte that was not UTF-8 comes back
+    body = lines.removesuffix("\n").encode(errors="surrogateescape")  # undecodable bytes come back as they were
     if body.translate(None, _PLAIN_BYTES) or b"\n-0\n" in b"\n%b\n" % body:
         return None
     body = body.replace(b"\n", b",")  # rebound, so that no more than one copy of the text is held
