@@ -67,12 +67,18 @@ def _read_pvalue_stream(fh, path) -> np.ndarray:
     chunks of whole lines, each parsed in bulk when plain, else line by line. A plain chunk
     has a value per line, so needs no newline count; only the last can be one blank line."""
     first = fh.readline()
-    lineno, chunk = (1, "") if _is_header(first) else (0, first)
+    lineno = 1 if _is_header(first) else 0
+    chunk = "" if lineno else first
     parts, indexed = [np.empty(0)], {}
     while chunk or (chunk := fh.read(_READ_CHARS) + fh.readline()):
         values = _plain_values(chunk)
-        parts.append(_read_pvalue_lines(chunk, path, lineno, indexed) if values is None else values)
-        lineno, chunk = lineno + (chunk.count("\n") if values is None else values.size), ""
+        if values is None:
+            values = _read_pvalue_lines(chunk, path, lineno, indexed)
+            lineno += chunk.count("\n")
+        else:
+            lineno += values.size
+        parts.append(values)
+        chunk = ""
     plain = np.concatenate(parts)
     if indexed and plain.size:
         raise InputError(f"{path}: mixed plain and indexed rows")
@@ -89,11 +95,13 @@ def _plain_values(lines: str) -> np.ndarray | None:
     import orjson
 
     body = lines.removesuffix("\n").encode(errors="surrogateescape")  # undecodable bytes come back as they were
-    if body.translate(None, _PLAIN_BYTES) or b"\n-0\n" in b"\n%b\n" % body:
+    if body.translate(None, _PLAIN_BYTES):
+        return None
+    if body == b"-0" or body.startswith(b"-0\n") or b"\n-0\n" in body or body.endswith(b"\n-0"):
         return None
     body = body.replace(b"\n", b",")  # rebound, so that no more than one copy of the text is held
-    try:
-        return np.array(orjson.loads(b"[%b]" % body), dtype=float)
+    try:  # join, not %: a % format overallocates by a quarter
+        return np.array(orjson.loads(b"".join((b"[", body, b"]"))), dtype=float)
     except orjson.JSONDecodeError:  # a blank line, or a line of these bytes that is no number
         return None
 
@@ -125,14 +133,15 @@ def _read_pvalue_lines(lines: str, path, lineno: int, indexed: dict) -> np.ndarr
 
 def _is_header(line: str) -> bool:
     """A first line is a header when none of its comma- or
-    whitespace-separated tokens reads as a number."""
+    whitespace-separated tokens reads as a number, and it holds no byte
+    that is not UTF-8: that line goes to the line loop, which reports it."""
     for token in line.replace(",", " ").split():
         try:
             float(token)
             return False
         except ValueError:
             pass
-    return True
+    return not any("\udc80" <= c <= "\udcff" for c in line)  # how surrogateescape reads such a byte
 
 
 def read_truth(path) -> np.ndarray:
@@ -163,12 +172,14 @@ def _compute_weights(args, pvalues, truth) -> np.ndarray:
     structure = ()
     if args.method != "flat":
         forest = _load_structure(args, pvalues.size)
-        if args.method == "hier" and forest.s_count != 1:
-            raise InputError(
-                f"--method hier needs a spec with exactly one tree, {args.spec} has "
-                f"{forest.s_count}; use --method gen for several"
-            )
-        structure = forest.trees if args.method == "hier" else (forest,)
+        structure = (forest,)
+        if args.method == "hier":
+            if forest.s_count != 1:
+                raise InputError(
+                    f"--method hier needs a spec with exactly one tree, {args.spec} has "
+                    f"{forest.s_count}; use --method gen for several"
+                )
+            structure = forest.trees
     # built per call, so wrappers rebound on these names (perfbench traces them) are called
     adaptive_fn, oracle_fn = {
         "flat": (da_flat_weights, oracle_flat_weights),
