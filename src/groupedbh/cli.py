@@ -13,11 +13,12 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
-from . import identities, simulate
+from . import _pool, identities, simulate
 from .classification import (
     ClassificationForest,
     _read_spec,
@@ -97,13 +98,15 @@ def _plain_values(lines: str) -> np.ndarray | None:
     body = lines.removesuffix("\n").encode(errors="surrogateescape")  # undecodable bytes come back as they were
     if body.translate(None, _PLAIN_BYTES):
         return None
-    if body == b"-0" or body.startswith(b"-0\n") or b"\n-0\n" in body or body.endswith(b"\n-0"):
-        return None
     body = body.replace(b"\n", b",")  # rebound, so that no more than one copy of the text is held
     try:  # join, not %: a % format overallocates by a quarter
-        return np.array(orjson.loads(b"".join((b"[", body, b"]"))), dtype=float)
+        values = np.array(orjson.loads(b"".join((b"[", body, b"]"))), dtype=float)
     except orjson.JSONDecodeError:  # a blank line, or a line of these bytes that is no number
         return None
+    # a bare -0 parses to 0.0, so only a chunk holding a zero is searched for one
+    if not values.all() and (body == b"-0" or body.startswith(b"-0,") or b",-0," in body or body.endswith(b",-0")):
+        return None
+    return values
 
 
 def _read_pvalue_lines(lines: str, path, lineno: int, indexed: dict) -> np.ndarray:
@@ -131,13 +134,20 @@ def _read_pvalue_lines(lines: str, path, lineno: int, indexed: dict) -> np.ndarr
     return np.array(plain, dtype=float)
 
 
+_NUMBER_START = re.compile(r"[+-]?\.?\d")
+
+
 def _is_header(line: str) -> bool:
     """A first line is a header when none of its comma- or
-    whitespace-separated tokens reads as a number, and it holds no byte
-    that is not UTF-8: that line goes to the line loop, which reports it."""
+    whitespace-separated tokens reads as a number or starts like one (a
+    digit, after an optional sign and point: a mistyped 0.1x is no
+    header), and it holds no byte that is not UTF-8: such a line goes to
+    the line loop, which reports it."""
     for token in line.replace(",", " ").split():
+        if _NUMBER_START.match(token):
+            return False
         try:
-            float(token)
+            float(token)  # inf, nan
             return False
         except ValueError:
             pass
@@ -219,27 +229,44 @@ def cmd_test(args) -> int:
     return 0
 
 
+_SPAN_ROWS = 2**15  # rows per item of work: fewer and the per-item cost shows, more and the queue holds more
 _BLOCK_ROWS = 2**11
 _REJECTED = np.array([",0\n", ",1\n"], dtype=object)
 
 
 def _write_table(fh, pvalues, weights, outcome) -> None:
     """Write the rows "{},{!r},{!r},{!r},{:d}\n".format(i, p, w, wp, rejected),
-    in blocks of _BLOCK_ROWS rows, each block with one write."""
-    # repr once per distinct weight; unique by bit pattern keeps -0.0 apart from 0.0
-    bits = np.asarray(weights, dtype=np.float64).view(np.int64)
-    distinct, weight_ids = np.unique(bits, return_inverse=True)
-    weight_cells = np.array([f",{w!r}," for w in distinct.view(np.float64).tolist()], dtype=object)
+    in blocks of _BLOCK_ROWS rows, each block with one write. `_table_span`
+    makes the blocks of a span of _SPAN_ROWS rows at a time, through
+    `_pool.imap`: on one forked worker per CPU of this process's affinity
+    mask, or here on one CPU or for a table of one span."""
     n = pvalues.size
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
+    columns = (pvalues, np.asarray(weights, dtype=np.float64), outcome.weighted_pvalues, outcome.rejected)
+    spans = [(lo, min(lo + _SPAN_ROWS, n)) for lo in range(0, n, _SPAN_ROWS)]
+    with _pool.imap(_table_span, columns, spans) as results:
+        for blocks in results:
+            for block in blocks:
+                fh.write(block)
+
+
+def _table_span(columns, span) -> list[str]:
+    """The text of rows lo..hi-1 of the table, a string per block of
+    _BLOCK_ROWS rows."""
+    pvalues, weights, weighted_pvalues, rejected = columns
+    blocks = []
+    for lo in range(*span, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, span[1])
+        # repr once per distinct weight; unique by bit pattern keeps -0.0 apart from 0.0
+        distinct, weight_ids = np.unique(weights[lo:hi].view(np.int64), return_inverse=True)
+        weight_cells = np.array([f",{w!r}," for w in distinct.view(np.float64).tolist()], dtype=object)
         cells = [","] * (6 * (hi - lo))  # i "," p ",w," wp ",r\n" per row
         cells[0::6] = _reprs(np.arange(lo, hi))
         cells[2::6] = _reprs(pvalues[lo:hi])
-        cells[3::6] = weight_cells[weight_ids[lo:hi]].tolist()
-        cells[4::6] = _reprs(outcome.weighted_pvalues[lo:hi])
-        cells[5::6] = _REJECTED[outcome.rejected[lo:hi].view(np.uint8)].tolist()
-        fh.write("".join(cells))
+        cells[3::6] = weight_cells[weight_ids].tolist()
+        cells[4::6] = _reprs(weighted_pvalues[lo:hi])
+        cells[5::6] = _REJECTED[rejected[lo:hi].view(np.uint8)].tolist()
+        blocks.append("".join(cells))
+    return blocks
 
 
 def _reprs(values: np.ndarray) -> list[str]:

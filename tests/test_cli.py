@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import groupedbh
-from groupedbh import cli
+from groupedbh import _pool, cli
 from groupedbh.classification import load_forest, validate_forest
 from groupedbh.cli import main, read_pvalues, read_truth
 from groupedbh.stepup import weighted_bh
@@ -92,15 +92,18 @@ class TestReaders:
             ("0.1\r0.2 0.3\r0.4\r", 2),
             ("0.1\n0.2\udce9\n0.3\n", 2),
             ("0.1\udce9\n0.2\n", 1),
+            ("0.1x\n0.2\n", 1),
+            ("-.5x\n0.2\n", 1),
         ],
         ids=["pair-first", "pair-later", "three-fields-first", "three-fields-later", "three-columns", "cr",
-             "not-utf-8", "not-utf-8-first"],
+             "not-utf-8", "not-utf-8-first", "mistyped-first", "mistyped-signed-first"],
     )
     def test_bad_row_exits_2_with_its_line(self, tmp_path, capsys, text, line):
         # a first line holding a number is data, not a header, and a CSV
         # row is exactly index,value; a byte that is not UTF-8 (here 0xe9,
         # written from its surrogate) was a codec error with no path or line,
-        # and on line 1 it makes no header, so no value is dropped unreported
+        # and on line 1 it makes no header, so no value is dropped unreported;
+        # nor does a token that starts like a number (0.1x was skipped as one)
         from groupedbh.cli import InputError
 
         f = tmp_path / "p.txt"
@@ -116,8 +119,11 @@ class TestReaders:
             ("p value\n0.1\n", [0.1]),
             ("index, p\n1,0.2\n0,0.1\n", [0.1, 0.2]),
             ("id,p,note\n0,0.1\n", [0.1]),
+            ("pvalue\n0.1\n", [0.1]),
+            ("index,pvalue\n0,0.1\n", [0.1]),
+            ("-log10p\n0.1\n", [0.1]),
         ],
-        ids=["words", "csv", "three-names"],
+        ids=["words", "csv", "three-names", "one-name", "index-and-name", "signed-name"],
     )
     def test_header_without_a_number_is_skipped(self, tmp_path, text, values):
         f = tmp_path / "p.txt"
@@ -167,6 +173,9 @@ class TestReaders:
             "0.1\n0.2\udce9\n0.3\n",
             "0.5\n" * 20000 + "0.2\udce9\n",
             "0.1\udce9\n0.2\n",
+            "0.5\n-0\n0.25\n",
+            "0.5\n0.25\n-0\n0.75\n",
+            "0.5\n0.25\n-0\n",
         ],
         ids=["plain", "padded", "header", "csv", "blank", "crlf", "pair-first", "pair-later", "nan",
              "empty", "minus-zero", "minus-zero-last", "signed-zeros", "overflow", "underflow", "true",
@@ -174,7 +183,8 @@ class TestReaders:
              "line-past-a-chunk", "header-then-chunks", "csv-past-a-chunk", "bad-row-past-a-chunk",
              "crlf-minus-zero", "lf-cr", "cr", "cr-header", "csv-past-crlf-chunks",
              "bad-row-past-crlf-chunks", "bom", "blank-line-alone-in-a-chunk", "csv-past-cr-chunks",
-             "bad-row-past-cr-chunks", "not-utf-8", "not-utf-8-past-a-chunk", "not-utf-8-first"],
+             "bad-row-past-cr-chunks", "not-utf-8", "not-utf-8-past-a-chunk", "not-utf-8-first",
+             "minus-zero-first-of-a-chunk", "minus-zero-inside-a-chunk", "minus-zero-last-of-a-chunk"],
     )
     def test_streamed_parse_matches_the_line_loop(self, tmp_path, monkeypatch, text):
         # the bulk parse must give what the per-line loop gives, the same
@@ -612,9 +622,35 @@ class TestCmdTest:
         assert rows == reference
         assert header.startswith(b"# method=hier\n") and header.endswith(b"# power=0.75\n")
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_table_is_the_same_bytes_on_one_cpu_and_on_all(self, tmp_path, monkeypatch, to_file):
+        # 5 spans of the table, formatted here on one CPU and on forked
+        # workers on all; on a buffered stdout, a worker that flushed the
+        # header it inherited would write it a second time
+        monkeypatch.delitem(PACKAGE_ENV, "PYTHONUNBUFFERED", raising=False)
+        pfile, out = tmp_path / "p.txt", tmp_path / "result.csv"
+        pvalues = np.random.default_rng(7).uniform(size=4 * cli._SPAN_ROWS + 5) ** 4
+        write_lines(pfile, pvalues.tolist())
+        args = ["-m", "groupedbh.cli", "test", "--pvalues", str(pfile), "--method", "flat", "--adaptive"]
+        mask = os.sched_getaffinity(0)
+        tables = []
+        for cpus in ({min(mask)}, mask):
+            run = run_python(*args, *(["--out", str(out)] if to_file else []), cpus=cpus, text=False)
+            assert (run.returncode, run.stderr) == (0, b"")
+            tables.append(out.read_bytes() if to_file else run.stdout)
+        assert tables[0] == tables[1]
+        assert tables[0].count(b"# method=flat\n") == 1
+        assert tables[0].count(b"\n") == 8 + pvalues.size
+
     def test_failed_write_exits_2(self, tmp_path, monkeypatch, capsys):
+        # 4 spans of the table, formatted on forked workers, which must all
+        # be gone when main returns
+        import multiprocessing
+
         pfile = tmp_path / "p.txt"
         write_lines(pfile, np.linspace(0.0, 1.0, 2**17).tolist())
+        assert 2**17 // cli._SPAN_ROWS > 2
+        monkeypatch.setattr(_pool, "cpu_count", lambda: 2)
         writes = []
 
         class FullDisk(io.StringIO):
@@ -630,6 +666,7 @@ class TestCmdTest:
         assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
         header, first_block = writes  # nothing is written after the failed block
         assert header.startswith("# method=flat\n") and first_block.startswith("0,0.0,")
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         "option, message", [(["--alpha", "2"], "alpha"), (["--lambda", "1.5"], "lambda")]
@@ -843,14 +880,13 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # scipy.stats alone costs about a second at start-up; only simulate
-    # needs scipy, and it imports scipy.special when it runs. test writes
-    # even a big table in this process, so it loads no multiprocessing.
+    # needs scipy, and it imports scipy.special when it runs
     pfile = tmp_path / "p.txt"
     write_lines(pfile, np.linspace(0.0, 1.0, 2**17).tolist())
     code = (
         "import sys, groupedbh.cli\n"
         "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'multiprocessing'))\n"
+        "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
         "print(loaded())\n"
         "groupedbh.cli.main(['test', '--pvalues', sys.argv[1], '--method', 'flat', '--adaptive',\n"
         "                    '--out', sys.argv[2]])\n"
@@ -871,6 +907,25 @@ def test_cli_import_loads_no_scipy(tmp_path):
     run = run_python("-c", code, str(tmp_path / "out"))
     assert run.returncode == 0, run.stderr
     assert run.stderr.split() == ["0", "False"] * 3
+
+
+@pytest.mark.parametrize("rows, cpus", [(2**17, "one"), (2**15, "all")], ids=["one-cpu", "one-span"])
+def test_serial_table_loads_no_multiprocessing(tmp_path, rows, cpus):
+    # a table on one CPU, or of one span, is written from this process
+    pfile, out = tmp_path / "p.txt", tmp_path / "out.csv"
+    write_lines(pfile, np.linspace(0.0, 1.0, rows).tolist())
+    assert rows // cli._SPAN_ROWS == (1 if cpus == "all" else 4)
+    code = (
+        "import sys, groupedbh.cli\n"
+        "rc = groupedbh.cli.main(['test', '--pvalues', sys.argv[1], '--method', 'flat', '--adaptive',\n"
+        "                         '--out', sys.argv[2]])\n"
+        "print(rc, 'multiprocessing' in sys.modules)\n"
+    )
+    mask = os.sched_getaffinity(0)
+    run = run_python("-c", code, str(pfile), str(out), cpus={min(mask)} if cpus == "one" else mask)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "False"]
+    assert out.read_text().count("\n") == 8 + rows
 
 
 @pytest.mark.parametrize(
