@@ -134,9 +134,6 @@ def _read_pvalue_lines(lines: str, path, lineno: int, indexed: dict) -> np.ndarr
     return np.array(plain, dtype=float)
 
 
-_NUMBER_START = re.compile(r"[+-]?\.?\d")
-
-
 def _is_header(line: str) -> bool:
     """A first line is a header when none of its comma- or
     whitespace-separated tokens reads as a number or starts like one (a
@@ -144,7 +141,7 @@ def _is_header(line: str) -> bool:
     header), and it holds no byte that is not UTF-8: such a line goes to
     the line loop, which reports it."""
     for token in line.replace(",", " ").split():
-        if _NUMBER_START.match(token):
+        if re.match(r"[+-]?\.?\d", token):  # compiled once, on the first call
             return False
         try:
             float(token)  # inf, nan
@@ -250,8 +247,8 @@ def _write_table(fh, pvalues, weights, outcome) -> None:
 
 
 def _table_span(columns, span) -> list[str]:
-    """The text of rows lo..hi-1 of the table, a string per block of
-    _BLOCK_ROWS rows."""
+    """The text of the table's rows lo..hi-1, span = (lo, hi), as a string
+    per block of _BLOCK_ROWS rows."""
     pvalues, weights, weighted_pvalues, rejected = columns
     blocks = []
     for lo in range(*span, _BLOCK_ROWS):
