@@ -155,7 +155,8 @@ class ClassificationForest:
 
 def flat_tree(n: int) -> HierTree:
     """Depth-0 tree: one root group over all n indices."""
-    return tree_from_levels(n, [])
+    n = _size(n)
+    return HierTree(n=n, paths=[()], parent=[-1], indptr=[0, n], indices=np.arange(n))
 
 
 def tree_from_levels(n: int, levels: list[list[tuple[tuple[int, ...], np.ndarray]]]) -> HierTree:

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import _pool, simulate
-from .classification import ClassificationForest, HierTree, tree_from_levels, flat_tree
+from .classification import ClassificationForest, HierTree, flat_tree
 from .stepup import _check_length, brute_force_bh, weighted_bh
 from .weights import (
     _da_leaf_loo,
@@ -168,12 +168,15 @@ def random_tree(
         n = int(rng.integers(10, 501))
     if depth is None:
         depth = int(rng.integers(0, 4))
-    levels = []
-    frontier = [((), np.arange(n))]
+    # nodes in level order; children are appended in (parent id, path)
+    # order, which is the order HierTree wants, so the arrays are written
+    # as they are drawn
+    paths, parent, groups = [()], [-1], [np.arange(n)]
+    first = 0  # id of the first node of the deepest level so far
     for _ in range(depth):
-        level = []
-        next_frontier = []
-        for path, members in frontier:
+        last = len(paths)
+        for node in range(first, last):
+            members = groups[node]
             size = members.size
             # keep every group at size >= 4 so mixed truths stay reachable
             k = int(rng.integers(2, 4)) if size >= 12 else 1
@@ -188,12 +191,12 @@ def random_tree(
                         others = members[chunk_of != j]  # sorted, like members
                         chosen = rng.choice(others, size=min(extra, others.size), replace=False)
                         part = np.sort(np.concatenate((part, chosen)))  # disjoint, so distinct
-                child_path = path + (j,)
-                level.append((child_path, part))
-                next_frontier.append((child_path, part))
-        levels.append(level)
-        frontier = next_frontier
-    return tree_from_levels(n, levels)
+                paths.append(paths[node] + (j,))
+                parent.append(node)
+                groups.append(part)
+        first = last
+    indptr = np.cumsum([0] + [members.size for members in groups])
+    return HierTree(n=n, paths=paths, parent=parent, indptr=indptr, indices=np.concatenate(groups))
 
 
 def random_forest(rng: np.random.Generator, n: int | None = None, depth_one: bool = False) -> ClassificationForest:
@@ -217,7 +220,9 @@ def random_truth(rng: np.random.Generator, tree_or_forest, margin: float = 0.05)
         pi0 = [tree.counts(is_null) / tree.sizes for tree in trees]
         if all(((margin <= p) & (p <= 1.0 - margin)).all() for p in pi0):
             return is_null
-    # fall back: alternate labels, guaranteed mixed for groups of size >= 2
+    # fall back: alternate labels, which draw nothing; a group is mixed
+    # only if it holds an even and an odd index (any two consecutive ones
+    # do), so a group of even indices alone gets only nulls
     return (np.arange(n) % 2) == 0
 
 
@@ -309,6 +314,9 @@ def check_reductions(rng: np.random.Generator, trials: int = 50) -> list[Identit
 # sweep
 
 
+_BLOCK_TRIALS = 4  # consecutive oracle trials per unit of work
+
+
 def run_sweep(
     seed: int = 0,
     trials: int = 200,
@@ -320,24 +328,33 @@ def run_sweep(
     ``corrupt`` deliberately perturbs one weight vector per trial group, as
     a negative control that the checks can fail.
 
-    The sweep's items are the oracle trials, the adaptive trials, and last
-    the reductions and step-up cases. Each draws its configuration from its
-    own stream, `simulate.replicate_rng(seed, kind, t)` with kind 0, 1 and 2
-    in that order (t = 0 for the last item), and the items run through
-    `_pool.imap`: on one forked worker per CPU of this process's affinity
-    mask, or here on one CPU. So the reports are the same bits on any
-    number of CPUs, and a trial's reports do not depend on ``trials``.
+    The reports are those of the oracle trials, then the adaptive trials,
+    and last the reductions and step-up cases. Each trial draws its
+    configuration from its own stream, `simulate.replicate_rng(seed, kind,
+    t)` with kind 0, 1 and 2 in that order (t = 0 for the last one). The
+    units of work run through `_pool.imap` longest first: the reductions
+    and step-up cases, then one adaptive trial each, then blocks of
+    _BLOCK_TRIALS consecutive oracle trials; they run on one forked worker
+    per CPU of this process's affinity mask, or here on one CPU, and their
+    reports are put back in the order above. So the reports are the same
+    bits on any number of CPUs, and a trial's reports do not depend on
+    ``trials``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    items = [(0, t) for t in range(trials)] + [(1, t) for t in range(max(1, trials // 4))] + [(2, 0)]
-    reports = []
-    with _pool.imap(_sweep_item, (seed, monotone_trials, corrupt), items) as results:
-        for part in results:
-            reports.extend(part)
-    return reports
+    adaptive = [[(1, t)] for t in range(max(1, trials // 4))]
+    oracle = [[(0, t) for t in range(lo, min(lo + _BLOCK_TRIALS, trials))] for lo in range(0, trials, _BLOCK_TRIALS)]
+    with _pool.imap(_sweep_block, (seed, monotone_trials, corrupt), [[(2, 0)], *adaptive, *oracle]) as results:
+        parts = list(results)
+    a = 1 + len(adaptive)  # where the oracle blocks start
+    return [report for part in (*parts[a:], *parts[1:a], parts[0]) for report in part]
+
+
+def _sweep_block(settings, block) -> list[IdentityReport]:
+    """The reports of the sweep items (kind, t) of block, in order."""
+    return [report for item in block for report in _sweep_item(settings, item)]
 
 
 def _sweep_item(settings, item) -> list[IdentityReport]:

@@ -53,6 +53,21 @@ def test_flat_tree_shape():
     assert validate_tree(t) == []
 
 
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_flat_tree_equals_the_generic_builder(n):
+    # flat_tree writes its arrays itself; tree_from_levels is the reference
+    direct, generic = flat_tree(n), tree_from_levels(n, [])
+    assert direct.n == generic.n and direct.paths == generic.paths
+    for name in ("parent", "indptr", "indices"):
+        assert np.array_equal(getattr(direct, name), getattr(generic, name)), name
+
+
+@pytest.mark.parametrize("n", [-1, True, 2.0])
+def test_flat_tree_rejects_a_bad_size(n):
+    with pytest.raises(ValueError, match="^n must be"):
+        flat_tree(n)
+
+
 def test_overlap_tree_structure():
     t = two_level_overlap_tree()
     assert t.depth == 2

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -8,8 +9,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from groupedbh import _pool, identities
-from groupedbh.classification import flat_tree, validate_tree, validate_forest
+from groupedbh import _pool, classification, identities
+from groupedbh.classification import flat_tree, tree_from_levels, validate_tree, validate_forest
 from groupedbh.identities import (
     check_condition1,
     check_loo_bound,
@@ -91,6 +92,24 @@ def test_random_tree_is_valid():
         assert validate_tree(tree) == []
 
 
+def test_random_tree_equals_the_generic_builder():
+    # random_tree writes its arrays in the order it draws the nodes; the
+    # generic builder, given the same (path, members) groups with each
+    # level shuffled, must sort them into the same arrays
+    shuffle = np.random.default_rng(99)
+    for seed in range(300):
+        for overlap in (0.0, 0.3):
+            tree = random_tree(np.random.default_rng(seed), depth=seed % 4, max_overlap=overlap)
+            levels = [
+                [(tree.paths[k], tree.members(k)) for k in shuffle.permutation(range(s.start, s.stop))]
+                for s in tree.levels
+            ]
+            generic = tree_from_levels(tree.n, levels)
+            assert tree.paths == generic.paths, (seed, overlap)
+            for name in ("parent", "indptr", "indices"):
+                assert np.array_equal(getattr(tree, name), getattr(generic, name)), (seed, overlap, name)
+
+
 def test_random_forest_is_valid():
     rng = np.random.default_rng(4)
     for _ in range(15):
@@ -112,6 +131,14 @@ def test_random_truth_falls_back_to_alternating_labels():
     # no proportion lies in [0.6, 0.4], so every draw is refused
     truth = random_truth(np.random.default_rng(0), random_forest(np.random.default_rng(1), n=6), margin=0.6)
     assert truth.tolist() == [True, False] * 3
+
+
+def test_random_truth_fallback_can_leave_a_group_unmixed():
+    # the alternating labels mix only groups holding an even and an odd index
+    tree = tree_from_levels(4, [[((1,), [0, 2]), ((2,), [1, 3])]])
+    truth = random_truth(np.random.default_rng(0), tree, margin=0.6)
+    assert truth.tolist() == [True, False, True, False]
+    assert tree.counts(truth).tolist() == [2, 2, 0]
 
 
 def test_reduction_reports_pass():
@@ -232,6 +259,47 @@ def test_an_adaptive_trial_does_not_depend_on_the_trial_count():
     short, longer = adaptive(8), adaptive(12)
     assert len(short) == 2 * 8 and len(longer) == 3 * 8
     assert short == longer[: len(short)]
+
+
+def _recorded_sweep(monkeypatch, **kw):
+    """run_sweep's reports, and the units of work it handed to _pool.imap,
+    which runs them here, in order."""
+    handed = []
+
+    @contextlib.contextmanager
+    def imap(fn, shared, items):
+        handed.extend(items)
+        yield (fn(shared, item) for item in items)
+
+    monkeypatch.setattr(_pool, "imap", imap)
+    return run_sweep(**kw), handed
+
+
+@pytest.mark.parametrize("trials", [7, 9])
+def test_sweep_runs_longest_first_and_reports_in_order(monkeypatch, trials):
+    kw = dict(seed=4, trials=trials, monotone_trials=2)
+    reports, blocks = _recorded_sweep(monkeypatch, **kw)
+    kinds = [kind for block in blocks for kind, _ in block]
+    assert blocks[0] == [(2, 0)]  # the reductions and step-up cases, the longest
+    assert kinds == sorted(kinds, reverse=True)  # adaptive trials before oracle ones
+    trial_items = [(0, t) for t in range(trials)] + [(1, t) for t in range(max(1, trials // 4))] + [(2, 0)]
+    assert sorted(item for block in blocks for item in block) == sorted(trial_items)
+    assert len(blocks) < len(trial_items) - trials // 2  # oracle trials go in blocks
+    settings = (kw["seed"], kw["monotone_trials"], False)
+    alone = [r for item in trial_items for r in identities._sweep_item(settings, item)]
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in alone]
+
+
+def test_sweep_builds_no_tree_through_the_generic_builder(monkeypatch):
+    # random_tree and flat_tree write their arrays directly
+    def generic(*args):
+        raise AssertionError("the sweep built a tree through _build_tree")
+
+    monkeypatch.setattr(_pool, "cpu_count", lambda: 1)
+    monkeypatch.setattr(classification, "_build_tree", generic)
+    assert all(r.passed for r in run_sweep(seed=0, trials=4))
+    with pytest.raises(AssertionError, match="_build_tree"):
+        tree_from_levels(3, [])  # the patch is in place
 
 
 def _broken_weights(*args):
