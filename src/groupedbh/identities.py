@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import _pool, simulate
-from .classification import ClassificationForest, HierTree, flat_tree
+from .classification import ClassificationForest, HierTree, _size, flat_tree
 from .stepup import _check_length, brute_force_bh, weighted_bh
 from .weights import (
     _da_leaf_loo,
@@ -164,8 +164,7 @@ def random_tree(
     members and, unless that is 0, one ``choice`` of them without
     replacement from the parent's members outside the chunk.
     """
-    if n is None:
-        n = int(rng.integers(10, 501))
+    n = int(rng.integers(10, 501)) if n is None else _size(n)
     if depth is None:
         depth = int(rng.integers(0, 4))
     # nodes in level order; children are appended in (parent id, path)

@@ -110,6 +110,12 @@ def test_random_tree_equals_the_generic_builder():
                 assert np.array_equal(getattr(tree, name), getattr(generic, name)), (seed, overlap, name)
 
 
+@pytest.mark.parametrize("n", [-1, True, 2.0])
+def test_random_tree_rejects_a_bad_size(n):
+    with pytest.raises(ValueError, match="^n must be"):
+        random_tree(np.random.default_rng(0), n=n)
+
+
 def test_random_forest_is_valid():
     rng = np.random.default_rng(4)
     for _ in range(15):
