@@ -290,7 +290,7 @@ def test_sweep_runs_longest_first_and_reports_in_order(monkeypatch, trials):
     assert kinds == sorted(kinds, reverse=True)  # adaptive trials before oracle ones
     trial_items = [(0, t) for t in range(trials)] + [(1, t) for t in range(max(1, trials // 4))] + [(2, 0)]
     assert sorted(item for block in blocks for item in block) == sorted(trial_items)
-    assert len(blocks) < len(trial_items) - trials // 2  # oracle trials go in blocks
+    assert len(blocks) == 1 + max(1, trials // 4) + math.ceil(trials / identities._BLOCK_TRIALS)
     settings = (kw["seed"], kw["monotone_trials"], False)
     alone = [r for item in trial_items for r in identities._sweep_item(settings, item)]
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in alone]
