@@ -13,12 +13,11 @@ recover the unclassified and S-way special cases.
 from __future__ import annotations
 
 import json
+import math
 import operator
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -168,36 +167,58 @@ def tree_from_levels(n: int, levels: list[list[tuple[tuple[int, ...], np.ndarray
     Members are integers, in any order, and may repeat.
     """
 
-    def split(level) -> tuple[list, list]:
+    def split(level) -> tuple:
         level = list(level)
-        return [tuple(path) for path, _ in level], [members for _, members in level]
 
-    return _build_tree(n, map(split, levels), _array_fill)
+        def runs(order: list[int]) -> tuple:
+            """The level's closed member runs, read in (parent id, path) order,
+            where a float or bool member, which a cast would truncate, raises."""
+            arrays = [np.asarray(m if isinstance(m, np.ndarray) else list(m)).ravel() for m in (level[g][1] for g in order)]
+            for arr in arrays:
+                if arr.size and arr.dtype.kind not in "iu":
+                    raise ValueError(f"group members must be integers, got {arr.dtype} values")
+            flat = np.concatenate([np.zeros(0, dtype=np.int64), *arrays], dtype=np.int64, casting="unsafe")
+            return _runs(flat, np.repeat(np.array(order, dtype=np.int64), [arr.size for arr in arrays]))
+
+        return [tuple(path) for path, _ in level], runs
+
+    return _build_tree(n, map(split, levels))
 
 
-def _build_tree(n, levels, fill) -> HierTree:
-    """The tree over 0..n-1 with the given levels, each a pair (paths,
-    members) in document order. A level's groups are put in order by
-    (parent id, path); fill(order, members) gives their member counts in
-    that order and the writer of their members. Every node's members are
-    written into one preallocated indices, the root's range first."""
+def _runs(values: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """values cut into closed runs (group, first, last): a run ends where the
+    group changes or the next value is not one more. Exact over int64: the
+    rise is checked before the step, which may wrap."""
+    starts = np.ones(values.size, dtype=bool)
+    starts[1:] = (group[1:] != group[:-1]) | (values[1:] <= values[:-1]) | (values[1:] - values[:-1] != 1)
+    first, last = np.flatnonzero(starts), np.flatnonzero(np.roll(starts, -1))
+    return group[first], values[first], values[last]
+
+
+def _build_tree(n, levels) -> HierTree:
+    """The tree over 0..n-1 with the given levels, each a pair (paths, runs)
+    in document order. Once a level's groups are put in order by (parent id,
+    path), so that a bad path is reported before a bad member, runs(order)
+    gives their closed member runs (group, first, last), group being a
+    position in the level. These are merged per group, then written into
+    one preallocated indices, the root's range first."""
     n = _size(n)
     paths, parent, fills = [()], [-1], []
     above = {(): 0}  # path -> node id, over the previous level
-    for level_paths, members in levels:
+    for level_paths, runs in levels:
         level_paths, ups = _parent_ids(level_paths, above)
         order = sorted(range(len(ups)), key=list(zip(ups, level_paths)).__getitem__)  # by parent id, then path
         level_paths = [level_paths[g] for g in order]
         above = dict(zip(level_paths, range(len(paths), len(paths) + len(order))))
         paths += level_paths
         parent += [ups[g] for g in order]
-        fills.append(fill(order, members))
-    indptr = np.add.accumulate(np.concatenate(([0, n], *(sizes for sizes, _ in fills))))
+        fills.append(_run_fill(order, *runs(order)))
+    indptr = np.add.accumulate(np.concatenate(([0, n], *(sizes for sizes, _, _ in fills))))
     indices = np.empty(indptr[-1], dtype=np.int64)
     _expand(indptr[:1], indptr[1:2], indices[:n])  # the root: the run [0, n), with no array of size n besides
     first = 1  # node id
-    for sizes, write in fills:
-        write(indices[indptr[first] : indptr[first + sizes.size]])
+    for sizes, starts, lengths in fills:
+        _expand(starts, lengths, indices[indptr[first] : indptr[first + sizes.size]])
         first += sizes.size
     return HierTree(n=n, paths=paths, parent=parent, indptr=indptr, indices=indices)
 
@@ -220,17 +241,15 @@ def _parent_ids(paths: list[tuple], above: dict) -> tuple[list[tuple], list[int]
     return checked, [above[path[:-1]] for path in checked]
 
 
-def _run_fill(order: list[int], runs: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple:
-    """The fill of _build_tree for a level given as closed runs (group,
-    first, last), group being a position in the level. Each group's runs
-    are merged before anything is expanded, so that a group holds at most
-    n + (number of its members outside [0, n)) entries."""
-    group, first, last = runs
+def _run_fill(order: list[int], group: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple:
+    """The member counts of a level's groups in the given order, and the
+    union of each group's closed runs as disjoint runs (first, size) in that
+    order: so a group holds at most n + (its members outside [0, n)) entries."""
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     key, first, size = _union_runs(rank[group], first, last)
     before = np.concatenate(([0], np.cumsum(size)))  # members before each merged run
-    return np.diff(before[np.searchsorted(key, np.arange(len(order) + 1))]), partial(_expand, first, size)
+    return np.diff(before[np.searchsorted(key, np.arange(len(order) + 1))]), first, size
 
 
 def _union_runs(key: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -259,27 +278,6 @@ def _expand(first: np.ndarray, size: np.ndarray, out: np.ndarray) -> None:
         if size.size > 1:
             out[np.add.accumulate(size[:-1])] = first[1:] - (first[:-1] + size[:-1] - 1)
         np.add.accumulate(out, out=out)
-
-
-def _array_fill(order: list[int], members: list) -> tuple:
-    """The fill of _build_tree for a level given as one member array per
-    group. Members must be integers: a float or bool member would be
-    truncated, so it raises. Only the groups whose members do not already
-    rise are sorted, and rid of repeats."""
-    arrays = [np.asarray(m if isinstance(m, np.ndarray) else list(m)).ravel() for m in map(members.__getitem__, order)]
-    for arr in arrays:
-        if arr.size and arr.dtype.kind not in "iu":
-            raise ValueError(f"group members must be integers, got {arr.dtype} values")
-    sizes = [arr.size for arr in arrays]
-    flat = np.concatenate(arrays, dtype=np.int64, casting="unsafe") if arrays else np.zeros(0, dtype=np.int64)
-    ends = list(accumulate(sizes))
-    # every i with flat[i + 1] <= flat[i], but where a group starts at i + 1
-    falls = set((flat[1:] <= flat[:-1]).nonzero()[0].tolist()).difference(end - 1 for end in ends)
-    if falls:
-        unsorted = {bisect_right(ends, at + 1) for at in falls}
-        arrays = [_sorted_unique(arr.astype(np.int64)) if g in unsorted else arr for g, arr in enumerate(arrays)]
-        return _array_fill(range(len(arrays)), arrays)
-    return np.array(sizes, dtype=np.int64), partial(np.copyto, src=flat)
 
 
 def tree_from_groups(n: int, levels: list[list[np.ndarray]]) -> HierTree:
@@ -311,15 +309,16 @@ def forest_from_grid(shape: tuple[int, ...]) -> ClassificationForest:
     """S-way forest for hypotheses laid out on a full S-dimensional grid.
 
     Index i maps to grid cell np.unravel_index(i, shape); tree s groups the
-    cells by their s-th coordinate (a depth-1 partition).
+    cells by their s-th coordinate (a depth-1 partition), group g at path
+    (g + 1,).
     """
-    n = int(np.prod(shape))
+    shape = tuple(_size(size, "a grid dimension") for size in shape)
+    if not shape:
+        raise ValueError("a grid needs at least one dimension")
+    n = math.prod(shape)
     coords = np.unravel_index(np.arange(n), shape)
-    trees = []
-    for s, size in enumerate(shape):
-        groups = [np.flatnonzero(coords[s] == g) for g in range(size)]
-        trees.append(tree_from_groups(n, [groups]))
-    return ClassificationForest(n=n, trees=tuple(trees))
+    levels = [[[((g + 1,), np.flatnonzero(c == g)) for g in range(size)]] for c, size in zip(coords, shape)]
+    return ClassificationForest(n=n, trees=tuple(tree_from_levels(n, tree) for tree in levels))
 
 
 # ---------------------------------------------------------------------------
@@ -420,17 +419,6 @@ def leaf_memberships(forest: ClassificationForest, i: int) -> list[list[tuple[in
 # run; runs of three or more consecutive indices are compressed on save.
 
 
-def _encode_members(members: np.ndarray) -> list:
-    cuts = (np.flatnonzero(members[1:] - members[:-1] != 1) + 1).tolist()
-    out = []
-    for a, b in zip([0] + cuts, cuts + [members.size]):
-        if b - a >= 3:
-            out.append([int(members[a]), int(members[b - 1]) + 1])
-        else:
-            out.extend(members[a:b].tolist())
-    return out
-
-
 def _integer(value, what: str) -> int:
     """A JSON integer that fits in int64; bools, floats and strings are
     rejected."""
@@ -444,10 +432,10 @@ def _plain_ints(values: list, low: int = -(2**63), high: int = 2**63 - 1) -> boo
     return not values or (set(map(type, values)) == {int} and low <= min(values) and max(values) <= high)
 
 
-def _size(value) -> int:
-    n = _integer(value, "n")
+def _size(value, what: str = "n") -> int:
+    n = _integer(value, what)
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise ValueError(f"{what} must be >= 0, got {n}")
     return n
 
 
@@ -463,17 +451,18 @@ def _key(obj, key: str):
     return obj[key]
 
 
-def _spec_level(groups: list, n: int) -> tuple[list[tuple], tuple]:
-    """The paths and members of one spec level, for _build_tree. Every check
+def _spec_level(groups: list, n: int) -> tuple:
+    """The paths and runs of one spec level, for _build_tree. Every check
     runs in bulk over the level; when one fails, the level is read again one
     group at a time, which raises at the first culprit in document order
     (or passes numpy integers on as ints)."""
     return _bulk_level(groups, n) or _bulk_level([_read_group(group, n) for group in groups], n)
 
 
-def _bulk_level(groups: list, n: int) -> tuple[list[tuple], tuple] | None:
-    """(paths, closed runs (group, first, last)) of a level whose groups
-    are all sound, else None. A single member m is the run [m, m]."""
+def _bulk_level(groups: list, n: int) -> tuple | None:
+    """(paths, runs) of a level whose groups are all sound, for
+    _build_tree, else None; runs(order) gives the closed runs (group, first,
+    last), whatever the order. A single member m is the run [m, m]."""
     if not set(map(type, groups)) <= {dict}:
         return None
     try:
@@ -494,7 +483,8 @@ def _bulk_level(groups: list, n: int) -> tuple[list[tuple], tuple] | None:
     group = np.repeat(np.arange(len(members)), list(map(len, members)))
     is_run, singles = np.array(is_run, dtype=bool), np.array(singles, dtype=np.int64)
     first, last = np.concatenate((runs[:, 0], singles)), np.concatenate((runs[:, 1] - 1, singles))
-    return list(map(tuple, paths)), (np.concatenate((group[is_run], group[~is_run])), first, last)
+    runs = np.concatenate((group[is_run], group[~is_run])), first, last  # made here: group and is_run go now
+    return list(map(tuple, paths)), lambda order: runs
 
 
 def _read_group(group, n: int) -> dict:
@@ -514,14 +504,22 @@ def _run(item: list, n: int) -> list[int]:
 
 
 def forest_to_dict(forest: ClassificationForest) -> dict:
-    trees = []
-    for tree in forest.trees:
-        levels = [
-            [{"path": list(tree.paths[k]), "members": _encode_members(tree.members(k))} for k in range(s.start, s.stop)]
-            for s in tree.levels
-        ]
-        trees.append({"levels": levels})
-    return {"n": forest.n, "trees": trees}
+    return {"n": forest.n, "trees": [{"levels": [_encode_level(tree, s) for s in tree.levels]} for tree in forest.trees]}
+
+
+def _encode_level(tree: HierTree, nodes: slice) -> list[dict]:
+    """The spec groups of a level, members cut by _runs: a run of 3 or more
+    members is written as [start, stop), a shorter one as its plain members."""
+    rows = tree.indptr[nodes.start : nodes.stop + 1]
+    group, first, last = _runs(tree.indices[rows[0] : rows[-1]], np.repeat(np.arange(rows.size - 1), np.diff(rows)))
+    long = last - first >= 2
+    count = np.where(long, 1, last - first + 1)  # items per run
+    at = np.add.accumulate(count) - count  # each run's first item
+    items = (np.repeat(first - at, count) + np.arange(count.sum())).tolist()
+    for j, start, stop in zip(at[long].tolist(), first[long].tolist(), (last[long] + 1).tolist()):
+        items[j] = [start, stop]
+    ends = np.searchsorted(np.repeat(group, count), np.arange(rows.size)).tolist()
+    return [{"path": list(path), "members": items[a:b]} for path, a, b in zip(tree.paths[nodes], ends[:-1], ends[1:])]
 
 
 def forest_from_dict(data: dict) -> ClassificationForest:
@@ -532,7 +530,7 @@ def forest_from_dict(data: dict) -> ClassificationForest:
     for s, tdata in enumerate(_list(_key(data, "trees"), "trees")):
         levels = [_spec_level(_list(groups, "a level"), n) for groups in _list(_key(tdata, "levels"), "levels")]
         try:
-            trees.append(_build_tree(n, levels, _run_fill))
+            trees.append(_build_tree(n, levels))
         except ValueError as exc:
             raise ValueError(f"tree {s}: {exc}") from None
     return ClassificationForest(n=n, trees=tuple(trees))

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .classification import ClassificationForest, HierTree, _as_index_array
+from .classification import ClassificationForest, HierTree, _as_index_array, _size
 from .stepup import _check_inputs, _check_length, _check_level
 
 
@@ -108,6 +108,7 @@ def oracle_overlap_oneway_weights(
     Any positive per-group effect w_g is admissible; the assembly
     renormalizes so that the sum of inverse weights over true nulls is N.
     """
+    n = _size(n)
     is_null = _truth(is_null, n)
     group_effects = np.asarray(group_effects, dtype=float)
     if len(groups) != group_effects.size:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from groupedbh import classification
 from groupedbh.classification import (
     ClassificationForest,
     HierTree,
     _as_index_array,
-    _encode_members,
     _integer,
     _key,
     _list,
@@ -361,10 +361,17 @@ def _spec_members(encoded: list, n: int) -> np.ndarray:
     return forest_from_dict({"n": n, "trees": [{"levels": [groups]}]}).trees[0].members(1)
 
 
+def _saved_members(n: int, members) -> list:
+    """The spec members forest_to_dict writes for group (1,), beside a
+    group (2,) that covers the root."""
+    forest = ClassificationForest(n=n, trees=(tree_from_levels(n, [[((1,), members), ((2,), range(n))]]),))
+    return forest_to_dict(forest)["trees"][0]["levels"][0][0]["members"]
+
+
 def test_member_runs_encode_from_three():
     members = np.array([0, 1, 2, 5, 7, 8, 10, 11, 12, 13])
-    assert _encode_members(members) == [[0, 3], 5, 7, 8, [10, 14]]
-    assert _encode_members(np.array([], dtype=np.int64)) == []
+    assert _saved_members(14, members) == [[0, 3], 5, 7, 8, [10, 14]]
+    assert _saved_members(0, []) == []
     assert (_spec_members([[0, 3], 5, 7, 8, [10, 14]], 14) == members).all()
 
 
@@ -411,6 +418,33 @@ def test_forest_from_grid():
     assert leaf_memberships(f, 5) == [[(2,)], [(3,)]]
     with pytest.raises(IndexError):
         leaf_memberships(f, 6)
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ((), "^a grid needs at least one dimension$"),
+        ((2.0, 3), r"^a grid dimension must be an integer in int64 range, got 2\.0$"),
+        ((2, True), "^a grid dimension must be an integer in int64 range, got True$"),
+        ((3, -1), "^a grid dimension must be >= 0, got -1$"),
+    ],
+    ids=["no-dimension", "float", "bool", "negative"],
+)
+def test_forest_from_grid_rejects_a_bad_shape(shape, message):
+    # () raised numpy's "multiple indices are not supported for 0d arrays",
+    # and 2.0 a TypeError
+    with pytest.raises(ValueError, match=message):
+        forest_from_grid(shape)
+
+
+def test_forest_from_grid_builds_without_the_containment_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tree_from_groups called")
+
+    monkeypatch.setattr(classification, "tree_from_groups", refuse)
+    forest = forest_from_grid((3, 2, 2))
+    assert [tree.paths for tree in forest.trees] == [[(), (1,), (2,), (3,)], [(), (1,), (2,)], [(), (1,), (2,)]]
+    assert forest.trees[2].members(2).tolist() == [1, 3, 5, 7, 9, 11]
 
 
 def test_forest_mismatched_n_flagged():
@@ -615,8 +649,31 @@ def test_adversarial_spec_fails_only_with_value_error(doc, seed):
 
 
 # ---------------------------------------------------------------------------
-# the literal, per-group decoder and builder that forest_from_dict and
-# tree_from_levels replaced, kept as the reference of their parity tests
+# the literal, per-group encoder, decoder and builder that forest_to_dict,
+# forest_from_dict and tree_from_levels replaced, kept as the reference of
+# their parity tests
+
+
+def _reference_encode(members: np.ndarray) -> list:
+    cuts = (np.flatnonzero(members[1:] - members[:-1] != 1) + 1).tolist()
+    out = []
+    for a, b in zip([0] + cuts, cuts + [members.size]):
+        if b - a >= 3:
+            out.append([int(members[a]), int(members[b - 1]) + 1])
+        else:
+            out.extend(members[a:b].tolist())
+    return out
+
+
+def _reference_dict(forest: ClassificationForest) -> dict:
+    trees = []
+    for tree in forest.trees:
+        levels = [
+            [{"path": list(tree.paths[k]), "members": _reference_encode(tree.members(k))} for k in range(s.start, s.stop)]
+            for s in tree.levels
+        ]
+        trees.append({"levels": levels})
+    return {"n": forest.n, "trees": trees}
 
 
 def _reference_members(encoded: list, n: int) -> np.ndarray:
@@ -755,6 +812,16 @@ def test_spec_decode_matches_the_literal_decoder(seed, n, depth, s_count, strays
     _assert_same_build(lambda: forest_from_dict(doc), lambda: _reference_forest(doc))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 120), st.integers(0, 3), st.integers(1, 3), st.floats(0, 0.9))
+def test_forest_to_dict_matches_the_literal_encoder(seed, n, depth, s_count, max_overlap):
+    rng = np.random.default_rng(seed)
+    trees = tuple(random_tree(rng, n=n, depth=depth, max_overlap=max_overlap) for _ in range(s_count))
+    forest = ClassificationForest(n=n, trees=trees)
+    # the same text, so also plain ints and lists where the reference has them
+    assert json.dumps(forest_to_dict(forest)) == json.dumps(_reference_dict(forest))
+
+
 @settings(max_examples=300, deadline=None)
 @given(spec_documents())
 def test_spec_decode_matches_the_literal_decoder_on_any_document(doc):
@@ -786,3 +853,38 @@ def test_tree_from_levels_matches_the_literal_builder(seed, depth):
             level.append((tree.paths[k], members))
         levels.append(level)
     _assert_same_build(lambda: tree_from_levels(tree.n, levels), lambda: _reference_tree(tree.n, levels))
+
+
+@pytest.mark.parametrize(
+    "n, levels",
+    [
+        # a bad path is reported before a bad member of the same level
+        (4, [[((1, 1), [0.5]), ((2,), range(4))]]),
+        (4, [[((2,), range(4)), ((1, 1), [0.5])]]),
+        (4, [[((1,), [0.5]), ((1.5,), range(4))]]),
+        (4, [[((1,), range(4))], [((1, 1), range(4)), ((1, 2), [True]), ((2, 1), range(4))]]),
+        # but a bad member before a bad path of the next level
+        (4, [[((1,), [0.5]), ((2,), range(4))], [((3, 1), range(4))]]),
+        # the first non-integer group in (parent, path) order is named
+        (4, [[((2,), [0.5]), ((1,), [True])]]),
+        # int64's extremes side by side are no run: 2**63 - 1 + 1 wraps to -2**63
+        (4, [[((1,), [0, 1, 2, 2**63 - 1, -(2**63)]), ((2,), range(4))]]),
+        (4, [[((1,), np.array([2**63 - 2, 2**63 - 1, -(2**63), -(2**63) + 1, 3]))]]),
+        (4, [[((1,), [3, 2**63 - 1, -(2**63), 0, 1, 2])]]),
+        (0, [[((1,), [-(2**63), 2**63 - 1])]]),
+    ],
+    ids=[
+        "missing-parent-first",
+        "missing-parent-second",
+        "float-path",
+        "missing-parent-at-level-2",
+        "member-before-next-level",
+        "two-member-dtypes",
+        "extremes-after-a-run",
+        "extremes-in-runs",
+        "extremes-first",
+        "extremes-at-n-0",
+    ],
+)
+def test_tree_from_levels_matches_the_literal_builder_on_pinned_levels(n, levels):
+    _assert_same_build(lambda: tree_from_levels(n, levels), lambda: _reference_tree(n, levels))

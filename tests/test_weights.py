@@ -159,6 +159,12 @@ class TestOracleOneWay:
                 3, [np.arange(3)], np.array([0.0]), np.ones(3, dtype=bool)
             )
 
+    @pytest.mark.parametrize("n", [2.0, True, -1])
+    def test_rejects_a_bad_size(self, n):
+        # 2.0 and True reached np.zeros, which raised TypeError
+        with pytest.raises(ValueError, match="^n must be"):
+            oracle_overlap_oneway_weights(n, [[0, 1]], np.array([1.0]), np.ones(2, dtype=bool))
+
 
 class TestOracleSway:
     def test_two_by_three_hand_case(self):
