@@ -161,7 +161,7 @@ class TestOracleOneWay:
 
     @pytest.mark.parametrize("n", [2.0, True, -1])
     def test_rejects_a_bad_size(self, n):
-        # 2.0 and True reached np.zeros, which raised TypeError
+        # 2.0 raised a TypeError, and True and -1 were taken for a truth of the wrong length
         with pytest.raises(ValueError, match="^n must be"):
             oracle_overlap_oneway_weights(n, [[0, 1]], np.array([1.0]), np.ones(2, dtype=bool))
 
