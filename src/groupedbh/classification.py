@@ -41,14 +41,19 @@ def _isin_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     return sorted_arr[np.minimum(np.searchsorted(sorted_arr, values), sorted_arr.size - 1)] == values
 
 
-def _as_index_array(members) -> np.ndarray:
-    """Sorted distinct int64 members. Input that is already a strictly
-    increasing int64 vector is returned as is, without a copy. Members must
-    be integers: a float or bool member would be truncated, so it raises."""
-    members = np.asarray(members if isinstance(members, np.ndarray) else list(members))
+def _members(members) -> np.ndarray:
+    """A group's members as a flat array of an integer dtype (any dtype when
+    empty): a float or bool member, which a cast would truncate, raises."""
+    members = np.asarray(members if isinstance(members, np.ndarray) else list(members)).ravel()
     if members.size and members.dtype.kind not in "iu":
         raise ValueError(f"group members must be integers, got {members.dtype} values")
-    members = members.astype(np.int64, copy=False).ravel()
+    return members
+
+
+def _as_index_array(members) -> np.ndarray:
+    """Sorted distinct int64 members. Input that is already a strictly
+    increasing int64 vector is returned as is, without a copy."""
+    members = _members(members).astype(np.int64, copy=False)
     return members if (members[1:] > members[:-1]).all() else _sorted_unique(members.copy())
 
 
@@ -171,12 +176,8 @@ def tree_from_levels(n: int, levels: list[list[tuple[tuple[int, ...], np.ndarray
         level = list(level)
 
         def runs(order: list[int]) -> tuple:
-            """The level's closed member runs, read in (parent id, path) order,
-            where a float or bool member, which a cast would truncate, raises."""
-            arrays = [np.asarray(m if isinstance(m, np.ndarray) else list(m)).ravel() for m in (level[g][1] for g in order)]
-            for arr in arrays:
-                if arr.size and arr.dtype.kind not in "iu":
-                    raise ValueError(f"group members must be integers, got {arr.dtype} values")
+            """The level's closed member runs, read in (parent id, path) order."""
+            arrays = [_members(level[g][1]) for g in order]
             flat = np.concatenate([np.zeros(0, dtype=np.int64), *arrays], dtype=np.int64, casting="unsafe")
             return _runs(flat, np.repeat(np.array(order, dtype=np.int64), [arr.size for arr in arrays]))
 
@@ -316,9 +317,13 @@ def forest_from_grid(shape: tuple[int, ...]) -> ClassificationForest:
     if not shape:
         raise ValueError("a grid needs at least one dimension")
     n = math.prod(shape)
-    coords = np.unravel_index(np.arange(n), shape)
-    levels = [[[((g + 1,), np.flatnonzero(c == g)) for g in range(size)]] for c, size in zip(coords, shape)]
-    return ClassificationForest(n=n, trees=tuple(tree_from_levels(n, tree) for tree in levels))
+    trees = []
+    for c, size in zip(np.unravel_index(np.arange(n), shape), shape):
+        order = np.argsort(c, kind="stable")  # group after group, each rising
+        bounds = np.searchsorted(c[order], np.arange(size + 1)).tolist()
+        groups = [((g + 1,), order[a:b]) for g, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+        trees.append(tree_from_levels(n, [groups]))
+    return ClassificationForest(n=n, trees=tuple(trees))
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +437,11 @@ def _plain_ints(values: list, low: int = -(2**63), high: int = 2**63 - 1) -> boo
     return not values or (set(map(type, values)) == {int} and low <= min(values) and max(values) <= high)
 
 
-def _size(value, what: str = "n") -> int:
+def _size(value, what: str = "n", least: int = 0) -> int:
+    """A size or count: an integer (not a bool or float) of at least ``least``."""
     n = _integer(value, what)
-    if n < 0:
-        raise ValueError(f"{what} must be >= 0, got {n}")
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}, got {n}")
     return n
 
 

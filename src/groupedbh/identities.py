@@ -17,9 +17,10 @@ import numpy as np
 
 from . import _pool, simulate
 from .classification import ClassificationForest, HierTree, _size, flat_tree
-from .stepup import _check_length, brute_force_bh, weighted_bh
+from .stepup import _truth, brute_force_bh, weighted_bh
 from .weights import (
     _da_leaf_loo,
+    _inverse_sum,
     da_flat_weights,
     da_gen_weights,
     da_hier_weights,
@@ -71,9 +72,8 @@ def check_condition1(weights: np.ndarray, is_null: np.ndarray, digest: str = "")
     """Sum over true nulls of 1/W_i must equal N (entries with W = +inf
     contribute zero)."""
     weights = np.asarray(weights, dtype=float)
-    is_null = np.asarray(is_null, dtype=bool)
     n = weights.size
-    _check_length(is_null, n, "truth labels")
+    is_null = _truth(is_null, n)
     null_weights = weights[is_null]
     with np.errstate(divide="ignore"):  # a zero weight gives +inf, so the check fails
         total = math.fsum(np.where(np.isinf(null_weights), 0.0, 1.0 / null_weights))
@@ -84,9 +84,8 @@ def check_loo_bound(weight_fn, pvalues: np.ndarray, is_null: np.ndarray, digest:
     """Leave-one-out bound: sum over nulls of 1/W_i(P with P_i = 0) <= N,
     evaluated by literally re-running the weight computation."""
     pvalues = np.asarray(pvalues, dtype=float)
-    is_null = np.asarray(is_null, dtype=bool)
     n = pvalues.size
-    _check_length(is_null, n, "truth labels")
+    is_null = _truth(is_null, n)
     terms = []
     for i in np.flatnonzero(is_null):
         p_loo = pvalues.copy()
@@ -109,12 +108,8 @@ def _forest_loo(forest: ClassificationForest, pvalues: np.ndarray, lam: float) -
     """:func:`da_gen_weights`, and W_i(P with P_i = 0)[i] for every i: the
     trees' own leave-one-out weights, combined as da_gen_weights combines
     the trees' weights."""
-    inv_acc, loo_inv_acc = np.zeros(forest.n), np.zeros(forest.n)
-    for tree in forest.trees:
-        weights, loo = _da_leaf_loo(tree, pvalues, lam)
-        inv_acc += 1.0 / weights
-        loo_inv_acc += 1.0 / loo
-    return forest.s_count / inv_acc, forest.s_count / loo_inv_acc
+    weights, loo = zip(*(_da_leaf_loo(tree, pvalues, lam) for tree in forest.trees))
+    return forest.s_count / _inverse_sum(weights), forest.s_count / _inverse_sum(loo)
 
 
 def check_monotone(
@@ -339,10 +334,7 @@ def run_sweep(
     bits on any number of CPUs, and a trial's reports do not depend on
     ``trials``.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    trials, seed = _size(trials, "trials", 1), _size(seed, "seed")
     adaptive = [[(1, t)] for t in range(max(1, trials // 4))]
     oracle = [[(0, t) for t in range(lo, min(lo + _BLOCK_TRIALS, trials))] for lo in range(0, trials, _BLOCK_TRIALS)]
     with _pool.imap(_sweep_block, (seed, monotone_trials, corrupt), [[(2, 0)], *adaptive, *oracle]) as results:

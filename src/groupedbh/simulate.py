@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pool
-from .classification import HierTree, tree_from_levels
+from .classification import HierTree, _size, tree_from_levels
 from .stepup import outcome_metrics, weighted_bh
 from .weights import (
     da_flat_weights,
@@ -49,10 +49,6 @@ class SimulationPlan:
     seed: int = 20240
     methods: tuple[str, ...] = METHODS
 
-    @property
-    def total(self) -> int:
-        return self.m * self.n
-
     def __post_init__(self) -> None:
         """Raise one ValueError that lists every problem of the plan,
         joined by "; "."""
@@ -75,10 +71,11 @@ class SimulationPlan:
             problems.append("density grid must not be empty")
         if any(not 0.0 <= d <= 1.0 for d in self.one_minus_pi0_grid):
             problems.append("density grid values must lie in [0, 1]")
-        if self.replicates < 1:
-            problems.append("replicates must be >= 1")
-        if self.seed < 0:
-            problems.append(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("replicates", 1), ("seed", 0)):
+            try:
+                _size(getattr(self, name), name, least)
+            except ValueError as exc:
+                problems.append(str(exc))
         for name, values in (("densities", self.one_minus_pi0_grid), ("methods", self.methods)):
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
@@ -163,24 +160,11 @@ def pvalues_from_statistics(x: np.ndarray) -> np.ndarray:
 def simulation_tree(m: int = 50, n: int = 100) -> HierTree:
     """Two-level tree over the m x n layout: two overlapping level-1 groups
     (top 30 and bottom 25 rows of 50, sharing 5), each split into its rows."""
-    top, mid, bottom = _blocks(m)
-    rows_g1 = range(0, mid.stop)  # rows 0..29
-    rows_g2 = range(mid.start, m)  # rows 25..49
-    total = m * n
-
-    def row_indices(r):
-        return np.arange(r * n, (r + 1) * n)
-
-    level1 = [
-        ((1,), np.concatenate([row_indices(r) for r in rows_g1])),
-        ((2,), np.concatenate([row_indices(r) for r in rows_g2])),
-    ]
-    level2 = []
-    for j, r in enumerate(rows_g1, start=1):
-        level2.append(((1, j), row_indices(r)))
-    for j, r in enumerate(rows_g2, start=1):
-        level2.append(((2, j), row_indices(r)))
-    return tree_from_levels(total, [level1, level2])
+    _, mid, _ = _blocks(m)
+    groups = ((1, range(0, mid.stop)), (2, range(mid.start, m)))
+    level1 = [((g,), np.arange(rows.start * n, rows.stop * n)) for g, rows in groups]
+    level2 = [((g, j), np.arange(r * n, (r + 1) * n)) for g, rows in groups for j, r in enumerate(rows, start=1)]
+    return tree_from_levels(m * n, [level1, level2])
 
 
 def _method_weights(method, tree, pvalues, is_null, plan):

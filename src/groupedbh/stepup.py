@@ -45,6 +45,43 @@ def _check_level(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
+def _truth(is_null, n: int) -> np.ndarray:
+    """Truth labels as a bool vector of one label per hypothesis."""
+    is_null = np.asarray(is_null, dtype=bool)
+    _check_length(is_null, n, "truth labels")
+    return is_null
+
+
+def _pvalues(pvalues, n: int) -> np.ndarray:
+    """P-values as a float vector of one value in [0, 1] per hypothesis."""
+    pvalues = np.asarray(pvalues, dtype=float)
+    _check_length(pvalues, n, "p-values")
+    _check_inputs(pvalues)
+    return pvalues
+
+
+def _step_up(pvalues, weights, alpha: float, satisfied) -> TestOutcome:
+    """The step-up rule, given how to find its ranks: satisfied(wp,
+    thresholds) marks the ranks j (from 0) at which rank j + 1 qualifies, and
+    k is the last of them plus one (0 when none is marked). The checks run in
+    the order p length, weight length, alpha, values."""
+    pvalues = np.asarray(pvalues, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    n = pvalues.size
+    _check_length(pvalues, n, "p-values")  # a vector, not a column
+    _check_length(weights, n, "weights")
+    _check_level("alpha", alpha)
+    _check_inputs(pvalues, weights)
+    with np.errstate(invalid="ignore"):
+        wp = weights * pvalues
+    wp[np.isinf(weights)] = np.inf  # never rejectable, even at p = 0
+    thresholds = alpha * np.arange(1, n + 1) / n
+    ranks = np.flatnonzero(satisfied(wp, thresholds))
+    k = int(ranks[-1]) + 1 if ranks.size else 0
+    rejected = wp <= thresholds[k - 1] if k else np.zeros(n, dtype=bool)
+    return TestOutcome(rejected=rejected, threshold_index=k, weighted_pvalues=wp)
+
+
 def weighted_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestOutcome:
     """Step-up rule on the weighted p-values W_i * P_i.
 
@@ -63,21 +100,7 @@ def weighted_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestO
     would qualify too, so exactly k are, and they are the k smallest (ties
     with the k-th fall on the same side of the threshold).
     """
-    pvalues = np.asarray(pvalues, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    n = pvalues.size
-    _check_length(pvalues, n, "p-values")  # a vector, not a column
-    _check_length(weights, n, "weights")
-    _check_level("alpha", alpha)
-    _check_inputs(pvalues, weights)
-    with np.errstate(invalid="ignore"):
-        wp = weights * pvalues
-    wp[np.isinf(weights)] = np.inf  # never rejectable, even at p = 0
-    thresholds = alpha * np.arange(1, n + 1) / n
-    satisfied = np.flatnonzero(np.sort(wp) <= thresholds)
-    k = int(satisfied[-1]) + 1 if satisfied.size else 0
-    rejected = wp <= thresholds[k - 1] if k else np.zeros(n, dtype=bool)
-    return TestOutcome(rejected=rejected, threshold_index=k, weighted_pvalues=wp)
+    return _step_up(pvalues, weights, alpha, lambda wp, thresholds: np.sort(wp) <= thresholds)
 
 
 def brute_force_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestOutcome:
@@ -88,28 +111,17 @@ def brute_force_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> Te
     fall at or below k * alpha / N, so no tie needs breaking: were there
     more than k, rank k + 1 would qualify too.
     """
-    pvalues = np.asarray(pvalues, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    n = pvalues.size
-    _check_length(pvalues, n, "p-values")  # a vector, not a column
-    _check_length(weights, n, "weights")
-    _check_level("alpha", alpha)
-    _check_inputs(pvalues, weights)
-    with np.errstate(invalid="ignore"):
-        wp = weights * pvalues
-    wp[np.isinf(weights)] = np.inf
-    thresholds = alpha * np.arange(1, n + 1) / n
-    counts = (wp[None, :] <= thresholds[:, None]).sum(axis=1)
-    satisfied = np.flatnonzero(counts >= np.arange(1, n + 1))
-    k = int(satisfied[-1]) + 1 if satisfied.size else 0
-    rejected = wp <= thresholds[k - 1] if k else np.zeros(n, dtype=bool)
-    return TestOutcome(rejected=rejected, threshold_index=k, weighted_pvalues=wp)
+
+    def satisfied(wp: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+        counts = (wp[None, :] <= thresholds[:, None]).sum(axis=1)
+        return counts >= np.arange(1, wp.size + 1)
+
+    return _step_up(pvalues, weights, alpha, satisfied)
 
 
 def outcome_metrics(outcome: TestOutcome, is_null: np.ndarray) -> OutcomeMetrics:
     """False discovery proportion and power of a rejection set."""
-    is_null = np.asarray(is_null, dtype=bool)
-    _check_length(is_null, outcome.rejected.size, "truth labels")
+    is_null = _truth(is_null, outcome.rejected.size)
     r = int(outcome.rejected.sum())
     v = int((outcome.rejected & is_null).sum())
     n_false_nulls = int((~is_null).sum())

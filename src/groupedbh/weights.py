@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .classification import ClassificationForest, HierTree, _as_index_array, _size
-from .stepup import _check_inputs, _check_length, _check_level
+from .stepup import _check_inputs, _check_level, _pvalues, _truth
 
 
 def _assemble(
@@ -68,17 +68,11 @@ def _pi0(is_null: np.ndarray) -> float:
     return np.count_nonzero(is_null) / max(is_null.size, 1)
 
 
-def _truth(is_null, n: int) -> np.ndarray:
-    is_null = np.asarray(is_null, dtype=bool)
-    _check_length(is_null, n, "truth labels")
-    return is_null
-
-
-def _pvalues(pvalues, n: int) -> np.ndarray:
-    pvalues = np.asarray(pvalues, dtype=float)
-    _check_length(pvalues, n, "p-values")
-    _check_inputs(pvalues)
-    return pvalues
+def _inverse_sum(vectors) -> np.ndarray:
+    """Sum of 1/W over the trees' weight vectors, added tree by tree; a zero
+    weight, which oracle weights can hold, adds +inf."""
+    with np.errstate(divide="ignore"):
+        return sum(1.0 / weights for weights in vectors)
 
 
 def _check_partitions(forest: ClassificationForest) -> None:
@@ -176,11 +170,9 @@ def oracle_gen_weights(forest: ClassificationForest, is_null: np.ndarray) -> np.
     """Generalized oracle weights: harmonic mean over trees of the per-tree
     hierarchical weights."""
     is_null = _truth(is_null, forest.n)
-    inv_acc = np.zeros(forest.n)
+    inv_sum = _inverse_sum(oracle_hier_weights(tree, is_null) for tree in forest.trees)
     with np.errstate(divide="ignore"):
-        for tree in forest.trees:
-            inv_acc += 1.0 / oracle_hier_weights(tree, is_null)
-        return 1.0 / (inv_acc / forest.s_count)
+        return 1.0 / (inv_sum / forest.s_count)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +281,4 @@ def da_gen_weights(forest: ClassificationForest, pvalues: np.ndarray, lam: float
     """Data-adaptive generalized weights: harmonic mean over trees of the
     per-tree hierarchical weights."""
     pvalues = _pvalues(pvalues, forest.n)
-    inv_acc = np.zeros(forest.n)
-    for tree in forest.trees:
-        inv_acc += 1.0 / _da_leaf_weights(tree, pvalues, lam)
-    return forest.s_count / inv_acc
+    return forest.s_count / _inverse_sum(_da_leaf_weights(tree, pvalues, lam) for tree in forest.trees)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -114,6 +115,15 @@ def test_tree_from_levels_rejects_a_non_integer_path_entry():
     # int() would truncate 1.7 to 1 and build the path (1,)
     with pytest.raises(ValueError, match=r"a path entry must be an integer in int64 range, got 1\.7"):
         tree_from_levels(4, [[((1.7,), np.arange(0, 2)), ((2,), np.arange(2, 4))]])
+
+
+def test_tree_from_levels_takes_numpy_integer_path_entries():
+    # they fail the bulk check for plain ints, so the paths are walked one by one
+    levels = [[((1,), np.arange(0, 3)), ((2,), np.arange(3, 6))], [((2, 1), [3, 4]), ((1, 1), [0, 1, 2]), ((2, 2), [5])]]
+    as_numpy = [[(tuple(map(np.int64, path)), members) for path, members in level] for level in levels]
+    tree = tree_from_levels(6, as_numpy)
+    _assert_same_arrays(tree, tree_from_levels(6, levels))
+    assert {type(v) for path in tree.paths for v in path} == {int}
 
 
 @pytest.mark.parametrize(
@@ -445,6 +455,26 @@ def test_forest_from_grid_builds_without_the_containment_search(monkeypatch):
     forest = forest_from_grid((3, 2, 2))
     assert [tree.paths for tree in forest.trees] == [[(), (1,), (2,), (3,)], [(), (1,), (2,)], [(), (1,), (2,)]]
     assert forest.trees[2].members(2).tolist() == [1, 3, 5, 7, 9, 11]
+
+
+def _grid_by_scan(shape: tuple[int, ...]) -> list:
+    """forest_from_grid's trees as one scan per group builds them: the
+    reference for the argsort per dimension."""
+    n = math.prod(shape)
+    coords = np.unravel_index(np.arange(n), shape)
+    return [tree_from_levels(n, [[((g + 1,), np.flatnonzero(c == g)) for g in range(size)]]) for c, size in zip(coords, shape)]
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (5,), (2, 3, 4), (1, 1), (7, 1, 2), (3, 0), (0, 4), (0,)])
+def test_forest_from_grid_equals_a_scan_per_group(shape):
+    # the scan per group cost O(n x groups): 5 s on a 1000 x 1000 grid
+    forest = forest_from_grid(shape)
+    assert [len(tree.paths) - 1 for tree in forest.trees] == list(shape)  # a 0-size dimension: 0 groups
+    for tree, ref in zip(forest.trees, _grid_by_scan(shape), strict=True):
+        assert tree.paths == ref.paths
+        for name in ("parent", "indptr", "indices"):
+            a, b = getattr(tree, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_forest_mismatched_n_flagged():

@@ -76,6 +76,20 @@ class TestReaders:
         with pytest.raises(InputError, match="index 1 appears twice"):
             read_pvalues(f)
 
+    def test_index_column_with_a_gap_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "p.csv"
+        f.write_text("index,pvalue\n0,0.1\n2,0.5\n")
+        assert main(["test", "--pvalues", str(f), "--method", "flat", "--adaptive"]) == 2
+        assert capsys.readouterr().err == f"error: {f}: index column must cover 0..1\n"
+
+    @pytest.mark.parametrize("first", ["nan", "inf", "-inf"])
+    def test_non_finite_first_line_is_data_not_a_header(self, tmp_path, capsys, first):
+        # no token of it starts like a number, but it is one, so it is read and rejected
+        f = tmp_path / "p.txt"
+        write_lines(f, [first, 0.2])
+        assert main(["test", "--pvalues", str(f), "--method", "flat", "--adaptive"]) == 2
+        assert capsys.readouterr().err == f"error: {f}: p-values must lie in [0, 1]\n"
+
     def test_truth_labels(self, tmp_path):
         f = tmp_path / "t.txt"
         write_lines(f, [1, 0, 1])
@@ -358,6 +372,13 @@ class TestCmdTest:
         write_lines(pfile, [0.1, 0.2])
         assert main(["test", "--pvalues", str(pfile), "--method", "flat"]) == 2
         assert "truth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["hier", "sway", "gen"])
+    def test_structured_method_without_a_spec_exits_2(self, tmp_path, capsys, method):
+        f = tmp_path / "p.txt"
+        write_lines(f, [0.1, 0.2])
+        assert main(["test", "--pvalues", str(f), "--method", method, "--adaptive"]) == 2
+        assert capsys.readouterr().err == f"error: --method {method} requires --spec\n"
 
     def test_truth_of_wrong_length_exit_2(self, tmp_path, capsys):
         pfile, tfile = tmp_path / "p.txt", tmp_path / "t.txt"
@@ -715,8 +736,10 @@ class TestCmdSimulate:
         "args, message",
         [(["--seed", "-1"], "seed must be >= 0"),
          (["--methods", "BH,HeirGBH,BH"], "repeated methods: ['BH']"),
-         (["--grid", "0.5,0,0.5"], "repeated densities: [0.5]")],
-        ids=["negative-seed", "repeated-method", "repeated-density"],
+         (["--grid", "0.5,0,0.5"], "repeated densities: [0.5]"),
+         (["--grid", "0.5,x"], "cannot parse --grid '0.5,x'"),
+         (["--grid", "1.5"], "density grid values must lie in [0, 1]")],
+        ids=["negative-seed", "repeated-method", "repeated-density", "unparsable-grid", "grid-out-of-range"],
     )
     def test_bad_seed_or_methods_exit_2(self, tmp_path, capsys, args, message):
         out = tmp_path / "x.csv"

@@ -63,3 +63,39 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_the_unused_import_check_sees_a_leftover():
     source = "import os\nimport sys  # noqa: F401\nfrom itertools import chain, repeat\nfrom . import x, y\n__all__ = ['x']\ny = repeat(os.sep)\n"
     assert _unused_imports(source) == ["line 3: chain", "line 4: y"]
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level private functions, classes and constants of the
+    modules {module name: source} that no module reads outside their own
+    definition. A module reads its own names by loading them, and another
+    module's through ``from .module import name`` or ``module.name``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined, used = [], set()
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+            names = [stmt.name] if hasattr(stmt, "name") else [t.id for t in targets if isinstance(t, ast.Name)]
+            defined += [(module, name) for name in names if name.startswith("_") and not name.startswith("__")]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in names:
+                    used.add((module, node.id))
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    used.add((node.value.id, node.attr))
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                    used.update((node.module, alias.name) for alias in node.names)
+    return [f"{module}.{name}" for module, name in defined if (module, name) not in used]
+
+
+def test_every_private_name_is_used_in_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(Path(groupedbh.__file__).parent.glob("*.py"))}
+    assert _dead_private_names(sources) == []
+
+
+def test_the_dead_private_name_check_sees_a_leftover():
+    sources = {
+        "a": "_LIMIT = 3\n_unused = 1\ndef _loop(n):\n    return _loop(n - 1) if n else _LIMIT\ndef _kept():\n    pass\nclass _Old:\n    pass\n",
+        "b": "from .a import _kept\ndef _truth():\n    pass\ndef f():\n    return _kept()\n",
+        "c": "from . import a\ndef g():\n    return a._Old\n",
+    }
+    assert _dead_private_names(sources) == ["a._unused", "a._loop", "b._truth"]

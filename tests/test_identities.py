@@ -195,6 +195,18 @@ def test_sweep_rejects_fewer_than_one_trial(trials):
         run_sweep(trials=trials)
 
 
+@pytest.mark.parametrize(
+    "kwargs, value",
+    [({"seed": True}, "True"), ({"seed": 1.5}, "1.5"), ({"trials": True}, "True"), ({"trials": 2.5}, "2.5")],
+    ids=["bool-seed", "float-seed", "bool-trials", "float-trials"],
+)
+def test_sweep_rejects_a_seed_or_trial_count_that_is_no_integer(kwargs, value):
+    # True ran as seed 1 or as 1 trial, and 1.5 or 2.5 raised numpy's TypeError
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be an integer in int64 range, got {value}$"):
+        run_sweep(**kwargs)
+
+
 def test_sweep_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         run_sweep(seed=-1, trials=1)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,25 @@ class TestPlanValidation:
         # SeedSequence would reject it only once the first replicate runs
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             SimulationPlan(seed=-1)
+
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", True), ("replicates", 2.5), ("replicates", True)])
+    def test_seed_and_replicates_must_be_integers(self, field, value):
+        # True ran as 1, and 1.5 or 2.5 passed the plan to fail in numpy with a TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be an integer in int64 range, got {re.escape(str(value))}$"):
+            SimulationPlan(**{field: value})
+
+    def test_count_and_seed_problems_join_the_others(self):
+        with pytest.raises(ValueError) as raised:
+            SimulationPlan(alpha=0.0, replicates=2.5, seed=-1)
+        assert str(raised.value).split("; ") == [
+            "alpha must lie in (0, 1), got 0.0",
+            "replicates must be an integer in int64 range, got 2.5",
+            "seed must be >= 0, got -1",
+        ]
+
+    def test_pi1_star_above_pi1(self):
+        with pytest.raises(ValueError, match="^pi1_star must not exceed pi1$"):
+            SimulationPlan(pi1=0.2, pi1_star=0.3)
 
     def test_repeated_method(self):
         with pytest.raises(ValueError, match=r"^repeated methods: \['BH', 'HeirGBH'\]$"):

@@ -153,6 +153,10 @@ class TestOracleOneWay:
         with pytest.raises(ValueError, match="group members must be integers"):
             oracle_overlap_oneway_weights(4, [group, [2, 3]], np.array([1.0, 1.0]), np.ones(4, dtype=bool))
 
+    def test_rejects_one_effect_for_two_groups(self):
+        with pytest.raises(ValueError, match="^one effect per group required$"):
+            oracle_overlap_oneway_weights(4, [[0, 1], [2, 3]], np.array([1.0]), np.ones(4, dtype=bool))
+
     def test_rejects_nonpositive_effects(self):
         with pytest.raises(ValueError, match="positive"):
             oracle_overlap_oneway_weights(
