@@ -17,7 +17,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 
 import numpy as np
 
@@ -88,14 +88,14 @@ class HierTree:
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
         self.indices = np.asarray(self.indices, dtype=np.int64)
         k = parent.size
-        if k == 0 or parent[0] != -1 or not (
-            (parent[1:] >= 0).all() and (parent[1:] < np.arange(1, k)).all() and (parent[2:] >= parent[1:-1]).all()
+        if k == 0 or parent[0] != -1 or not (  # non-decreasing, so parent[1] >= 0 puts every parent[k] >= 0
+            k == 1 or parent[1] >= 0 and (parent[2:] >= parent[1:-1]).all() and (parent[1:] < np.arange(1, k)).all()
         ):
             raise ValueError("parent must be level-ordered: -1 at the root, then 0 <= parent[k] < k, non-decreasing")
         if len(self.paths) != k or self.indptr.shape != (k + 1,) or self.indptr[0] != 0:
             raise ValueError(f"{k} nodes need {k} paths and an indptr of {k + 1} offsets from 0")
         self.sizes = self.indptr[1:] - self.indptr[:-1]
-        if (self.sizes < 0).any() or self.indptr[-1] != self.indices.size:
+        if np.minimum.reduce(self.sizes) < 0 or self.indptr[-1] != self.indices.size:
             raise ValueError("indptr must rise to the length of indices")
         self.m = np.bincount(parent[1:], minlength=k)
         starts = [0, 1]
@@ -120,10 +120,11 @@ class HierTree:
 
     def counts(self, mask: np.ndarray, first: int = 0) -> np.ndarray:
         """Per-node number of members i with mask[i] set, for the nodes
-        first, first + 1, ... to the last leaf. An empty node (N = 0 only) reads the appended False."""
+        first, first + 1, ... to the last leaf."""
         rows = self.indptr[first:]
-        hits = np.concatenate((mask[self.indices[rows[0] :]], [False]))  # so every row start is in range
-        return np.add.reduceat(hits, rows[:-1] - rows[0], dtype=np.int64)
+        if not self.n:  # every node is empty; else none is, so every row start is in range
+            return np.zeros(rows.size - 1, dtype=np.int64)
+        return np.add.reduceat(mask[self.indices[rows[0] :]], rows[:-1] - rows[0], dtype=np.int64)
 
     def leaf_rows(self) -> np.ndarray:
         """Members of every leaf, concatenated in leaf order."""
@@ -257,9 +258,13 @@ def _union_runs(key: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple[n
     """The union of each key's closed runs [first, last], as disjoint runs
     (key, first, size) in (key, first) order: one lexsort of the runs' ends
     and a running count of the runs open after each end. Exact over all of
-    int64: no key is ever combined with a member."""
+    int64: no key is ever combined with a member. Runs in (key, first) order,
+    each past the end of the one before of its key, need no sort."""
     keep = first <= last
-    keys, ends = np.tile(key[keep], 2), np.concatenate((first[keep], last[keep]))
+    key, first, last = key[keep], first[keep], last[keep]
+    if ((key[1:] > key[:-1]) | (key[1:] == key[:-1]) & (first[1:] > last[:-1])).all():
+        return key, first, last - first + 1
+    keys, ends = np.tile(key, 2), np.concatenate((first, last))
     closing = np.arange(ends.size) >= ends.size // 2
     order = np.lexsort((closing, ends, keys))  # at one place, a run opens before one closes
     closing = closing[order]
@@ -333,32 +338,41 @@ def forest_from_grid(shape: tuple[int, ...]) -> ClassificationForest:
 def validate_tree(tree: HierTree) -> list[str]:
     """Structural invariant check, run by the constructor; returns a list of
     violations (empty = ok). An N = 0 tree is valid: its groups are
-    necessarily empty. A valid tree costs one sort per level: the sorted,
-    distinct (parent, member) keys of a level's children equal the keys of
-    its parents. Only when they differ is the culprit sought."""
+    necessarily empty. Each rule is tested in bulk first, and the culprits
+    are sought only when that test fails. A valid tree costs one sort per
+    level: the sorted, distinct (parent, member) keys of a level's children
+    equal the keys of its parents."""
     n, paths, parent, sizes, indptr, indices = tree.n, tree.paths, tree.parent, tree.sizes, tree.indptr, tree.indices
     violations = []
-    if indptr[1] != n or (indices[:n] != np.arange(n)).any():
+    falls = np.concatenate(([False], indices[1:] <= indices[:-1], [False]))  # falls[p]: indices[p] <= indices[p - 1]
+    falls[indptr] = False  # a fall is fine where a node starts
+    falls, root = falls.nonzero()[0], indices[: indptr[1]]
+    # n sorted, distinct members from 0 to n - 1 are exactly 0..n-1
+    if root.size != n or n and (root[0] != 0 or root[-1] != n - 1 or falls.size and (root != np.arange(n)).any()):
         violations.append(f"root members must be exactly 0..{n - 1}")
     if n and not sizes.all():  # at N = 0 every group is necessarily empty
         violations += [f"empty group at path {paths[k]}" for k in np.flatnonzero(sizes == 0)]
     width = n  # members in 0..n-1 give (node, member) keys node * n + member
-    if indices.min(initial=0) < 0 or indices.max(initial=-1) >= n:
+    if np.minimum.reduce(indices, initial=0) < 0 or np.maximum.reduce(indices, initial=-1) >= n:
         filled = np.flatnonzero(sizes)
         low, high = indices[indptr[filled]], indices[indptr[filled + 1] - 1]
         violations += [f"index out of range [0, {n}) at path {paths[k]}" for k in filled[(low < 0) | (high >= n)]]
         values = _sorted_unique(indices.copy())
         indices = np.searchsorted(values, indices)  # ranks keep the order, and their keys fit in int64
         width = values.size
-    falls = np.flatnonzero(indices[1:] <= indices[:-1]) + 1  # a fall is fine where a node starts
-    rows = np.searchsorted(indptr, falls, side="right") - 1
-    violations += [f"members of {paths[k]} are not sorted and distinct" for k in _sorted_unique(rows[indptr[rows] != falls])]
-    with_children = np.flatnonzero(tree.m)
-    for k, first in zip(with_children.tolist(), np.searchsorted(parent, with_children).tolist()):
-        kids = paths[first : first + tree.m[k]]
-        if kids != [paths[k] + (j,) for j in range(1, len(kids) + 1)]:
-            violations += [f"sibling groups share path {p}" for p, times in Counter(kids).items() if times > 1]
-            violations.append(f"children of {paths[k]} are not numbered 1..{len(kids)}")
+    if falls.size:
+        rows = np.searchsorted(indptr, falls, side="right") - 1
+        violations += [f"members of {paths[k]} are not sorted and distinct" for k in _sorted_unique(rows)]
+    numbers = np.arange(2, parent.size + 1) - np.searchsorted(parent, parent[1:])  # k + 1 - 1st sibling
+    expected = map(operator.add, map(paths.__getitem__, parent[1:]), zip(numbers))  # made one at a time
+    if not all(map(operator.eq, islice(paths, 1, None), expected)):
+        with_children = np.flatnonzero(tree.m)
+        for k, first in zip(with_children.tolist(), np.searchsorted(parent, with_children).tolist()):
+            kids = paths[first : first + tree.m[k]]
+            if kids != [paths[k] + (j,) for j in range(1, len(kids) + 1)]:
+                violations += [f"sibling groups share path {p}" for p, times in Counter(kids).items() if times > 1]
+                violations.append(f"children of {paths[k]} are not numbered 1..{len(kids)}")
+    del numbers, expected  # before the levels' keys are made
 
     def keys(nodes: slice, owners: np.ndarray) -> np.ndarray:
         """(owner, member) keys of the nodes' members; sorted members make one node's keys sorted."""
@@ -370,7 +384,8 @@ def validate_tree(tree: HierTree) -> list[str]:
     for nodes in tree.levels:
         parents = slice(int(parent[nodes.start]), int(parent[nodes.stop - 1]) + 1)
         union = _sorted_unique(keys(nodes, parent[nodes]))  # each child's members, keyed under its parent
-        held = keys(parents, np.arange(parents.start, parents.stop))  # made second: a lower peak
+        # made second, for a lower peak; the root's keys are its members
+        held = keys(parents, np.arange(parents.start, parents.stop)) if parents.start else indices[: indptr[1]]
         if union.size != held.size or (union != held).any():
             up = keys(nodes, parent[nodes])
             outside = np.flatnonzero(~_isin_sorted(up, held)) + indptr[nodes.start]
@@ -380,9 +395,8 @@ def validate_tree(tree: HierTree) -> list[str]:
             uncovered += [k for k in range(parents.start, parents.stop) if tree.m[k] and covered[k] != sizes[k]]
         del held, union  # before the next level's keys are made
     violations += [f"children of {paths[k]} do not cover the parent" for k in uncovered]
-    depths = sorted(set(tree.level[tree.m == 0].tolist()))
-    if len(depths) > 1:
-        violations.append(f"leaves at unequal depths: {depths}")
+    if not tree.m[: tree.leaves[0]].all():  # a node above the deepest level has no children
+        violations.append(f"leaves at unequal depths: {sorted(set(tree.level[tree.m == 0].tolist()))}")
     return violations
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -47,7 +47,7 @@ class IdentityReport:
     config_digest: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _digest(*parts) -> str:
@@ -119,21 +119,21 @@ def check_monotone(
     trials: int = 100,
     digest: str = "",
 ) -> IdentityReport:
-    """Raising any single p-value must never decrease any weight."""
-    return _monotone(weight_fn, pvalues, rng, trials, digest)[0]
+    """Raising any single p-value must never decrease any weight, in ``trials`` >= 1 random bumps."""
+    return _monotone(weight_fn, pvalues, rng, _size(trials, "trials", 1), digest)[0]
 
 
 def _monotone(weight_fn, pvalues, rng, trials, digest) -> tuple[IdentityReport, np.ndarray]:
     """:func:`check_monotone`'s report, and the weights at ``pvalues``."""
     pvalues = np.asarray(pvalues, dtype=float)
     base = weight_fn(pvalues)
+    floor = base - 1e-9 * np.abs(base) - 1e-12  # the least weight that is no decrease
     violations = 0
     for _ in range(trials):
         j = int(rng.integers(pvalues.size))
         bumped = pvalues.copy()
         bumped[j] = rng.uniform(pvalues[j], 1.0)
-        after = weight_fn(bumped)
-        if (after < base - 1e-9 * np.abs(base) - 1e-12).any():
+        if (weight_fn(bumped) < floor).any():
             violations += 1
     return _report("monotone", violations, 0, 0, digest), base
 
@@ -160,8 +160,7 @@ def random_tree(
     replacement from the parent's members outside the chunk.
     """
     n = int(rng.integers(10, 501)) if n is None else _size(n)
-    if depth is None:
-        depth = int(rng.integers(0, 4))
+    depth = int(rng.integers(0, 4)) if depth is None else _size(depth, "depth")
     # nodes in level order; children are appended in (parent id, path)
     # order, which is the order HierTree wants, so the arrays are written
     # as they are drawn
@@ -178,16 +177,15 @@ def random_tree(
             chunk_of = np.empty(size, dtype=np.int64)  # position -> chunk, sized as np.array_split would
             chunk_of[rng.permutation(size)] = np.repeat(np.arange(1, k + 1), [q + (j < r) for j in range(k)])
             for j in range(1, k + 1):
-                part = members[chunk_of == j]  # members are sorted, so part is too
+                taken = chunk_of == j  # the child's positions in members
                 if k > 1 and max_overlap > 0.0:
                     extra = int(rng.integers(0, int(max_overlap * size) + 1))
                     if extra:
-                        others = members[chunk_of != j]  # sorted, like members
-                        chosen = rng.choice(others, size=min(extra, others.size), replace=False)
-                        part = np.sort(np.concatenate((part, chosen)))  # disjoint, so distinct
+                        others = (~taken).nonzero()[0]  # as many as the other members: the same draw
+                        taken[rng.choice(others, size=min(extra, others.size), replace=False)] = True
                 paths.append(paths[node] + (j,))
                 parent.append(node)
-                groups.append(part)
+                groups.append(members[taken])  # members are sorted, so the child's are too
         first = last
     indptr = np.cumsum([0] + [members.size for members in groups])
     return HierTree(n=n, paths=paths, parent=parent, indptr=indptr, indices=np.concatenate(groups))
@@ -204,15 +202,17 @@ def random_forest(rng: np.random.Generator, n: int | None = None, depth_one: boo
     return ClassificationForest(n=n, trees=tuple(trees))
 
 
-def random_truth(rng: np.random.Generator, tree_or_forest, margin: float = 0.05) -> np.ndarray:
+def random_truth(rng: np.random.Generator, structure, margin: float = 0.05) -> np.ndarray:
     """Truth labels whose per-group null proportions all stay inside
-    [margin, 1 - margin]; resamples until every group is mixed."""
-    n = tree_or_forest.n
-    trees = [tree_or_forest] if isinstance(tree_or_forest, HierTree) else tree_or_forest.trees
+    [margin, 1 - margin]; resamples until every group is mixed. The
+    structure is a tree, a forest, or a count n for the structure that is
+    only the root over n hypotheses: its draws are those of flat_tree(n)."""
+    trees = [structure] if isinstance(structure, HierTree) else getattr(structure, "trees", None)
+    n = _size(structure) if trees is None else structure.n
     for _ in range(200):
         is_null = rng.uniform(size=n) < rng.uniform(0.3, 0.7)
-        pi0 = [tree.counts(is_null) / tree.sizes for tree in trees]
-        if all(((margin <= p) & (p <= 1.0 - margin)).all() for p in pi0):
+        shares = (t.counts(is_null) / t.sizes for t in trees) if trees else [np.divide(np.count_nonzero(is_null), n)]
+        if all(((margin <= p) & (p <= 1.0 - margin)).all() for p in shares):
             return is_null
     # fall back: alternate labels, which draw nothing; a group is mixed
     # only if it holds an even and an odd index (any two consecutive ones
@@ -257,7 +257,7 @@ def check_reductions(rng: np.random.Generator, trials: int = 50) -> list[Identit
     worst = 0.0
     for t in range(trials):
         n = int(rng.integers(10, 200))
-        is_null = random_truth(rng, flat_tree(n))
+        is_null = random_truth(rng, n)
         flat = oracle_flat_weights(is_null)
         hier = oracle_hier_weights(flat_tree(n), is_null)
         worst = max(worst, float(np.abs(flat - hier).max()))
@@ -364,12 +364,12 @@ def _oracle_checks(rng, digest, corrupt) -> list[IdentityReport]:
     is_null = random_truth(rng, tree)
     one = random_tree(rng, depth=1)
     effects = rng.uniform(0.2, 3.0, size=one.leaves.size)
-    truth_one = random_truth(rng, flat_tree(one.n))
+    truth_one = random_truth(rng, one.n)
     forest = random_forest(rng, depth_one=True)
     truth_f = random_truth(rng, forest)
     gen = random_forest(rng)
     truth_g = random_truth(rng, gen)
-    flat_truth = random_truth(rng, flat_tree(int(rng.integers(10, 501))))
+    flat_truth = random_truth(rng, int(rng.integers(10, 501)))
     w = oracle_hier_weights(tree, is_null)
     if corrupt:
         w = w * 1.01

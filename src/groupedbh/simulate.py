@@ -71,11 +71,13 @@ class SimulationPlan:
             problems.append("density grid must not be empty")
         if any(not 0.0 <= d <= 1.0 for d in self.one_minus_pi0_grid):
             problems.append("density grid values must lie in [0, 1]")
-        for name, least in (("replicates", 1), ("seed", 0)):
+        for name, least in (("m", 2), ("n", 1), ("replicates", 1), ("seed", 0)):  # m = 1 leaves a row group empty
             try:
                 _size(getattr(self, name), name, least)
             except ValueError as exc:
                 problems.append(str(exc))
+        if not math.isfinite(self.mu):
+            problems.append(f"mu must be finite, got {self.mu}")
         for name, values in (("densities", self.one_minus_pi0_grid), ("methods", self.methods)):
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:

@@ -38,25 +38,28 @@ def _assemble(
     adaptive). A leaf with w = 0 zeroes its members' weights; one with
     w = +inf adds nothing, so members of no other leaf get +inf.
     """
-    inv, terms = _leaf_terms(leaf_effects, leaf_null_mass)
-    inv_sum = np.bincount(rows, weights=np.repeat(inv, sizes), minlength=n)
-    return _divide(math.fsum(terms) / max(n, 1), inv_sum)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv, terms = _leaf_terms(leaf_effects, leaf_null_mass)
+        inv_sum = np.bincount(rows, weights=np.repeat(inv, sizes), minlength=n)
+        return _divide(math.fsum(terms) / max(n, 1), inv_sum)
 
 
 def _leaf_terms(leaf_effects: np.ndarray, leaf_null_mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each leaf's 1/w and its normalizer term (null mass)/w, which is 0 for
-    a leaf with no null mass or w = +inf: such a leaf adds nothing to A."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / leaf_effects
-        terms = np.where((leaf_null_mass > 0.0) & ~np.isinf(leaf_effects), leaf_null_mass / leaf_effects, 0.0)
-    return inv, terms
+    a leaf with no null mass or w = +inf: such a leaf adds nothing to A.
+    It and _divide run under np.errstate(divide="ignore", invalid="ignore")."""
+    terms = leaf_null_mass / leaf_effects  # 0 where w = +inf, as the null mass is finite
+    terms[leaf_null_mass == 0.0] = 0.0  # also where w = 0, which gave 0 / 0
+    return 1.0 / leaf_effects, terms
 
 
 def _divide(norm, inv_sum: np.ndarray) -> np.ndarray:
     """W = norm / inv_sum: 0 where inv_sum is +inf, +inf where it is 0."""
-    weights = np.full(inv_sum.size, math.inf)
-    weights[np.isinf(inv_sum)] = 0.0
-    return np.divide(norm, inv_sum, out=weights, where=~np.isinf(inv_sum) & (inv_sum != 0.0))
+    weights = norm / inv_sum
+    nan = np.isnan(weights)  # inf / inf or 0 / 0: neither norm nor inv_sum is nan
+    if nan.any():
+        weights[nan] = np.where(np.isinf(inv_sum[nan]), 0.0, math.inf)
+    return weights
 
 
 def _by_path(tree: HierTree, effects: np.ndarray) -> dict[tuple[int, ...], float]:
@@ -203,7 +206,7 @@ def _da_effects(
     ``extra``; see :func:`da_hier_effects`."""
     _check_level("lambda", lam)
     n, up = max(tree.n, 1), tree.parent[first:]  # max: no division by zero at N = 0
-    nhat = (tree.sizes[first:] - (tree.counts(pvalues <= lam, first) + extra) + 1) / (1.0 - lam)
+    nhat = (tree.sizes[first:] + (1 - extra) - tree.counts(pvalues <= lam, first)) / (1.0 - lam)
     effects = nhat * tree.mult[up] * tree.m[up] / n
     if first == 0:
         effects[0] = nhat[0] / n  # the root has no parent
@@ -252,16 +255,17 @@ def _da_leaf_loo(tree: HierTree, pvalues: np.ndarray, lam: float) -> tuple[np.nd
         return np.full(tree.n, effects[0]), np.where(drop, raised[0], effects[0])
     n, rows, sizes = tree.n, tree.leaf_rows(), tree.sizes[tree.leaves]
     leaf = np.repeat(np.arange(sizes.size), sizes)
-    inv, terms = _leaf_terms(effects, nhat)
-    raised_inv, raised_terms = _leaf_terms(raised, raised_nhat)
-    inv_sum = np.bincount(rows, weights=inv[leaf], minlength=n)
-    loo_inv_sum = np.bincount(rows, weights=np.where(drop[rows], raised_inv[leaf], inv[leaf]), minlength=n)
-    in_leaf = np.zeros((n, sizes.size), dtype=bool)
-    in_leaf[rows, leaf] = True
-    norm = math.fsum(terms) / n
-    loo_norm = np.full(n, norm)
-    loo_norm[drop] = [math.fsum(row) / n for row in np.where(in_leaf[drop], raised_terms, terms).tolist()]
-    return _divide(norm, inv_sum), _divide(loo_norm, loo_inv_sum)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv, terms = _leaf_terms(effects, nhat)
+        raised_inv, raised_terms = _leaf_terms(raised, raised_nhat)
+        inv_sum = np.bincount(rows, weights=inv[leaf], minlength=n)
+        loo_inv_sum = np.bincount(rows, weights=np.where(drop[rows], raised_inv[leaf], inv[leaf]), minlength=n)
+        in_leaf = np.zeros((n, sizes.size), dtype=bool)
+        in_leaf[rows, leaf] = True
+        norm = math.fsum(terms) / n
+        loo_norm = np.full(n, norm)
+        loo_norm[drop] = [math.fsum(row) / n for row in np.where(in_leaf[drop], raised_terms, terms).tolist()]
+        return _divide(norm, inv_sum), _divide(loo_norm, loo_inv_sum)
 
 
 def da_hier_weights(tree: HierTree, pvalues: np.ndarray, lam: float) -> np.ndarray:

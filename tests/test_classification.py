@@ -333,6 +333,77 @@ def test_constructor_reports_what_the_separate_check_reported():
     assert digest == "2fe3365d2a235ce619b22d5a113b218cf4a9674cb9acd0b25470fb993e37f5f2"
 
 
+FAULTS = ("drop", "repeat", "swapped", "out-of-range", "shifted", "wider", "renumber", "cut")
+
+
+def _single_faults(tree: HierTree):
+    """(kind, node, arrays) of every single fault that surely makes the tree
+    invalid, put in at every node where it does: a member dropped from a
+    node its children cover (or from the root), a member repeated, two
+    members swapped, a member out of range, the root's first or last member
+    moved out of range (so that its members still rise), a member from
+    outside the parent (when the parent is not the root and leaves one
+    out), the path's number raised, and a node of the last level but one
+    cut off from its children (when that level has another node)."""
+    n, paths, parent = tree.n, list(tree.paths), tree.parent.tolist()
+    members = [tree.members(k) for k in range(len(paths))]
+
+    def arrays(paths=paths, parent=parent, members=members) -> dict:
+        indptr = np.concatenate(([0], np.cumsum([m.size for m in members])))
+        return dict(n=n, paths=paths, parent=parent, indptr=indptr, indices=np.concatenate(members))
+
+    for k, mem in enumerate(members):
+
+        def with_members(new):
+            return arrays(members=members[:k] + [new] + members[k + 1 :])
+
+        mid = mem.size // 2
+        if tree.m[k] or k == 0:
+            yield "drop", k, with_members(np.delete(mem, mid))
+        yield "repeat", k, with_members(np.insert(mem, mid, mem[mid]))
+        if mem.size > 1:
+            yield "swapped", k, with_members(np.concatenate((mem[: mid - 1], mem[mid - 1 : mid + 1][::-1], mem[mid + 1 :])))
+        yield "out-of-range", k, with_members(np.append(mem, n) if k % 2 else np.insert(mem, 0, -1))
+        if k == 0:  # still sorted and distinct
+            yield "shifted", k, with_members(mem + np.where(np.arange(n) < n - 1, 0, 1))
+            yield "shifted", k, with_members(mem - np.where(np.arange(n) > 0, 0, 1))
+        outside = np.setdiff1d(np.arange(n), members[parent[k]]) if k and parent[k] else []
+        if len(outside):
+            yield "wider", k, with_members(np.union1d(mem, outside[k % len(outside)]))
+        if k:
+            yield "renumber", k, arrays(paths=paths[:k] + [paths[k][:-1] + (paths[k][-1] + 1,)] + paths[k + 1 :])
+        if tree.depth >= 2 and tree.level[k] == tree.depth - 1 and tree.levels[-2].stop - tree.levels[-2].start > 1:
+            keep = [j for j in range(len(paths)) if parent[j] != k]
+            cut = [paths[j] for j in keep], [parent[j] for j in keep], [members[j] for j in keep]
+            yield "cut", k, arrays(*cut)
+
+
+SINGLE_FAULTS = {  # kind: (faults, digest of their messages)
+    "drop": (866, "8faac48dc9ce13d993c70baccb493ddf030234a7c7695c2992a5fe3ab79ae3ea"),
+    "repeat": (2228, "8b5fbf3ae5c20d1dbd06f70c8de850350abbda5d28dda71f14226c7811996d6b"),
+    "swapped": (2228, "79e2ac7850258c7e39be1ce73a3a12a3477b58d529fbae4efbf903c3cbf1fb6b"),
+    "out-of-range": (2228, "26aa5f723cc27773889175045aedbbd08b29e10ff75653527a41e6df6e0b6940"),
+    "shifted": (400, "c9ac3c328185aba4451de7cccd4ae5bd2261e966a227c4b2619e6143bc69bf13"),
+    "wider": (1629, "cb464a53cb41b6441c108dfa8caa8f37baa2e64e822df421baad837409886a88"),
+    "renumber": (2028, "8edb6ea1a766031ec08f95eb1d4846347b6af02b248426e9ce9d2a6a111d814f"),
+    "cut": (514, "bf4f2a093a9dfc78313f440a6f65fef5f4d8a29c82f6612f5b488fbbf1dd7b42"),
+}
+
+
+def test_every_single_fault_is_reported_as_before():
+    # each fault at every node of 200 random trees; the digests are of the
+    # messages the constructor gave before validate_tree tested each rule
+    # in bulk first
+    reports = {kind: [] for kind in FAULTS}
+    for seed in range(200):
+        for kind, k, arrays in _single_faults(random_tree(np.random.default_rng(seed))):
+            with pytest.raises(ValueError) as raised:
+                HierTree(**arrays)
+            reports[kind].append([seed, k, str(raised.value)])
+    digests = {kind: (len(r), hashlib.sha256(json.dumps(r).encode()).hexdigest()) for kind, r in reports.items()}
+    assert digests == SINGLE_FAULTS
+
+
 def test_compiled_form_is_level_ordered_csr():
     t = two_level_overlap_tree()
     assert t.paths == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
@@ -410,6 +481,84 @@ def test_repeated_runs_are_merged_within_the_memory_rule():
         tracemalloc.stop()
     assert (tree.members(1) == np.arange(n)).all()
     assert peak < 6 * 8 * n
+
+
+def test_validating_a_million_member_tree_stays_within_its_memory_rule():
+    # the tree of the benchmark's test-1m workload: N = 10**6 in 100
+    # level-1 groups, each overlapping its right neighbour by 10%, each cut
+    # into 100 contiguous leaves. Its check sets the peak of loading that
+    # spec: it gave 0.73 * indices.nbytes, and 0.86 when it held one level's
+    # keys while it made the next level's
+    n, size = 10**6, 10**4
+    level1, level2 = [], []
+    for g in range(100):
+        lo, hi = g * size, min(n, (g + 1) * size + size // 10)
+        level1.append(((g + 1,), np.arange(lo, hi)))
+        cuts = np.linspace(lo, hi, 101).round().astype(np.int64)
+        level2 += [((g + 1, j + 1), np.arange(cuts[j], cuts[j + 1])) for j in range(100)]
+    tree = tree_from_levels(n, [level1, level2])
+    assert tree.leaves.size == 10**4
+    tracemalloc.start()
+    try:
+        assert validate_tree(tree) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * tree.indices.nbytes
+
+
+def _reference_union_runs(key, first, last):
+    """The sorting path of classification._union_runs, which every set of
+    runs took before runs already in order skipped it."""
+    keep = first <= last
+    keys, ends = np.tile(key[keep], 2), np.concatenate((first[keep], last[keep]))
+    closing = np.arange(ends.size) >= ends.size // 2
+    order = np.lexsort((closing, ends, keys))
+    closing = closing[order]
+    still_open = np.cumsum(np.where(closing, -1, 1))
+    opens, closes = order[(still_open == 1) & ~closing], order[still_open == 0]
+    return keys[opens], ends[opens], ends[closes] - ends[opens] + 1
+
+
+@pytest.mark.parametrize("kind, sorts", [("sorted", False), ("strided", False), ("overlapping", True), ("shuffled", True)])
+def test_union_of_runs_equals_the_sorting_path(monkeypatch, kind, sorts):
+    lexsorts = []
+    monkeypatch.setattr(np, "lexsort", lambda keys, _lexsort=np.lexsort: lexsorts.append(1) or _lexsort(keys))
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        values, group = [], []
+        for g in range(int(rng.integers(1, 6))):
+            if kind == "strided":
+                members = np.arange(rng.integers(0, 4), 300, rng.integers(2, 5))
+            else:
+                members = np.sort(rng.choice(300, int(rng.integers(1, 200)), replace=False))
+            if kind == "overlapping":  # each member's successor, once more
+                members = np.concatenate((members, members[: members.size // 2] + 1))
+            elif kind == "shuffled":
+                members = rng.permutation(members)
+            values.append(members)
+            group.append(np.full(members.size, g))
+        key, first, last = classification._runs(np.concatenate(values), np.concatenate(group))
+        at = int(rng.integers(0, key.size + 1))  # an empty run [v, v - 1], as a spec's [v, v) gives
+        key, first, last = (np.insert(a, at, v) for a, v in ((key, key[min(at, key.size - 1)]), (first, 5), (last, 4)))
+        want = _reference_union_runs(key, first, last)
+        lexsorts.clear()
+        got = classification._union_runs(key, first, last)
+        assert bool(lexsorts) == sorts
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_counts_equal_a_sum_per_node():
+    rng = np.random.default_rng(8)
+    trees = [random_tree(rng) for _ in range(100)]
+    trees += [flat_tree(0), flat_tree(1), tree_from_levels(0, [[((1,), []), ((2,), [])]])]
+    for tree in trees:
+        mask = rng.uniform(size=tree.n) < 0.5
+        for first in (0, int(tree.leaves[0])):
+            counts = tree.counts(mask, first)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == [np.count_nonzero(mask[tree.members(k)]) for k in range(first, len(tree.paths))]
 
 
 def test_negative_n_is_reported_as_such():

@@ -116,6 +116,56 @@ def test_random_tree_rejects_a_bad_size(n):
         random_tree(np.random.default_rng(0), n=n)
 
 
+@pytest.mark.parametrize(
+    "depth, message",
+    [(-1, "depth must be >= 0, got -1"), (True, "depth must be an integer"), (1.5, "depth must be an integer")],
+)
+def test_random_tree_rejects_a_bad_depth(depth, message):
+    # -1 built a depth-0 tree, True a depth-1 one, 1.5 raised a TypeError
+    with pytest.raises(ValueError, match=f"^{message}"):
+        random_tree(np.random.default_rng(0), n=20, depth=depth)
+
+
+@pytest.mark.parametrize(
+    "trials, message",
+    [(-3, "trials must be >= 1, got -3"), (0, "trials must be >= 1, got 0"), (2.5, "trials must be an integer")],
+)
+def test_check_monotone_rejects_a_bad_trial_count(trials, message):
+    # -3 passed with no bump tried, 2.5 raised a TypeError
+    with pytest.raises(ValueError, match=f"^{message}"):
+        check_monotone(lambda q: da_flat_weights(q, 0.5), np.full(5, 0.5), np.random.default_rng(0), trials=trials)
+
+
+def test_check_monotone_runs_the_weights_once_per_bump():
+    calls = []
+
+    def weights(q):
+        calls.append(q.copy())
+        return da_flat_weights(q, 0.5)
+
+    p = np.random.default_rng(1).uniform(size=20)
+    assert check_monotone(weights, p, np.random.default_rng(2), trials=7).passed
+    assert len(calls) == 8 and np.array_equal(calls[0], p)
+    assert all(np.count_nonzero(q != p) <= 1 for q in calls[1:])
+
+
+@pytest.mark.parametrize("n", [10, 37, 500])
+def test_random_truth_of_a_count_draws_as_the_flat_tree(n):
+    # a count stands for the structure that is only the root, with no
+    # throwaway flat tree: the same labels and the same generator state
+    for seed in range(20):
+        by_count, by_tree = np.random.default_rng(seed), np.random.default_rng(seed)
+        for margin in (0.05, 0.45):
+            assert np.array_equal(random_truth(by_count, n, margin), random_truth(by_tree, flat_tree(n), margin))
+        assert by_count.bit_generator.state == by_tree.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [-1, True, 2.0])
+def test_random_truth_rejects_a_bad_count(n):
+    with pytest.raises(ValueError, match="^n must be"):
+        random_truth(np.random.default_rng(0), n)
+
+
 def test_random_forest_is_valid():
     rng = np.random.default_rng(4)
     for _ in range(15):

@@ -85,6 +85,42 @@ class TestPlanValidation:
             "seed must be >= 0, got -1",
         ]
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # TypeError from numpy once a replicate ran
+            ({"m": 2.5}, "m must be an integer in int64 range, got 2.5"),
+            # "n must be >= 0, got -100": the product, under the wrong name
+            ({"m": -1}, "m must be >= 2, got -1"),
+            # ran as m = 1, whose first row group is empty
+            ({"m": True}, "m must be an integer in int64 range, got True"),
+            ({"m": 1}, "m must be >= 2, got 1"),
+            # ran a study of no hypotheses
+            ({"n": 0}, "n must be >= 1, got 0"),
+            ({"n": 2.0}, "n must be an integer in int64 range, got 2.0"),
+            # failed only once a replicate ran, as p-values outside [0, 1]
+            ({"mu": math.nan}, "mu must be finite, got nan"),
+            ({"mu": -math.inf}, "mu must be finite, got -inf"),
+        ],
+    )
+    def test_layout_and_signal_must_be_sound(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimulationPlan(**fields)
+
+    def test_layout_problems_join_the_others(self):
+        with pytest.raises(ValueError) as raised:
+            SimulationPlan(m=-1, n=True, mu=math.nan, alpha=0.0)
+        assert str(raised.value).split("; ") == [
+            "alpha must lie in (0, 1), got 0.0",
+            "m must be >= 2, got -1",
+            "n must be an integer in int64 range, got True",
+            "mu must be finite, got nan",
+        ]
+
+    def test_the_smallest_layout_runs(self):
+        plan = SimulationPlan(m=2, n=1, replicates=2, one_minus_pi0_grid=(0.5,))
+        assert [row.method for row in run_study(plan).rows] == list(plan.methods)
+
     def test_pi1_star_above_pi1(self):
         with pytest.raises(ValueError, match="^pi1_star must not exceed pi1$"):
             SimulationPlan(pi1=0.2, pi1_star=0.3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupedbh import weights
 from groupedbh.classification import (
     ClassificationForest,
     flat_tree,
@@ -581,3 +582,73 @@ class TestInputChecks:
         groups = [np.arange(10), np.array([0, outside])]
         with pytest.raises(ValueError, match=r"\[0, 10\)"):
             oracle_overlap_oneway_weights(10, groups, np.ones(2), TEN_TRUTH)
+
+
+# The literal forms of weights._leaf_terms and weights._divide, which the
+# weights used before each became one division and a patch of its few
+# special cells; the weights must keep their bits.
+
+
+def _reference_leaf_terms(leaf_effects, leaf_null_mass):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / leaf_effects
+        terms = np.where((leaf_null_mass > 0.0) & ~np.isinf(leaf_effects), leaf_null_mass / leaf_effects, 0.0)
+    return inv, terms
+
+
+def _reference_divide(norm, inv_sum):
+    out = np.full(inv_sum.size, math.inf)
+    out[np.isinf(inv_sum)] = 0.0
+    return np.divide(norm, inv_sum, out=out, where=~np.isinf(inv_sum) & (inv_sum != 0.0))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype == np.float64 and a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_leaf_terms_and_divide_keep_their_bits():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        size = int(rng.integers(0, 12))
+        effects = rng.uniform(0.01, 5.0, size)
+        effects[rng.uniform(size=size) < 0.2] = 0.0
+        effects[rng.uniform(size=size) < 0.2] = math.inf
+        mass = rng.integers(0, 4, size)  # oracle null counts are int64
+        inv_sum = rng.uniform(0.0, 3.0, size)
+        inv_sum[rng.uniform(size=size) < 0.2] = 0.0
+        inv_sum[rng.uniform(size=size) < 0.2] = math.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for null_mass in (mass, mass * rng.uniform(0.5, 2.0, size)):
+                got, want = weights._leaf_terms(effects, null_mass), _reference_leaf_terms(effects, null_mass)
+                assert all(map(_same_bits, got, want))
+            norms = (0.0, 0.3, math.inf, rng.choice([0.0, 0.3, math.inf], size))
+            for norm in norms:
+                assert _same_bits(weights._divide(norm, inv_sum), _reference_divide(norm, inv_sum))
+
+
+def _weight_vectors(structures):
+    """Every weight vector that _leaf_terms and _divide take part in, on
+    each (tree, truth, p-values), at lambda 0.5."""
+    out = []
+    for tree, truth, p in structures:
+        out += [oracle_hier_weights(tree, truth), da_hier_weights(tree, p, 0.5), *weights._da_leaf_loo(tree, p, 0.5)]
+        if tree.n and tree.depth:
+            effects = np.linspace(0.5, 2.0, tree.leaves.size)
+            out.append(oracle_overlap_oneway_weights(tree.n, [tree.members(k) for k in tree.leaves], effects, truth))
+    return out
+
+
+def test_weights_keep_their_bits(monkeypatch):
+    # truths with no margin, so that some groups hold only nulls (effect
+    # +inf) or none (effect 0); depth 0, and N = 0
+    rng = np.random.default_rng(29)
+    trees = [random_tree(rng, depth=int(rng.integers(0, 4)), n=int(rng.integers(10, 60))) for _ in range(150)]
+    trees += [flat_tree(0), flat_tree(9), tree_from_levels(0, [[((1,), [])]])]
+    structures = [(t, rng.uniform(size=t.n) < rng.uniform(0.1, 0.9), rng.uniform(size=t.n)) for t in trees]
+    got = _weight_vectors(structures)
+    monkeypatch.setattr(weights, "_leaf_terms", _reference_leaf_terms)
+    monkeypatch.setattr(weights, "_divide", _reference_divide)
+    want = _weight_vectors(structures)
+    assert len(got) == len(want) and all(map(_same_bits, got, want))
+    assert any(np.isinf(w).any() for w in want) and any((w == 0.0).any() for w in want)
