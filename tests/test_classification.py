@@ -487,8 +487,8 @@ def test_validating_a_million_member_tree_stays_within_its_memory_rule():
     # the tree of the benchmark's test-1m workload: N = 10**6 in 100
     # level-1 groups, each overlapping its right neighbour by 10%, each cut
     # into 100 contiguous leaves. Its check sets the peak of loading that
-    # spec: it gave 0.73 * indices.nbytes, and 0.86 when it held one level's
-    # keys while it made the next level's
+    # spec: it gives 0.73 * indices.nbytes, and 1.05 when it keeps one
+    # level's keys while it makes the next level's
     n, size = 10**6, 10**4
     level1, level2 = [], []
     for g in range(100):
