@@ -147,16 +147,6 @@ class ClassificationForest:
     def s_count(self) -> int:
         return len(self.trees)
 
-    @property
-    def partition_error(self) -> str | None:
-        """Why this forest is not an S-way design (each tree a valid depth-1 tree of n members), or None."""
-        for tree in self.trees:
-            if tree.depth != 1:
-                return "S-way weights need depth-1 trees; use the generalized form otherwise"
-            if tree.leaf_rows().size != self.n:
-                return "S-way trees must not have overlapping groups"
-        return None
-
 
 def flat_tree(n: int) -> HierTree:
     """Depth-0 tree: one root group over all n indices."""

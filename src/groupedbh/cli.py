@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .classification import (
     save_forest,
     tree_from_levels,
 )
-from .stepup import _check_inputs, _check_length, outcome_metrics, weighted_bh
+from .stepup import _check_inputs, _check_length, _check_level, outcome_metrics, weighted_bh
 from .weights import (
     da_flat_weights,
     da_gen_weights,
@@ -196,6 +197,7 @@ def _compute_weights(args, pvalues, truth) -> np.ndarray:
     }[args.method]
     if args.adaptive:
         return adaptive_fn(*structure, pvalues, args.lam)
+    _check_level("lambda", args.lam)  # unused by oracle weights, but written into the header
     return oracle_fn(*structure, truth)
 
 
@@ -313,16 +315,13 @@ def cmd_validate(args) -> int:
         with open(args.out, "w") as fh:
             for rep in reports:
                 fh.write(json.dumps(rep.to_dict()) + "\n")
-    failures = [rep for rep in reports if not rep.passed]
-    by_name: dict[str, list] = {}
-    for rep in reports:
-        by_name.setdefault(rep.name, []).append(rep)
-    for name, reps in sorted(by_name.items()):
-        bad = sum(not r.passed for r in reps)
-        status = "ok" if bad == 0 else f"FAIL ({bad}/{len(reps)})"
-        print(f"{name:24s} {len(reps):5d} checks  {status}")
-    if failures:
-        print(f"{len(failures)} identity check(s) failed", file=sys.stderr)
+    checks = Counter(rep.name for rep in reports)
+    failed = Counter(rep.name for rep in reports if not rep.passed)
+    for name, count in sorted(checks.items()):
+        status = "ok" if not failed[name] else f"FAIL ({failed[name]}/{count})"
+        print(f"{name:24s} {count:5d} checks  {status}")
+    if failed:
+        print(f"{sum(failed.values())} identity check(s) failed", file=sys.stderr)
         return 1
     return 0
 

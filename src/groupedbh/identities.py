@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -73,10 +73,9 @@ def check_condition1(weights: np.ndarray, is_null: np.ndarray, digest: str = "")
     contribute zero)."""
     weights = np.asarray(weights, dtype=float)
     n = weights.size
-    is_null = _truth(is_null, n)
-    null_weights = weights[is_null]
+    null_weights = weights[_truth(is_null, n)]
     with np.errstate(divide="ignore"):  # a zero weight gives +inf, so the check fails
-        total = math.fsum(np.where(np.isinf(null_weights), 0.0, 1.0 / null_weights))
+        total = math.fsum(1.0 / null_weights)
     return _report("condition1", total, n, CONDITION1_RTOL * n, digest)
 
 
@@ -192,14 +191,10 @@ def random_tree(
 
 
 def random_forest(rng: np.random.Generator, n: int | None = None, depth_one: bool = False) -> ClassificationForest:
-    if n is None:
-        n = int(rng.integers(10, 501))
-    s = int(rng.integers(1, 4))
-    if depth_one:
-        trees = [random_tree(rng, n=n, depth=1, max_overlap=0.0) for _ in range(s)]
-    else:
-        trees = [random_tree(rng, n=n) for _ in range(s)]
-    return ClassificationForest(n=n, trees=tuple(trees))
+    n = int(rng.integers(10, 501)) if n is None else n
+    shape = dict(depth=1, max_overlap=0.0) if depth_one else {}
+    trees = tuple(random_tree(rng, n=n, **shape) for _ in range(int(rng.integers(1, 4))))
+    return ClassificationForest(n=n, trees=trees)
 
 
 def random_truth(rng: np.random.Generator, structure, margin: float = 0.05) -> np.ndarray:
@@ -209,7 +204,7 @@ def random_truth(rng: np.random.Generator, structure, margin: float = 0.05) -> n
     only the root over n hypotheses: its draws are those of flat_tree(n)."""
     trees = [structure] if isinstance(structure, HierTree) else getattr(structure, "trees", None)
     n = _size(structure) if trees is None else structure.n
-    for _ in range(200):
+    for _ in range(200 if n else 0):  # N = 0: the empty truth, with no share to divide
         is_null = rng.uniform(size=n) < rng.uniform(0.3, 0.7)
         shares = (t.counts(is_null) / t.sizes for t in trees) if trees else [np.divide(np.count_nonzero(is_null), n)]
         if all(((margin <= p) & (p <= 1.0 - margin)).all() for p in shares):
@@ -250,58 +245,55 @@ def _alternate_hier_effects(tree: HierTree, is_null: np.ndarray) -> dict[tuple[i
 
 def check_reductions(rng: np.random.Generator, trials: int = 50) -> list[IdentityReport]:
     """Closed-form reductions, and the forward recursion of
-    :func:`oracle_hier_effects` against :func:`_alternate_hier_effects`."""
-    reports = []
+    :func:`oracle_hier_effects` against :func:`_alternate_hier_effects`:
+    each the largest error over ``trials`` draws, one reduction after the
+    other."""
 
-    # depth-0 equals the flat pi0 weight, exactly
-    worst = 0.0
-    for t in range(trials):
-        n = int(rng.integers(10, 200))
-        is_null = random_truth(rng, n)
-        flat = oracle_flat_weights(is_null)
-        hier = oracle_hier_weights(flat_tree(n), is_null)
-        worst = max(worst, float(np.abs(flat - hier).max()))
-    reports.append(_report("reduction_flat", worst, 0.0, 0.0, _digest("flat", trials)))
+    def worst(error) -> float:
+        return reduce(max, (error(rng) for _ in range(trials)), 0.0)
 
-    # depth-1 without overlap equals the one-way closed form
-    worst = 0.0
-    for t in range(trials):
-        tree = random_tree(rng, depth=1, max_overlap=0.0)
-        is_null = random_truth(rng, tree)
-        pi0 = is_null.mean()
-        w = oracle_hier_weights(tree, is_null)
-        for members in map(tree.members, tree.leaves):
-            pi0_g = is_null[members].mean()
-            closed = (1.0 - pi0) * pi0_g / (1.0 - pi0_g)
-            worst = max(worst, float(np.abs(w[members] - closed).max() / closed))
-    reports.append(_report("reduction_oneway", worst, 0.0, FORMULA_RTOL, _digest("oneway", trials)))
+    return [
+        _report("reduction_flat", worst(_flat_error), 0.0, 0.0, _digest("flat", trials)),
+        _report("reduction_oneway", worst(_oneway_error), 0.0, FORMULA_RTOL, _digest("oneway", trials)),
+        _report("recursion_equivalence", worst(_recursion_error), 0.0, FORMULA_RTOL, _digest("recursion", trials)),
+        _report("reduction_gen_single", worst(_gen_single_error), 0.0, FORMULA_RTOL, _digest("gen", trials)),
+    ]
 
-    # forward and alternate recursions agree on every node effect
-    worst = 0.0
-    for t in range(trials):
-        tree = random_tree(rng)
-        is_null = random_truth(rng, tree)
-        fwd = oracle_hier_effects(tree, is_null)
-        alt = _alternate_hier_effects(tree, is_null)
-        for path, wf in fwd.items():
-            wa = alt[path]
-            if wf == wa:
-                continue
-            worst = max(worst, abs(wf - wa) / max(abs(wf), abs(wa)))
-    reports.append(_report("recursion_equivalence", worst, 0.0, FORMULA_RTOL, _digest("recursion", trials)))
 
-    # single-tree generalized weights equal the hierarchical weights
+def _flat_error(rng) -> float:
+    """Depth 0 equals the flat pi0 weight, exactly."""
+    n = int(rng.integers(10, 200))
+    is_null = random_truth(rng, n)
+    return float(np.abs(oracle_flat_weights(is_null) - oracle_hier_weights(flat_tree(n), is_null)).max())
+
+
+def _oneway_error(rng) -> float:
+    """Depth 1 without overlap equals the one-way closed form; the relative error."""
+    tree = random_tree(rng, depth=1, max_overlap=0.0)
+    is_null = random_truth(rng, tree)
+    pi0, w = is_null.mean(), oracle_hier_weights(tree, is_null)
     worst = 0.0
-    for t in range(trials):
-        tree = random_tree(rng)
-        forest = ClassificationForest(n=tree.n, trees=(tree,))
-        is_null = random_truth(rng, tree)
-        worst = max(
-            worst,
-            float(np.abs(oracle_gen_weights(forest, is_null) - oracle_hier_weights(tree, is_null)).max()),
-        )
-    reports.append(_report("reduction_gen_single", worst, 0.0, FORMULA_RTOL, _digest("gen", trials)))
-    return reports
+    for members in map(tree.members, tree.leaves):
+        pi0_g = is_null[members].mean()
+        closed = (1.0 - pi0) * pi0_g / (1.0 - pi0_g)
+        worst = max(worst, float(np.abs(w[members] - closed).max() / closed))
+    return worst
+
+
+def _recursion_error(rng) -> float:
+    """The forward and alternate recursions agree on every node effect; the relative error."""
+    tree = random_tree(rng)
+    is_null = random_truth(rng, tree)
+    fwd, alt = oracle_hier_effects(tree, is_null), _alternate_hier_effects(tree, is_null)
+    return reduce(max, (abs(wf - alt[p]) / max(abs(wf), abs(alt[p])) for p, wf in fwd.items() if wf != alt[p]), 0.0)
+
+
+def _gen_single_error(rng) -> float:
+    """Single-tree generalized weights equal the hierarchical weights."""
+    tree = random_tree(rng)
+    is_null = random_truth(rng, tree)
+    forest = ClassificationForest(n=tree.n, trees=(tree,))
+    return float(np.abs(oracle_gen_weights(forest, is_null) - oracle_hier_weights(tree, is_null)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +336,19 @@ def run_sweep(
 
 
 def _sweep_block(settings, block) -> list[IdentityReport]:
-    """The reports of the sweep items (kind, t) of block, in order."""
-    return [report for item in block for report in _sweep_item(settings, item)]
-
-
-def _sweep_item(settings, item) -> list[IdentityReport]:
-    """The reports of sweep item (kind, t), drawn from its own stream."""
-    (seed, monotone_trials, corrupt), (kind, t) = settings, item
-    rng = simulate.replicate_rng(seed, kind, t)
-    if kind == 0:
-        return _oracle_checks(rng, _digest(seed, t), corrupt)
-    if kind == 1:
-        return _adaptive_checks(rng, _digest(seed, "adaptive", t), monotone_trials)
-    return _final_checks(rng, seed)
+    """The reports of the sweep items (kind, t) of block, in order, each
+    drawn from its own stream."""
+    seed, monotone_trials, corrupt = settings
+    reports = []
+    for kind, t in block:
+        rng = simulate.replicate_rng(seed, kind, t)
+        if kind == 0:
+            reports += _oracle_checks(rng, _digest(seed, t), corrupt)
+        elif kind == 1:
+            reports += _adaptive_checks(rng, _digest(seed, "adaptive", t), monotone_trials)
+        else:
+            reports += _final_checks(rng, seed)
+    return reports
 
 
 def _oracle_checks(rng, digest, corrupt) -> list[IdentityReport]:

@@ -26,10 +26,11 @@ class OutcomeMetrics:
 
 def _check_inputs(pvalues: np.ndarray, weights: np.ndarray | None = None) -> None:
     """Raise ValueError unless every p-value lies in [0, 1] and every weight
-    is non-negative (+inf allowed); NaN fails both checks."""
-    if not ((pvalues >= 0.0) & (pvalues <= 1.0)).all():
+    is non-negative (+inf allowed); NaN, which the reductions carry, fails both."""
+    least, most = np.minimum.reduce(pvalues, None, initial=0.0), np.maximum.reduce(pvalues, None, initial=1.0)
+    if not (least >= 0.0 and most <= 1.0):
         raise ValueError("p-values must lie in [0, 1]")
-    if weights is not None and not (weights >= 0.0).all():
+    if weights is not None and not np.minimum.reduce(weights, None, initial=0.0) >= 0.0:
         raise ValueError("weights must be non-negative and not NaN")
 
 

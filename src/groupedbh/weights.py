@@ -36,18 +36,17 @@ def _assemble(
     normalizer A = (1/N) * sum_leaves (null mass)/w_leaf makes Condition 1
     hold for the null mass used (exact counts for oracle, estimates for
     adaptive). A leaf with w = 0 zeroes its members' weights; one with
-    w = +inf adds nothing, so members of no other leaf get +inf.
+    w = +inf adds nothing, so members of no other leaf get +inf. Only
+    oracle effects can be 0 or +inf: their caller silences the warnings.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv, terms = _leaf_terms(leaf_effects, leaf_null_mass)
-        inv_sum = np.bincount(rows, weights=np.repeat(inv, sizes), minlength=n)
-        return _divide(math.fsum(terms) / max(n, 1), inv_sum)
+    inv, terms = _leaf_terms(leaf_effects, leaf_null_mass)
+    inv_sum = np.bincount(rows, weights=np.repeat(inv, sizes), minlength=n)
+    return _divide(math.fsum(terms) / max(n, 1), inv_sum)
 
 
 def _leaf_terms(leaf_effects: np.ndarray, leaf_null_mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each leaf's 1/w and its normalizer term (null mass)/w, which is 0 for
-    a leaf with no null mass or w = +inf: such a leaf adds nothing to A.
-    It and _divide run under np.errstate(divide="ignore", invalid="ignore")."""
+    a leaf with no null mass or w = +inf: such a leaf adds nothing to A."""
     terms = leaf_null_mass / leaf_effects  # 0 where w = +inf, as the null mass is finite
     terms[leaf_null_mass == 0.0] = 0.0  # also where w = 0, which gave 0 / 0
     return 1.0 / leaf_effects, terms
@@ -74,14 +73,17 @@ def _pi0(is_null: np.ndarray) -> float:
 def _inverse_sum(vectors) -> np.ndarray:
     """Sum of 1/W over the trees' weight vectors, added tree by tree; a zero
     weight, which oracle weights can hold, adds +inf."""
-    with np.errstate(divide="ignore"):
-        return sum(1.0 / weights for weights in vectors)
+    return sum(1.0 / weights for weights in vectors)
 
 
 def _check_partitions(forest: ClassificationForest) -> None:
-    """The S-way precondition: every tree is a depth-1 partition."""
-    if forest.partition_error is not None:
-        raise ValueError(forest.partition_error)
+    """The S-way precondition: every tree is a depth-1 partition, i.e. a
+    valid depth-1 tree whose leaves hold n members in all."""
+    for tree in forest.trees:
+        if tree.depth != 1:
+            raise ValueError("S-way weights need depth-1 trees; use the generalized form otherwise")
+        if tree.leaf_rows().size != forest.n:
+            raise ValueError("S-way trees must not have overlapping groups")
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +118,7 @@ def oracle_overlap_oneway_weights(
     rows = np.concatenate(members) if members else np.zeros(0, dtype=np.int64)
     if ((rows < 0) | (rows >= n)).any():
         raise ValueError(f"group members must lie in [0, {n})")
-    covered = np.zeros(n, dtype=bool)
-    covered[rows] = True
-    if not covered.all():
+    if not np.bincount(rows, minlength=n).all():
         raise ValueError("every hypothesis must belong to at least one group")
     n0_g = np.array([is_null[mem].sum() for mem in members], dtype=float)
     return _assemble(n, rows, [mem.size for mem in members], group_effects, n0_g)
@@ -158,7 +158,8 @@ def oracle_hier_weights(tree: HierTree, is_null: np.ndarray) -> np.ndarray:
         return np.full(tree.n, pi0)
     effects, n0 = _oracle_effects(tree, is_null)
     leaves = tree.leaves
-    return _assemble(tree.n, tree.leaf_rows(), tree.sizes[leaves], effects[leaves], n0[leaves])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _assemble(tree.n, tree.leaf_rows(), tree.sizes[leaves], effects[leaves], n0[leaves])
 
 
 def oracle_sway_weights(forest: ClassificationForest, is_null: np.ndarray) -> np.ndarray:
@@ -173,9 +174,8 @@ def oracle_gen_weights(forest: ClassificationForest, is_null: np.ndarray) -> np.
     """Generalized oracle weights: harmonic mean over trees of the per-tree
     hierarchical weights."""
     is_null = _truth(is_null, forest.n)
-    inv_sum = _inverse_sum(oracle_hier_weights(tree, is_null) for tree in forest.trees)
     with np.errstate(divide="ignore"):
-        return 1.0 / (inv_sum / forest.s_count)
+        return 1.0 / (_inverse_sum(oracle_hier_weights(tree, is_null) for tree in forest.trees) / forest.s_count)
 
 
 # ---------------------------------------------------------------------------

@@ -699,6 +699,23 @@ class TestCmdTest:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["7", "nan", "0", "1"])
+    @pytest.mark.parametrize("method", ["flat", "hier", "sway", "gen"])
+    @pytest.mark.parametrize("mode", ["oracle", "adaptive"])
+    def test_lambda_is_checked_for_every_method(self, tmp_path, capsys, lam, method, mode):
+        # an oracle run does not use lambda, but writes it into its header
+        pfile, tfile, spec = tmp_path / "p.txt", tmp_path / "t.txt", tmp_path / "spec.json"
+        write_lines(pfile, [0.01, 0.5, 0.9, 0.2, 0.7, 0.03])
+        write_lines(tfile, [1, 0, 1, 1, 0, 1])
+        levels = [[{"path": [1], "members": [[0, 3]]}, {"path": [2], "members": [[3, 6]]}]]
+        spec.write_text(json.dumps({"n": 6, "trees": [{"levels": levels}]}))
+        given = ["--adaptive"] if mode == "adaptive" else ["--truth", str(tfile)]
+        argv = ["test", "--pvalues", str(pfile), "--method", method, "--spec", str(spec), *given]
+        assert main(argv + ["--lambda", lam]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: lambda must lie in (0, 1), got {float(lam)}\n")
+        assert main(argv) == 0  # the default lambda
+
 
 class TestCmdSimulate:
     def test_deterministic_csv_bytes(self, tmp_path):
@@ -986,6 +1003,27 @@ def test_validate_loads_no_scipy_and_on_one_cpu_no_multiprocessing(tmp_path, cpu
     workers = cpus == "all" and len(mask) > 1
     assert run.stdout.split()[-3:] == ["0", "False", str(workers)]
     assert out.read_text().count("\n") == 5 * 8 + 8 * 2 + 5
+
+
+def test_runs_raise_no_runtime_warning(tmp_path):
+    # pytest's warning filter does not reach child processes, so each run is
+    # a process of its own with RuntimeWarning made an error; the oracle run
+    # holds a leaf with no null (effect 0) and one of nulls only (effect +inf)
+    spec, pfile, tfile = tmp_path / "eeg.json", tmp_path / "p.txt", tmp_path / "t.txt"
+    assert main(["gen-spec", "--layout", "eeg", "--out", str(spec)]) == 0
+    rng = np.random.default_rng(3)
+    write_lines(pfile, rng.uniform(size=61 * 256).round(6).tolist())
+    truth = rng.uniform(size=61 * 256) < 0.7
+    truth[:256], truth[256:512] = False, True  # electrodes 0 and 1, each one leaf in both trees
+    write_lines(tfile, truth.astype(int).tolist())
+    env = {**PACKAGE_ENV, "PYTHONWARNINGS": "error::RuntimeWarning"}
+    gen = ["test", "--pvalues", str(pfile), "--method", "gen", "--spec", str(spec), "--out", str(tmp_path / "out")]
+    for args in (["validate", "--trials", "8"], gen + ["--adaptive"], gen + ["--truth", str(tfile)]):
+        run = subprocess.run([sys.executable, "-m", "groupedbh.cli", *args], env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert (run.returncode, run.stderr) == (0, ""), args
+    weights = np.loadtxt(tmp_path / "out", delimiter=",", comments="#", skiprows=10, usecols=2)
+    assert (weights[:256] == 0.0).all() and np.isinf(weights[256:512]).all()
 
 
 @pytest.mark.parametrize(

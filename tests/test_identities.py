@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from groupedbh import _pool, classification, identities
-from groupedbh.classification import flat_tree, tree_from_levels, validate_tree, validate_forest
+from groupedbh.classification import ClassificationForest, flat_tree, tree_from_levels, validate_tree, validate_forest
 from groupedbh.identities import (
     check_condition1,
     check_loo_bound,
@@ -158,6 +158,21 @@ def test_random_truth_of_a_count_draws_as_the_flat_tree(n):
         for margin in (0.05, 0.45):
             assert np.array_equal(random_truth(by_count, n, margin), random_truth(by_tree, flat_tree(n), margin))
         assert by_count.bit_generator.state == by_tree.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [0, flat_tree(0), ClassificationForest(n=0, trees=(flat_tree(0),))],
+    ids=["count", "tree", "forest"],
+)
+def test_random_truth_of_no_hypotheses_is_empty_and_draws_nothing(structure):
+    # no null share to divide, so no 0 / 0 (an error under the suite's
+    # warning filter) and no draws spent before the fallback
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    truth = random_truth(rng, structure)
+    assert truth.dtype == bool and truth.shape == (0,)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("n", [-1, True, 2.0])
@@ -354,7 +369,7 @@ def test_sweep_runs_longest_first_and_reports_in_order(monkeypatch, trials):
     assert sorted(item for block in blocks for item in block) == sorted(trial_items)
     assert len(blocks) == 1 + max(1, trials // 4) + math.ceil(trials / identities._BLOCK_TRIALS)
     settings = (kw["seed"], kw["monotone_trials"], False)
-    alone = [r for item in trial_items for r in identities._sweep_item(settings, item)]
+    alone = [r for item in trial_items for r in identities._sweep_block(settings, [item])]
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in alone]
 
 

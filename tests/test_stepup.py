@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupedbh.stepup import brute_force_bh, outcome_metrics, weighted_bh
+from groupedbh.stepup import _check_inputs, brute_force_bh, outcome_metrics, weighted_bh
 
 
 def test_hand_trace():
@@ -175,6 +175,26 @@ def test_pvalues_outside_unit_interval_rejected(rule, p):
 def test_negative_or_nan_weights_rejected(rule, w):
     with pytest.raises(ValueError, match="weights"):
         rule(np.array([0.1, 0.2, 0.3]), np.array(w), 0.05)
+
+
+def _accepts(*vectors) -> bool:
+    try:
+        _check_inputs(*vectors)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[], [0.0], [-0.0], [1.0], [np.nan], [np.inf], [-np.inf], [1 + 1e-7], [-1e-300], [0.2, np.nan, 0.4],
+     [[0.1, 0.2], [0.3, 0.4]], [[0.1, 0.2], [0.3, 1.5]], 0.5, -0.5],
+)
+def test_input_check_agrees_with_the_elementwise_rule(values):
+    # the two reductions accept exactly what every element's own test accepts, in any shape
+    v = np.asarray(values, dtype=float)
+    assert _accepts(v) == bool(((v >= 0.0) & (v <= 1.0)).all())
+    assert _accepts(np.full(v.shape, 0.5), v) == bool((v >= 0.0).all())
 
 
 @settings(max_examples=200, deadline=None)

@@ -265,7 +265,6 @@ def test_sway_partition_messages_hold_on_every_call(second, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             da_sway_weights(forest, np.linspace(0.1, 0.9, 6), 0.5)
     valid = ClassificationForest(n=6, trees=(first, first))
-    assert valid.partition_error is None
     assert (da_sway_weights(valid, np.linspace(0.1, 0.9, 6), 0.5) > 0).all()
 
 
@@ -299,6 +298,18 @@ class TestOracleGeneralized:
         forest = ClassificationForest(n=10, trees=(t1, t2))
         w = oracle_gen_weights(forest, TEN_TRUTH)
         assert math.fsum(1.0 / w[TEN_TRUTH]) == pytest.approx(10.0, rel=1e-12)
+
+    def test_group_without_nulls_gives_zero_weight_without_a_warning(self):
+        # group (1,) of tree 0 holds no null: its weights there are 0, whose
+        # 1/0 in the sum over trees is +inf, so they are 0 in the forest too
+        first = tree_from_levels(8, [[((1,), np.arange(0, 4)), ((2,), np.arange(4, 8))]])
+        second = tree_from_levels(8, [[((1,), np.arange(0, 8, 2)), ((2,), np.arange(1, 8, 2))]])
+        is_null = np.array([0, 0, 0, 0, 1, 1, 0, 1], dtype=bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = oracle_gen_weights(ClassificationForest(n=8, trees=(first, second)), is_null)
+        assert w[:4].tolist() == [0.0] * 4 and (w[4:] > 0.0).all() and np.isfinite(w).all()
+        assert math.fsum(1.0 / w[is_null]) == pytest.approx(8.0, rel=1e-12)
 
 
 # p-values for the worked data-adaptive case: group 1 (n=4, R=2 at
