@@ -10,7 +10,9 @@ the reader of the output closed it before the end.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import json
 import os
 import re
@@ -410,6 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # At exit, freeze every live object before the interpreter's last collections, so that they
+    # do not walk all of numpy and scipy just before the process frees that memory anyway. Cyclic
+    # garbage still alive then is not finalized: every file written here is closed by a `with`
+    # before `main` returns, and the interpreter flushes stdout and stderr itself. Registered once
+    # per process, however often `main` runs; forked pool workers leave through os._exit.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -118,7 +118,8 @@ def check_monotone(
     trials: int = 100,
     digest: str = "",
 ) -> IdentityReport:
-    """Raising any single p-value must never decrease any weight, in ``trials`` >= 1 random bumps."""
+    """Raising any single p-value must never decrease any weight, in ``trials`` >= 1 random bumps.
+    A NaN weight, at ``pvalues`` or after a bump, counts as a decrease."""
     return _monotone(weight_fn, pvalues, rng, _size(trials, "trials", 1), digest)[0]
 
 
@@ -126,13 +127,14 @@ def _monotone(weight_fn, pvalues, rng, trials, digest) -> tuple[IdentityReport, 
     """:func:`check_monotone`'s report, and the weights at ``pvalues``."""
     pvalues = np.asarray(pvalues, dtype=float)
     base = weight_fn(pvalues)
-    floor = base - 1e-9 * np.abs(base) - 1e-12  # the least weight that is no decrease
+    with np.errstate(invalid="ignore"):  # inf - inf at a weight of +inf, whose floor fmin keeps at +inf
+        floor = np.fmin(base, base - 1e-9 * np.abs(base) - 1e-12)  # the least weight that is no decrease
     violations = 0
     for _ in range(trials):
         j = int(rng.integers(pvalues.size))
         bumped = pvalues.copy()
         bumped[j] = rng.uniform(pvalues[j], 1.0)
-        if (weight_fn(bumped) < floor).any():
+        if not (weight_fn(bumped) >= floor).all():  # a NaN weight, or a NaN floor, is a violation
             violations += 1
     return _report("monotone", violations, 0, 0, digest), base
 
@@ -250,7 +252,7 @@ def check_reductions(rng: np.random.Generator, trials: int = 50) -> list[Identit
     other."""
 
     def worst(error) -> float:
-        return reduce(max, (error(rng) for _ in range(trials)), 0.0)
+        return reduce(np.maximum, (error(rng) for _ in range(trials)), 0.0)  # keeps a NaN, as max does not
 
     return [
         _report("reduction_flat", worst(_flat_error), 0.0, 0.0, _digest("flat", trials)),
@@ -276,8 +278,8 @@ def _oneway_error(rng) -> float:
     for members in map(tree.members, tree.leaves):
         pi0_g = is_null[members].mean()
         closed = (1.0 - pi0) * pi0_g / (1.0 - pi0_g)
-        worst = max(worst, float(np.abs(w[members] - closed).max() / closed))
-    return worst
+        worst = np.maximum(worst, np.abs(w[members] - closed).max() / closed)
+    return float(worst)
 
 
 def _recursion_error(rng) -> float:
@@ -285,7 +287,8 @@ def _recursion_error(rng) -> float:
     tree = random_tree(rng)
     is_null = random_truth(rng, tree)
     fwd, alt = oracle_hier_effects(tree, is_null), _alternate_hier_effects(tree, is_null)
-    return reduce(max, (abs(wf - alt[p]) / max(abs(wf), abs(alt[p])) for p, wf in fwd.items() if wf != alt[p]), 0.0)
+    errors = (abs(wf - alt[p]) / max(abs(wf), abs(alt[p])) for p, wf in fwd.items() if wf != alt[p])
+    return float(reduce(np.maximum, errors, 0.0))
 
 
 def _gen_single_error(rng) -> float:

@@ -62,9 +62,9 @@ def _pvalues(pvalues, n: int) -> np.ndarray:
 
 
 def _step_up(pvalues, weights, alpha: float, satisfied) -> TestOutcome:
-    """The step-up rule, given how to find its ranks: satisfied(wp,
-    thresholds) marks the ranks j (from 0) at which rank j + 1 qualifies, and
-    k is the last of them plus one (0 when none is marked). The checks run in
+    """The step-up rule, given how to find its ranks: satisfied(wp, alpha,
+    n) marks the ranks j (from 0) at which rank j + 1 qualifies, and k is
+    the last of them plus one (0 when none is marked). The checks run in
     the order p length, weight length, alpha, values."""
     pvalues = np.asarray(pvalues, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -76,11 +76,19 @@ def _step_up(pvalues, weights, alpha: float, satisfied) -> TestOutcome:
     with np.errstate(invalid="ignore"):
         wp = weights * pvalues
     wp[np.isinf(weights)] = np.inf  # never rejectable, even at p = 0
-    thresholds = alpha * np.arange(1, n + 1) / n
-    ranks = np.flatnonzero(satisfied(wp, thresholds))
+    ranks = np.flatnonzero(satisfied(wp, alpha, n))
     k = int(ranks[-1]) + 1 if ranks.size else 0
-    rejected = wp <= thresholds[k - 1] if k else np.zeros(n, dtype=bool)
+    rejected = wp <= alpha * k / n if k else np.zeros(n, dtype=bool)
     return TestOutcome(rejected=rejected, threshold_index=k, weighted_pvalues=wp)
+
+
+def _sorted_candidates(wp: np.ndarray, alpha: float, n: int) -> np.ndarray:
+    """The ranks of :func:`weighted_bh`: the candidates, the weighted
+    p-values at or below alpha * N / N, sorted and compared with the
+    thresholds of their own ranks. At N = 0 there is nothing to sort, and
+    the bound's divisor becomes 1 only so that it does not raise."""
+    candidates = np.sort(wp[wp <= alpha * n / max(n, 1)])
+    return candidates <= alpha * np.arange(1, candidates.size + 1) / n
 
 
 def weighted_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestOutcome:
@@ -91,31 +99,36 @@ def weighted_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestO
     rank qualifies). Infinite weighted p-values never qualify. Weighted
     p-values are compared raw, without clipping to 1.
 
-    One sort of the weighted p-values gives k directly: it is the last rank
-    j whose j-th smallest value is <= thresholds[j - 1], the thresholds
-    being ``alpha * arange(1, N + 1) / N``, which stay non-decreasing in
-    floating point, as the argument below needs.
+    Only the m candidates, the weighted p-values <= alpha * N / N (the last
+    threshold as computed, which need not equal alpha), are sorted, and the
+    j-th smallest of them is compared with ``alpha * j / N``. They are the
+    m smallest of all, so their ranks are the full ranks 1..m; and no rank
+    j > m qualifies, because the thresholds ``alpha * j / N`` stay
+    non-decreasing in floating point: the j-th smallest weighted p-value
+    is then > alpha * N / N >= alpha * j / N. So k is the last candidate
+    rank that qualifies.
 
-    Rejecting ``wp <= k * alpha / N`` is exactly rejecting sorted ranks 1..k:
-    were more than k weighted p-values at or below k * alpha / N, rank k + 1
+    Rejecting ``wp <= alpha * k / N`` is exactly rejecting sorted ranks 1..k:
+    were more than k weighted p-values at or below alpha * k / N, rank k + 1
     would qualify too, so exactly k are, and they are the k smallest (ties
     with the k-th fall on the same side of the threshold).
     """
-    return _step_up(pvalues, weights, alpha, lambda wp, thresholds: np.sort(wp) <= thresholds)
+    return _step_up(pvalues, weights, alpha, _sorted_candidates)
 
 
 def brute_force_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> TestOutcome:
     """Independent O(N^2) evaluation of the step-up rule, used as an oracle.
 
-    For each candidate rank j it recounts how many weighted p-values fall
-    at or below j * alpha / N, instead of sorting once. Exactly k of them
-    fall at or below k * alpha / N, so no tie needs breaking: were there
-    more than k, rank k + 1 would qualify too.
+    For each rank j it builds its own threshold j * alpha / N and recounts
+    how many weighted p-values fall at or below it, instead of sorting
+    once. Exactly k of them fall at or below k * alpha / N, so no tie needs
+    breaking: were there more than k, rank k + 1 would qualify too.
     """
 
-    def satisfied(wp: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    def satisfied(wp: np.ndarray, alpha: float, n: int) -> np.ndarray:
+        thresholds = alpha * np.arange(1, n + 1) / n
         counts = (wp[None, :] <= thresholds[:, None]).sum(axis=1)
-        return counts >= np.arange(1, wp.size + 1)
+        return counts >= np.arange(1, n + 1)
 
     return _step_up(pvalues, weights, alpha, satisfied)
 
@@ -123,9 +136,9 @@ def brute_force_bh(pvalues: np.ndarray, weights: np.ndarray, alpha: float) -> Te
 def outcome_metrics(outcome: TestOutcome, is_null: np.ndarray) -> OutcomeMetrics:
     """False discovery proportion and power of a rejection set."""
     is_null = _truth(is_null, outcome.rejected.size)
-    r = int(outcome.rejected.sum())
-    v = int((outcome.rejected & is_null).sum())
-    n_false_nulls = int((~is_null).sum())
+    r = int(np.count_nonzero(outcome.rejected))
+    v = int(np.count_nonzero(outcome.rejected & is_null))
+    n_false_nulls = is_null.size - int(np.count_nonzero(is_null))
     fdp = v / max(r, 1)
     power = (r - v) / n_false_nulls if n_false_nulls else 0.0
     return OutcomeMetrics(fdp=fdp, power=power)

@@ -1,5 +1,6 @@
 import decimal
 import errno
+import gc
 import io
 import json
 import os
@@ -1077,3 +1078,47 @@ def test_output_closed_by_its_reader_is_no_error(tmp_path):
         proc.kill()
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_exit_hook_waits_for_the_interpreter_and_runs_once(tmp_path):
+    # main registers gc.freeze to run at exit: a caller in the same process sees nothing frozen
+    spec = str(tmp_path / "spec.json")
+    frozen = gc.get_freeze_count()
+    assert main(["gen-spec", "--layout", "simulation", "--out", spec]) == 0
+    assert gc.get_freeze_count() == frozen
+    # and however often main runs in a process, the hook runs once, before the handlers registered earlier
+    code = (
+        "import atexit, gc, sys; from groupedbh.cli import main; calls = []; "
+        "atexit.register(lambda: print(len(calls))); gc.freeze = lambda: calls.append(1); "
+        "[main(['gen-spec', '--layout', 'simulation', '--out', sys.argv[1]]) for _ in range(3)]; print(len(calls))"
+    )
+    run = run_python("-c", code, spec)
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "0\n1\n")
+
+
+def test_table_is_complete_on_a_pipe_and_in_a_file(tmp_path):
+    # the objects left at exit are frozen, not finalized: each byte must be out before then
+    spec, pfile = tmp_path / "eeg.json", tmp_path / "p.txt"
+    assert main(["gen-spec", "--layout", "eeg", "--out", str(spec)]) == 0
+    write_lines(pfile, np.random.default_rng(4).uniform(size=61 * 256).round(6).tolist())
+    args = ["test", "--pvalues", str(pfile), "--method", "gen", "--spec", str(spec), "--adaptive"]
+    assert main([*args, "--out", str(tmp_path / "here")]) == 0
+    expected = (tmp_path / "here").read_bytes()
+    assert len(expected) > 2**16  # more than a pipe holds
+    piped = run_python("-m", "groupedbh.cli", *args, text=False)
+    to_file = run_python("-m", "groupedbh.cli", *args, "--out", str(tmp_path / "there"), text=False)
+    assert (piped.returncode, piped.stderr, piped.stdout) == (0, b"", expected)
+    assert (to_file.returncode, to_file.stderr, to_file.stdout) == (0, b"", b"")
+    assert (tmp_path / "there").read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["validate", "--trials", "8"], ["simulate", "--replicates", "2", "--grid", "2"], ["gen-spec", "--layout", "eeg"]],
+    ids=["validate", "simulate", "gen-spec"],
+)
+def test_runs_in_dev_mode_with_warnings_as_errors(tmp_path, args):
+    # dev mode warns of more, such as a file never closed, and -W error makes any warning fail the run
+    out = [] if args[0] == "validate" else ["--out", str(tmp_path / "out")]
+    run = run_python("-X", "dev", "-W", "error", "-m", "groupedbh.cli", *args, *out)
+    assert (run.returncode, run.stderr) == (0, "")

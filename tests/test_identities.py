@@ -28,6 +28,7 @@ from groupedbh.weights import (
     da_hier_weights,
     da_sway_weights,
     oracle_flat_weights,
+    oracle_hier_effects,
 )
 
 
@@ -223,6 +224,54 @@ def test_reduction_reports_pass():
         "reduction_gen_single",
     ]
     assert all(r.passed for r in reports)
+
+
+def _nan_effects(tree, is_null):
+    return dict.fromkeys(oracle_hier_effects(tree, is_null), math.nan)
+
+
+@pytest.mark.parametrize(
+    "patched, nan_weights, failing",
+    [
+        ("oracle_flat_weights", lambda is_null: np.full(is_null.size, math.nan), {"reduction_flat"}),
+        ("oracle_hier_weights", lambda tree, is_null: np.full(tree.n, math.nan),
+         {"reduction_flat", "reduction_oneway", "reduction_gen_single"}),
+        ("oracle_hier_effects", _nan_effects, {"recursion_equivalence"}),
+    ],
+    ids=["flat", "hier", "effects"],
+)
+def test_reduction_with_a_nan_error_fails(monkeypatch, patched, nan_weights, failing):
+    # max(0.0, nan) is 0.0: a NaN error read 0.0 and passed
+    monkeypatch.setattr(identities, patched, nan_weights)
+    for r in check_reductions(np.random.default_rng(6), trials=3):
+        assert (math.isnan(r.value), r.passed) == ((True, False) if r.name in failing else (False, True)), r.name
+
+
+@pytest.mark.parametrize(
+    "nan_at",
+    [lambda q, p: np.ones(q.size, dtype=bool), lambda q, p: np.arange(q.size) == 3, lambda q, p: q != p],
+    ids=["all", "one-entry", "after-a-bump"],
+)
+def test_monotone_counts_a_nan_weight_as_a_violation(nan_at):
+    # NaN < floor is False, so NaN weights passed with value 0
+    p = np.random.default_rng(1).uniform(size=20)
+
+    def weights(q):
+        return np.where(nan_at(q, p), math.nan, da_flat_weights(q, 0.5))
+
+    report = check_monotone(weights, p, np.random.default_rng(2), trials=6)
+    assert (report.value, report.passed) == (6.0, False)
+
+
+def test_monotone_keeps_an_infinite_weight_as_its_own_floor():
+    # an infinite weight that stays infinite is no decrease; one that turns finite is
+    p = np.random.default_rng(1).uniform(size=20)
+    for after, value in ((math.inf, 0.0), (1.0, 4.0)):
+        def weights(q, after=after):
+            return np.where(np.arange(q.size) == 0, math.inf if np.array_equal(q, p) else after, 1.0)
+
+        report = check_monotone(weights, p, np.random.default_rng(2), trials=4)
+        assert (report.value, report.passed) == (value, value == 0.0)
 
 
 def test_sweep_passes_and_is_bookkept():

@@ -212,3 +212,62 @@ def test_matches_brute_force_under_heavy_ties(pvals, weights, alpha):
     assert a.threshold_index == b.threshold_index == b.n_rejected
     assert (a.rejected == b.rejected).all()
     assert np.array_equal(a.weighted_pvalues, b.weighted_pvalues)
+
+
+def _full_sort_bh(p, w, alpha):
+    """The step-up rule as one sort of all N weighted p-values against all N
+    thresholds: the reference that the candidates-only sort must equal."""
+    p, w = np.asarray(p, dtype=float), np.asarray(w, dtype=float)
+    n = p.size
+    with np.errstate(invalid="ignore"):
+        wp = w * p
+    wp[np.isinf(w)] = np.inf
+    thresholds = alpha * np.arange(1, n + 1) / n
+    ranks = np.flatnonzero(np.sort(wp) <= thresholds)
+    k = int(ranks[-1]) + 1 if ranks.size else 0
+    rejected = wp <= thresholds[k - 1] if k else np.zeros(n, dtype=bool)
+    return k, rejected, wp
+
+
+def _same_as_full_sort(p, w, alpha):
+    out = weighted_bh(np.asarray(p, dtype=float), np.asarray(w, dtype=float), alpha)
+    k, rejected, wp = _full_sort_bh(p, w, alpha)
+    assert out.threshold_index == k
+    assert out.rejected.dtype == bool and np.array_equal(out.rejected, rejected)
+    assert out.weighted_pvalues.tobytes() == wp.tobytes()
+
+
+@pytest.mark.parametrize(
+    "p, w, alpha",
+    [
+        ([], [], 0.05),  # N = 0: alpha * N / N would divide by zero
+        ([0.01], [1.0], 0.05),
+        ([0.9], [1.0], 0.05),
+        ([0.6, 0.7, 0.8, 0.9], [1.0, 1.0, 1.0, 1.0], 0.1),  # no candidates
+        ([0.001, 0.002, 0.003, 0.004], [1.0, 2.0, 3.0, 4.0], 0.1),  # all candidates, all rejected
+        ([0.01, 0.05, 0.1 * 3 / 3], [1.0, 1.0, 1.0], 0.1),  # alpha * 3 / 3 = 0.10000000000000002 > alpha
+        ([0.1 * 3 / 3, 0.1 * 3 / 3, 0.1 * 3 / 3], [1.0, 1.0, 1.0], 0.1),  # ties at the bound
+        ([0.05, 0.05, 0.05, 0.5], [1.0, 1.0, 1.0, 0.1], 0.05),  # a tie at the bound, with a weighted one
+        ([0.3, 0.01, 0.02, 0.9, 0.0], [0.0, np.inf, 1.0, 0.0, 2.0], 0.1),  # zero and +inf weights
+        ([0.0, 0.0, 0.001], [np.inf, np.inf, 1.0], 0.05),  # p = 0 under a +inf weight
+        ([0.0, 0.0], [np.inf, np.inf], 0.05),  # only +inf weights
+    ],
+    ids=["n0", "n1-rejected", "n1-kept", "no-candidates", "all-candidates", "bound-above-alpha", "ties-at-bound",
+         "weighted-tie-at-bound", "zero-and-inf-weights", "zero-p-inf-weight", "only-inf-weights"],
+)
+def test_candidates_only_sort_equals_the_full_sort(p, w, alpha):
+    _same_as_full_sort(p, w, alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_instances())
+def test_candidates_only_sort_equals_the_full_sort_on_drawn_instances(instance):
+    _same_as_full_sort(*instance)
+
+
+def test_metrics_are_builtin_floats():
+    # an np.int64 count would make them np.float64, and the `test` header would print np.float64(0.75)
+    out = weighted_bh(np.array([0.001, 0.002, 0.003, 0.004, 0.9]), np.ones(5), 0.1)
+    m = outcome_metrics(out, np.array([True, False, False, False, True]))
+    assert (m.fdp, m.power) == (0.25, 1.0)
+    assert type(m.fdp) is float and type(m.power) is float
