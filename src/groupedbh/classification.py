@@ -17,7 +17,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -328,10 +328,10 @@ def forest_from_grid(shape: tuple[int, ...]) -> ClassificationForest:
 def validate_tree(tree: HierTree) -> list[str]:
     """Structural invariant check, run by the constructor; returns a list of
     violations (empty = ok). An N = 0 tree is valid: its groups are
-    necessarily empty. Each rule is tested in bulk first, and the culprits
-    are sought only when that test fails. A valid tree costs one sort per
-    level: the sorted, distinct (parent, member) keys of a level's children
-    equal the keys of its parents."""
+    necessarily empty. Each rule but the siblings' numbering, which is one
+    list compare per parent, is tested in bulk first, and the culprits are
+    sought only when that test fails. A valid tree costs one sort per level:
+    the (parent, member) keys of a level's children equal its parents'."""
     n, paths, parent, sizes, indptr, indices = tree.n, tree.paths, tree.parent, tree.sizes, tree.indptr, tree.indices
     violations = []
     falls = np.concatenate(([False], indices[1:] <= indices[:-1], [False]))  # falls[p]: indices[p] <= indices[p - 1]
@@ -353,16 +353,12 @@ def validate_tree(tree: HierTree) -> list[str]:
     if falls.size:
         rows = np.searchsorted(indptr, falls, side="right") - 1
         violations += [f"members of {paths[k]} are not sorted and distinct" for k in _sorted_unique(rows)]
-    numbers = np.arange(2, parent.size + 1) - np.searchsorted(parent, parent[1:])  # k + 1 - 1st sibling
-    expected = map(operator.add, map(paths.__getitem__, parent[1:]), zip(numbers))  # made one at a time
-    if not all(map(operator.eq, islice(paths, 1, None), expected)):
-        with_children = np.flatnonzero(tree.m)
-        for k, first in zip(with_children.tolist(), np.searchsorted(parent, with_children).tolist()):
-            kids = paths[first : first + tree.m[k]]
-            if kids != [paths[k] + (j,) for j in range(1, len(kids) + 1)]:
-                violations += [f"sibling groups share path {p}" for p, times in Counter(kids).items() if times > 1]
-                violations.append(f"children of {paths[k]} are not numbered 1..{len(kids)}")
-    del numbers, expected  # before the levels' keys are made
+    with_children = np.flatnonzero(tree.m)  # every node but the root is one of their children
+    for k, first in zip(with_children.tolist(), np.searchsorted(parent, with_children).tolist()):
+        kids = paths[first : first + tree.m[k]]
+        if kids != [paths[k] + (j,) for j in range(1, len(kids) + 1)]:
+            violations += [f"sibling groups share path {p}" for p, times in Counter(kids).items() if times > 1]
+            violations.append(f"children of {paths[k]} are not numbered 1..{len(kids)}")
 
     def keys(nodes: slice, owners: np.ndarray) -> np.ndarray:
         """(owner, member) keys of the nodes' members; sorted members make one node's keys sorted."""

@@ -49,9 +49,8 @@ class InputError(ValueError):
 def read_pvalues(path) -> np.ndarray:
     """One decimal per line, or CSV rows of exactly index,value, each index once; a first line
     in which no token is a number is a header and is skipped. Values must lie in [0, 1]. Read
-    as text: one byte-order mark is dropped, LF, CR LF and a lone CR end a line, and a byte
-    that is not UTF-8 becomes a lone surrogate, which the line loop reports with its line."""
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+    by _open_text; LF, CR LF and a lone CR end a line, and the line loop reports a byte not UTF-8."""
+    with _open_text(path) as fh:
         arr = _read_pvalue_stream(fh, path)
     if arr.size == 0:
         raise InputError(f"{path}: no p-values found")
@@ -60,6 +59,11 @@ def read_pvalues(path) -> np.ndarray:
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
     return arr
+
+
+def _open_text(path):
+    """A user's text file: one byte-order mark dropped, a byte that is not UTF-8 read as a lone surrogate."""
+    return open(path, encoding="utf-8-sig", errors="surrogateescape")
 
 
 _READ_CHARS = 2**16
@@ -156,7 +160,7 @@ def _is_header(line: str) -> bool:
 
 def read_truth(path) -> np.ndarray:
     """Truth labels, one per line: 1 marks a true null, 0 a false null."""
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:  # as in read_pvalues
+    with _open_text(path) as fh:
         vals = [line.strip() for line in fh if line.strip()]
     if not all(v in ("0", "1") for v in vals):
         raise InputError(f"{path}: truth labels must be 0 or 1, one per line")
@@ -287,34 +291,32 @@ def _reprs(values: np.ndarray) -> list[str]:
     return cells
 
 
+def _given(args, *own: str) -> tuple:
+    """The values of the ``own`` options (None if not given), then a dict of the other options
+    given: simulate and validate leave out the others (SUPPRESS), for the library's defaults."""
+    given = {name: value for name, value in vars(args).items() if name not in ("command", "func")}
+    return *(given.pop(name, None) for name in own), given
+
+
 def cmd_simulate(args) -> int:
-    grid = simulate.DEFAULT_GRID
-    if args.grid:
+    out, grid, plan = _given(args, "out", "grid")
+    if grid:
         try:
-            if args.grid.strip().isdecimal():  # a point count
-                grid = tuple(round(float(x), 10) for x in np.linspace(0.0, 1.0, int(args.grid)))
+            if grid.strip().isdecimal():  # a point count
+                plan["one_minus_pi0_grid"] = simulate._grid(int(grid))
             else:  # a comma list of densities, maybe of one
-                grid = tuple(float(v) for v in args.grid.split(","))
+                plan["one_minus_pi0_grid"] = tuple(float(v) for v in grid.split(","))
         except ValueError:
-            raise InputError(f"cannot parse --grid {args.grid!r}")
-    plan = simulate.SimulationPlan(
-        one_minus_pi0_grid=grid,
-        rho_l1=args.rho_l1,
-        rho_l2=args.rho_l2,
-        lam=args.lam,
-        alpha=args.alpha,
-        replicates=args.replicates,
-        seed=args.seed,
-        methods=tuple(args.methods.split(",")),
-    )
-    simulate.write_summary_csv(simulate.run_study(plan), args.out)
+            raise InputError(f"cannot parse --grid {grid!r}")
+    simulate.write_summary_csv(simulate.run_study(simulate.SimulationPlan(**plan)), out)
     return 0
 
 
 def cmd_validate(args) -> int:
-    reports = identities.run_sweep(seed=args.seed, trials=args.trials, corrupt=args.corrupt)
-    if args.out:
-        with open(args.out, "w") as fh:
+    out, sweep = _given(args, "out")
+    reports = identities.run_sweep(**sweep)
+    if out:
+        with open(out, "w") as fh:
             for rep in reports:
                 fh.write(json.dumps(rep.to_dict()) + "\n")
     checks = Counter(rep.name for rep in reports)
@@ -383,23 +385,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--out", help="output path (stdout if omitted)")
     p_test.set_defaults(func=cmd_test)
 
-    p_sim = sub.add_parser("simulate", help="run the Monte Carlo density sweep")
+    p_sim = sub.add_parser("simulate", help="run the Monte Carlo density sweep", argument_default=argparse.SUPPRESS)
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--seed", type=int, default=simulate.SimulationPlan.seed)
-    p_sim.add_argument("--replicates", type=int, default=500)
-    p_sim.add_argument("--rho-l1", type=float, default=0.0)
-    p_sim.add_argument("--rho-l2", type=float, default=0.0)
-    p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--replicates", type=int)
+    p_sim.add_argument("--rho-l1", type=float)
+    p_sim.add_argument("--rho-l2", type=float)
+    p_sim.add_argument("--alpha", type=float)
+    p_sim.add_argument("--lambda", dest="lam", type=float)
     p_sim.add_argument(
         "--grid", help="an integer point count, else a comma list of 1-pi0 values (0.5 is one point)"
     )
-    p_sim.add_argument("--methods", default=",".join(simulate.METHODS))
+    p_sim.add_argument("--methods", type=lambda names: tuple(names.split(",")))
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_val = sub.add_parser("validate", help="run the algebraic identity sweep")
-    p_val.add_argument("--seed", type=int, default=0)
-    p_val.add_argument("--trials", type=int, default=200)
+    p_val = sub.add_parser("validate", help="run the algebraic identity sweep", argument_default=argparse.SUPPRESS)
+    p_val.add_argument("--seed", type=int)
+    p_val.add_argument("--trials", type=int)
     p_val.add_argument("--out", help="machine-readable JSONL report path")
     p_val.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p_val.set_defaults(func=cmd_validate)

@@ -143,6 +143,11 @@ def _monotone(weight_fn, pvalues, rng, trials, digest) -> tuple[IdentityReport, 
 # randomized configurations
 
 
+def _drawn_size(rng: np.random.Generator) -> int:
+    """A sweep structure's N, where none is given: one ``integers`` draw in 10..500."""
+    return int(rng.integers(10, 501))
+
+
 def random_tree(
     rng: np.random.Generator,
     n: int | None = None,
@@ -160,7 +165,7 @@ def random_tree(
     members and, unless that is 0, one ``choice`` of them without
     replacement from the parent's members outside the chunk.
     """
-    n = int(rng.integers(10, 501)) if n is None else _size(n)
+    n = _drawn_size(rng) if n is None else _size(n)
     depth = int(rng.integers(0, 4)) if depth is None else _size(depth, "depth")
     # nodes in level order; children are appended in (parent id, path)
     # order, which is the order HierTree wants, so the arrays are written
@@ -193,7 +198,7 @@ def random_tree(
 
 
 def random_forest(rng: np.random.Generator, n: int | None = None, depth_one: bool = False) -> ClassificationForest:
-    n = int(rng.integers(10, 501)) if n is None else n
+    n = _drawn_size(rng) if n is None else n
     shape = dict(depth=1, max_overlap=0.0) if depth_one else {}
     trees = tuple(random_tree(rng, n=n, **shape) for _ in range(int(rng.integers(1, 4))))
     return ClassificationForest(n=n, trees=trees)
@@ -364,7 +369,7 @@ def _oracle_checks(rng, digest, corrupt) -> list[IdentityReport]:
     truth_f = random_truth(rng, forest)
     gen = random_forest(rng)
     truth_g = random_truth(rng, gen)
-    flat_truth = random_truth(rng, int(rng.integers(10, 501)))
+    flat_truth = random_truth(rng, _drawn_size(rng))
     w = oracle_hier_weights(tree, is_null)
     if corrupt:
         w = w * 1.01

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _pool
 from .classification import HierTree, _size, tree_from_levels
-from .stepup import outcome_metrics, weighted_bh
+from .stepup import _check_level, outcome_metrics, weighted_bh
 from .weights import (
     da_flat_weights,
     da_hier_weights,
@@ -29,7 +29,13 @@ from .weights import (
 
 METHODS = ("BH", "AdaptiveBH", "HeirGBH", "DAHeirGBH")
 
-DEFAULT_GRID = tuple(round(float(x), 10) for x in np.linspace(0.0, 1.0, 11))
+
+def _grid(points: int) -> tuple[float, ...]:
+    """``points`` densities spread evenly over [0, 1], each rounded to 10 decimals."""
+    return tuple(round(float(x), 10) for x in np.linspace(0.0, 1.0, points))
+
+
+DEFAULT_GRID = _grid(11)
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,13 @@ class SimulationPlan:
         """Raise one ValueError that lists every problem of the plan,
         joined by "; "."""
         problems = []
+
+        def collect(check, *args) -> None:
+            try:
+                check(*args)
+            except ValueError as exc:
+                problems.append(str(exc))
+
         for name in ("pi1", "pi1_star", "pi2"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -63,19 +76,14 @@ class SimulationPlan:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 problems.append(f"{name} must lie in [0, 1), got {v}")
-        if not 0.0 < self.lam < 1.0:
-            problems.append(f"lambda must lie in (0, 1), got {self.lam}")
-        if not 0.0 < self.alpha < 1.0:
-            problems.append(f"alpha must lie in (0, 1), got {self.alpha}")
+        collect(_check_level, "lambda", self.lam)
+        collect(_check_level, "alpha", self.alpha)
         if not self.one_minus_pi0_grid:
             problems.append("density grid must not be empty")
         if any(not 0.0 <= d <= 1.0 for d in self.one_minus_pi0_grid):
             problems.append("density grid values must lie in [0, 1]")
         for name, least in (("m", 2), ("n", 1), ("replicates", 1), ("seed", 0)):  # m = 1 leaves a row group empty
-            try:
-                _size(getattr(self, name), name, least)
-            except ValueError as exc:
-                problems.append(str(exc))
+            collect(_size, getattr(self, name), name, least)
         if not math.isfinite(self.mu):
             problems.append(f"mu must be finite, got {self.mu}")
         for name, values in (("densities", self.one_minus_pi0_grid), ("methods", self.methods)):
@@ -159,7 +167,7 @@ def pvalues_from_statistics(x: np.ndarray) -> np.ndarray:
     return ndtr(-np.asarray(x, dtype=float).reshape(-1))
 
 
-def simulation_tree(m: int = 50, n: int = 100) -> HierTree:
+def simulation_tree(m: int = SimulationPlan.m, n: int = SimulationPlan.n) -> HierTree:
     """Two-level tree over the m x n layout: two overlapping level-1 groups
     (top 30 and bottom 25 rows of 50, sharing 5), each split into its rows."""
     _, mid, _ = _blocks(m)

@@ -105,7 +105,8 @@ def oracle_overlap_oneway_weights(
     """Weights for one-way classification with overlapping groups.
 
     Any positive per-group effect w_g is admissible; the assembly
-    renormalizes so that the sum of inverse weights over true nulls is N.
+    renormalizes so that the sum of inverse weights over true nulls is N;
+    effects for which a 1/w_g, a normalizer term or a weight overflows raise ValueError.
     """
     n = _size(n)
     is_null = _truth(is_null, n)
@@ -121,7 +122,11 @@ def oracle_overlap_oneway_weights(
     if not np.bincount(rows, minlength=n).all():
         raise ValueError("every hypothesis must belong to at least one group")
     n0_g = np.array([is_null[mem].sum() for mem in members], dtype=float)
-    return _assemble(n, rows, [mem.size for mem in members], group_effects, n0_g)
+    try:
+        with np.errstate(over="raise"):
+            return _assemble(n, rows, [mem.size for mem in members], group_effects, n0_g)
+    except (FloatingPointError, OverflowError):  # OverflowError: from math.fsum, for the normalizer
+        raise ValueError("group effects out of range: a 1/w_g, a normalizer term or a weight overflows") from None
 
 
 def _oracle_effects(tree: HierTree, is_null: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

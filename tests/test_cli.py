@@ -1,3 +1,4 @@
+import ast
 import decimal
 import errno
 import gc
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import groupedbh
-from groupedbh import _pool, cli
+from groupedbh import _pool, cli, identities, simulate
 from groupedbh.classification import load_forest, validate_forest
 from groupedbh.cli import main, read_pvalues, read_truth
 from groupedbh.stepup import weighted_bh
@@ -799,8 +800,56 @@ class TestCmdSimulate:
         assert "grid must not be empty" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_options_not_given_take_the_plan_defaults(self, tmp_path, monkeypatch):
+        plans = _capture_plans(monkeypatch)
+        assert main(["simulate", "--out", str(tmp_path / "x.csv")]) == 0
+        assert plans == [simulate.SimulationPlan()]
+
+    def test_each_option_lands_in_its_own_field(self, tmp_path, monkeypatch):
+        plans = _capture_plans(monkeypatch)
+        argv = ["simulate", "--out", str(tmp_path / "x.csv"), "--seed", "7", "--replicates", "3",
+                "--rho-l1", "0.1", "--rho-l2", "0.2", "--alpha", "0.04", "--lambda", "0.3",
+                "--grid", "0.2,0.4", "--methods", "HeirGBH,BH"]
+        assert main(argv) == 0
+        assert plans == [simulate.SimulationPlan(
+            seed=7, replicates=3, rho_l1=0.1, rho_l2=0.2, alpha=0.04, lam=0.3,
+            one_minus_pi0_grid=(0.2, 0.4), methods=("HeirGBH", "BH"),
+        )]
+
+    def test_grid_point_count_is_the_default_grid_formula(self, tmp_path, monkeypatch):
+        plans = _capture_plans(monkeypatch)
+        assert main(["simulate", "--out", str(tmp_path / "x.csv"), "--grid", "11"]) == 0
+        assert plans[0].one_minus_pi0_grid == simulate.DEFAULT_GRID
+
+    def test_every_level_problem_on_one_line_in_order(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path / "x.csv"), "--lambda", "7", "--alpha", "0"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: lambda must lie in (0, 1), got 7.0; alpha must lie in (0, 1), got 0.0\n"
+        )
+
+
+def _capture_plans(monkeypatch) -> list:
+    """The plans that simulate runs, which it no longer runs or writes."""
+    plans = []
+    monkeypatch.setattr(simulate, "run_study", plans.append)
+    monkeypatch.setattr(simulate, "write_summary_csv", lambda summary, path: None)
+    return plans
+
 
 class TestCmdValidate:
+    @pytest.mark.parametrize(
+        "options, passed",
+        [([], {}), (["--seed", "3", "--trials", "5", "--corrupt"], {"seed": 3, "trials": 5, "corrupt": True})],
+        ids=["none", "all"],
+    )
+    def test_passes_only_the_options_given(self, monkeypatch, capsys, options, passed):
+        # run_sweep's own defaults apply to the others
+        calls = []
+        monkeypatch.setattr(identities, "run_sweep", lambda **kw: calls.append(kw) or [])
+        assert main(["validate", *options]) == 0
+        assert calls == [passed]
+        assert capsys.readouterr() == ("", "")
+
     def test_default_sweep_passes(self, tmp_path, capsys):
         report = tmp_path / "report.jsonl"
         rc = main(["validate", "--trials", "5", "--out", str(report)])
@@ -1122,3 +1171,43 @@ def test_runs_in_dev_mode_with_warnings_as_errors(tmp_path, args):
     out = [] if args[0] == "validate" else ["--out", str(tmp_path / "out")]
     run = run_python("-X", "dev", "-W", "error", "-m", "groupedbh.cli", *args, *out)
     assert (run.returncode, run.stderr) == (0, "")
+
+
+def _restated_defaults(source: str) -> list[str]:
+    """The options of the simulate and validate subcommands in ``build_parser``
+    that pass ``default=``, by ast: those commands take their defaults from
+    SimulationPlan and run_sweep, so a default there is a second copy."""
+    build = next(node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef) and node.name == "build_parser")
+    commands = {}  # the variable a subparser is bound to -> its command
+    for node in ast.walk(build):
+        if isinstance(node, ast.Assign) and getattr(node.value, "func", None) is not None:
+            if getattr(node.value.func, "attr", None) == "add_parser":
+                commands[node.targets[0].id] = node.value.args[0].value
+    return [
+        f"{commands[node.func.value.id]} {node.args[0].value}"
+        for node in ast.walk(build)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        and commands.get(getattr(node.func.value, "id", None)) in ("simulate", "validate")
+        and any(keyword.arg == "default" for keyword in node.keywords)
+    ]
+
+
+def test_simulate_and_validate_restate_no_library_default():
+    assert _restated_defaults(Path(cli.__file__).read_text()) == []
+
+
+def test_the_restated_default_check_sees_a_leftover():
+    source = (
+        "def build_parser():\n"
+        "    sub = parser.add_subparsers()\n"
+        "    p_test = sub.add_parser('test')\n"
+        "    p_test.add_argument('--alpha', default=0.05)\n"
+        "    p_sim = sub.add_parser('simulate', argument_default=SUPPRESS)\n"
+        "    p_sim.add_argument('--seed', type=int)\n"
+        "    p_sim.add_argument('--alpha', type=float, default=0.05)\n"
+        "    p_val = sub.add_parser('validate')\n"
+        "    p_val.add_argument('--trials', default=200)\n"
+        "    p_val.set_defaults(func=run)\n"
+    )
+    assert _restated_defaults(source) == ["simulate --alpha", "validate --trials"]

@@ -577,3 +577,56 @@ def test_sweep_loo_fails_when_its_weights_are_not_the_production_ones(monkeypatc
     loo = [r for r in run_sweep(seed=12, trials=8, monotone_trials=5) if r.name == "loo_bound"]
     assert len(loo) == 8
     assert all(r.passed != r.config_digest.endswith(":hier") for r in loo)
+
+
+def _off_by_1e_9(production):
+    return lambda *args, **kw: production(*args, **kw) * (1 + 1e-9)
+
+
+def _root_effect_perturbed(production):
+    def effects(tree, is_null):
+        found = production(tree, is_null)
+        return {**found, (): found[()] * (1 + 1e-9)}
+
+    return effects
+
+
+def _drops_its_last_rejection(production):
+    def weighted_bh(pvalues, weights, alpha):
+        outcome = production(pvalues, weights, alpha)
+        outcome.rejected[np.flatnonzero(outcome.rejected)[-1:]] = False
+        return outcome
+
+    return weighted_bh
+
+
+# one corrupted input per check the sweep reports: (name in identities, its corruption)
+CORRUPTIONS = {
+    "condition1": ("oracle_sway_weights", lambda production: lambda *args: 1.01 * production(*args)),
+    # the one-pass LOO at another lambda: its weights are not those of the production weights
+    "loo_bound": ("_da_leaf_loo", lambda production: lambda tree, pvalues, lam: production(tree, pvalues, 0.25)),
+    "monotone": ("da_flat_weights", lambda production: lambda pvalues, lam: 1.5 - pvalues),
+    "reduction_flat": ("oracle_flat_weights", _off_by_1e_9),
+    "reduction_oneway": ("oracle_hier_weights", _off_by_1e_9),
+    "reduction_gen_single": ("oracle_gen_weights", _off_by_1e_9),
+    "recursion_equivalence": ("oracle_hier_effects", _root_effect_perturbed),
+    "stepup_oracle": ("weighted_bh", _drops_its_last_rejection),
+}
+
+
+def _one_cpu_sweep(monkeypatch) -> list:
+    monkeypatch.setattr(_pool, "cpu_count", lambda: 1)
+    return run_sweep(seed=12, trials=4, monotone_trials=3)
+
+
+def test_the_corruption_table_names_every_check_and_each_passes_uncorrupted(monkeypatch):
+    reports = _one_cpu_sweep(monkeypatch)
+    assert {r.name for r in reports} == set(CORRUPTIONS)
+    assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
+
+
+@pytest.mark.parametrize("check", sorted(CORRUPTIONS))
+def test_every_check_the_sweep_reports_can_fail(monkeypatch, check):
+    patched, corrupt = CORRUPTIONS[check]
+    monkeypatch.setattr(identities, patched, corrupt(getattr(identities, patched)))
+    assert any(not r.passed for r in _one_cpu_sweep(monkeypatch) if r.name == check)

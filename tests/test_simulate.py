@@ -28,6 +28,14 @@ def test_default_grid():
     assert DEFAULT_GRID[0] == 0.0 and DEFAULT_GRID[-1] == 1.0
 
 
+def test_simulation_tree_defaults_to_the_plan_layout():
+    # gen-spec --layout simulation builds simulation_tree() with no arguments
+    default, planned = simulation_tree(), simulation_tree(SimulationPlan.m, SimulationPlan.n)
+    assert (default.n, default.paths) == (planned.n, planned.paths)
+    for name in ("parent", "indptr", "indices"):
+        assert np.array_equal(getattr(default, name), getattr(planned, name)), name
+
+
 def test_blocks_partition_rows():
     top, mid, bottom = _blocks(50)
     assert (top.start, top.stop) == (0, 25)

@@ -170,6 +170,33 @@ class TestOracleOneWay:
         with pytest.raises(ValueError, match="^n must be"):
             oracle_overlap_oneway_weights(n, [[0, 1]], np.array([1.0]), np.ones(2, dtype=bool))
 
+    @pytest.mark.parametrize(
+        "n, effects, truth",
+        [(6, [1e-320, 1.0], [1, 1, 0, 1, 1, 0]),
+         (6, [1e-300, 1e300], [1, 1, 0, 1, 1, 0]),
+         (34, [1e-307, 1e-307], [1] * 34)],
+        ids=["reciprocal", "weight", "normalizer-sum"],
+    )
+    def test_effects_that_overflow_raise(self, n, effects, truth):
+        # [1e-320, 1.0] gave the weights [0, 0, 0, inf, inf, inf] with only a RuntimeWarning, so the
+        # first group's nulls were always rejected; the normalizer's fsum raised an OverflowError
+        half = n // 2
+        with pytest.raises(ValueError, match="^group effects out of range: .* overflows$"):
+            oracle_overlap_oneway_weights(n, [np.arange(half), np.arange(half, n)], effects, truth)
+
+    @pytest.mark.parametrize(
+        "effects, truth",
+        [([1e-150, 1e150], [1, 1, 0, 1, 1, 0]), ([0.2, 3.0], [1, 1, 0, 1, 1, 0]), ([1e-300, 1e300], [0] * 6)],
+        ids=["far-apart", "ordinary", "no-nulls"],
+    )
+    def test_effects_within_range_keep_condition_1(self, effects, truth):
+        truth = np.array(truth, dtype=bool)
+        w = oracle_overlap_oneway_weights(6, [[0, 1, 2], [3, 4, 5]], effects, truth)
+        if truth.any():
+            assert math.fsum(1.0 / w[truth]) == pytest.approx(6.0, rel=1e-12)
+        else:  # the degenerate truth with no nulls: every weight is 0
+            assert w.tolist() == [0.0] * 6
+
 
 class TestOracleSway:
     def test_two_by_three_hand_case(self):
