@@ -51,10 +51,8 @@ def _members(members) -> np.ndarray:
 
 
 def _as_index_array(members) -> np.ndarray:
-    """Sorted distinct int64 members. Input that is already a strictly
-    increasing int64 vector is returned as is, without a copy."""
-    members = _members(members).astype(np.int64, copy=False)
-    return members if (members[1:] > members[:-1]).all() else _sorted_unique(members.copy())
+    """Sorted distinct members, in a new int64 array."""
+    return _sorted_unique(_members(members).astype(np.int64))
 
 
 @dataclass(eq=False)
@@ -68,11 +66,11 @@ class HierTree:
     sorted, distinct members are ``indices[indptr[k]:indptr[k + 1]]`` (CSR
     layout), also given by ``members(k)``.
 
-    Derived on construction: ``sizes[k]`` (member count), ``level[k]``
-    (depth of node k), ``m[k]`` (number of children), ``mult[k]`` (product
-    of the ancestors' ``m``, as a float64), ``levels`` (node ids of levels
-    1..depth as slices), ``leaves`` (the deepest level's ids, the tail of
-    the order) and ``depth``. Depth 0 means the root is the only group. Every HierTree is
+    Derived on construction: ``sizes[k]`` (member count), ``m[k]`` (number
+    of children), ``mult[k]`` (product of the ancestors' ``m``, as a
+    float64), ``levels`` (node ids of levels 1..depth as slices), ``leaves``
+    (the deepest level's ids, the tail of the order) and ``depth``. Depth 0
+    means the root is the only group. Every HierTree is
     valid (leaves at one depth, members in 0..n-1, overlapping siblings
     covering their parent): its constructor raises ValueError otherwise.
     """
@@ -107,9 +105,8 @@ class HierTree:
         # mult in float64: overlapping siblings may repeat their parent's
         # members, so a valid tree of few members can have a product beyond
         # 2**63, where int64 wraps; below 2**53 the floats are exact
-        self.level, self.mult = np.zeros(k, dtype=np.int64), np.ones(k)
-        for depth, s in enumerate(self.levels, start=1):
-            self.level[s] = depth
+        self.mult = np.ones(k)
+        for s in self.levels:
             self.mult[s] = self.mult[parent[s]] * self.m[parent[s]]
         if problems := validate_tree(self):
             raise ValueError("; ".join(problems))
@@ -312,13 +309,9 @@ def forest_from_grid(shape: tuple[int, ...]) -> ClassificationForest:
     if not shape:
         raise ValueError("a grid needs at least one dimension")
     n = math.prod(shape)
-    trees = []
-    for c, size in zip(np.unravel_index(np.arange(n), shape), shape):
-        order = np.argsort(c, kind="stable")  # group after group, each rising
-        bounds = np.searchsorted(c[order], np.arange(size + 1)).tolist()
-        groups = [((g + 1,), order[a:b]) for g, (a, b) in enumerate(zip(bounds, bounds[1:]))]
-        trees.append(tree_from_levels(n, [groups]))
-    return ClassificationForest(n=n, trees=tuple(trees))
+    cells = np.arange(n).reshape(shape)  # C order: a slice along any axis, raveled, rises
+    levels = ([((g + 1,), part.ravel()) for g, part in enumerate(np.moveaxis(cells, s, 0))] for s in range(len(shape)))
+    return ClassificationForest(n=n, trees=tuple(tree_from_levels(n, [level]) for level in levels))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +375,8 @@ def validate_tree(tree: HierTree) -> list[str]:
         del held, union  # before the next level's keys are made
     violations += [f"children of {paths[k]} do not cover the parent" for k in uncovered]
     if not tree.m[: tree.leaves[0]].all():  # a node above the deepest level has no children
-        violations.append(f"leaves at unequal depths: {sorted(set(tree.level[tree.m == 0].tolist()))}")
+        depths = (depth for depth, s in enumerate((slice(0, 1), *tree.levels)) if not tree.m[s].all())
+        violations.append(f"leaves at unequal depths: {list(depths)}")
     return violations
 
 

@@ -42,10 +42,6 @@ from .weights import (
 )
 
 
-class InputError(ValueError):
-    """An input problem found by the CLI itself; `main` exits 2 on it, as on any ValueError."""
-
-
 def read_pvalues(path) -> np.ndarray:
     """One decimal per line, or CSV rows of exactly index,value, each index once; a first line
     in which no token is a number is a header and is skipped. Values must lie in [0, 1]. Read
@@ -53,11 +49,11 @@ def read_pvalues(path) -> np.ndarray:
     with _open_text(path) as fh:
         arr = _read_pvalue_stream(fh, path)
     if arr.size == 0:
-        raise InputError(f"{path}: no p-values found")
+        raise ValueError(f"{path}: no p-values found")
     try:
         _check_inputs(arr)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}")
     return arr
 
 
@@ -89,9 +85,9 @@ def _read_pvalue_stream(fh, path) -> np.ndarray:
         chunk = ""
     plain = np.concatenate(parts)
     if indexed and plain.size:
-        raise InputError(f"{path}: mixed plain and indexed rows")
+        raise ValueError(f"{path}: mixed plain and indexed rows")
     if indexed and sorted(indexed) != list(range(len(indexed))):
-        raise InputError(f"{path}: index column must cover 0..{len(indexed) - 1}")
+        raise ValueError(f"{path}: index column must cover 0..{len(indexed) - 1}")
     return np.array([indexed[i] for i in range(len(indexed))]) if indexed else plain
 
 
@@ -126,16 +122,16 @@ def _read_pvalue_lines(lines: str, path, lineno: int, indexed: dict) -> np.ndarr
             continue
         fields = line.split(",")
         if len(fields) > 2:
-            raise InputError(f"{path}:{lineno}: expected index,value, got {len(fields)} fields")
+            raise ValueError(f"{path}:{lineno}: expected index,value, got {len(fields)} fields")
         try:
             val = float(fields[-1])
             idx = int(fields[0]) if len(fields) == 2 else None
         except ValueError:
-            raise InputError(f"{path}:{lineno}: cannot parse {line!r}")
+            raise ValueError(f"{path}:{lineno}: cannot parse {line!r}")
         if idx is None:
             plain.append(val)
         elif idx in indexed:
-            raise InputError(f"{path}:{lineno}: index {idx} appears twice")
+            raise ValueError(f"{path}:{lineno}: index {idx} appears twice")
         else:
             indexed[idx] = val
     return np.array(plain, dtype=float)
@@ -163,33 +159,33 @@ def read_truth(path) -> np.ndarray:
     with _open_text(path) as fh:
         vals = [line.strip() for line in fh if line.strip()]
     if not all(v in ("0", "1") for v in vals):
-        raise InputError(f"{path}: truth labels must be 0 or 1, one per line")
+        raise ValueError(f"{path}: truth labels must be 0 or 1, one per line")
     return np.array([v == "1" for v in vals])
 
 
 def _load_structure(args, n: int) -> ClassificationForest:
     if not args.spec:
-        raise InputError(f"--method {args.method} requires --spec")
+        raise ValueError(f"--method {args.method} requires --spec")
     try:
         data = _read_spec(args.spec)
         size = data.get("n") if isinstance(data, dict) else None
         if type(size) is not int or size == n:  # a wrong N is reported before anything of size N is built
             return forest_from_dict(data)
     except (OSError, ValueError) as exc:
-        raise InputError(f"malformed classification spec {args.spec}: {exc}")
-    raise InputError(f"spec has N={size} but {n} p-values were supplied")
+        raise ValueError(f"malformed classification spec {args.spec}: {exc}")
+    raise ValueError(f"spec has N={size} but {n} p-values were supplied")
 
 
 def _compute_weights(args, pvalues, truth) -> np.ndarray:
     if not args.adaptive and truth is None:
-        raise InputError("oracle methods require --truth")
+        raise ValueError("oracle methods require --truth")
     structure = ()
     if args.method != "flat":
         forest = _load_structure(args, pvalues.size)
         structure = (forest,)
         if args.method == "hier":
             if forest.s_count != 1:
-                raise InputError(
+                raise ValueError(
                     f"--method hier needs a spec with exactly one tree, {args.spec} has "
                     f"{forest.s_count}; use --method gen for several"
                 )
@@ -300,14 +296,14 @@ def _given(args, *own: str) -> tuple:
 
 def cmd_simulate(args) -> int:
     out, grid, plan = _given(args, "out", "grid")
-    if grid:
+    if grid is not None:
         try:
             if grid.strip().isdecimal():  # a point count
                 plan["one_minus_pi0_grid"] = simulate._grid(int(grid))
             else:  # a comma list of densities, maybe of one
                 plan["one_minus_pi0_grid"] = tuple(float(v) for v in grid.split(","))
         except ValueError:
-            raise InputError(f"cannot parse --grid {grid!r}")
+            raise ValueError(f"cannot parse --grid {grid!r}")
     simulate.write_summary_csv(simulate.run_study(simulate.SimulationPlan(**plan)), out)
     return 0
 

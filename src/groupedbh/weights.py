@@ -105,7 +105,8 @@ def oracle_overlap_oneway_weights(
     """Weights for one-way classification with overlapping groups.
 
     Any positive per-group effect w_g is admissible; the assembly
-    renormalizes so that the sum of inverse weights over true nulls is N;
+    renormalizes so that the sum of inverse weights over true nulls is N,
+    so the effects' common power of two is taken out first, bit for bit;
     effects for which a 1/w_g, a normalizer term or a weight overflows raise ValueError.
     """
     n = _size(n)
@@ -122,6 +123,9 @@ def oracle_overlap_oneway_weights(
     if not np.bincount(rows, minlength=n).all():
         raise ValueError("every hypothesis must belong to at least one group")
     n0_g = np.array([is_null[mem].sum() for mem in members], dtype=float)
+    if members:  # 2**k on every effect scales each 1/w_g, normalizer term and sum exactly: the weights keep their bits
+        e = np.frexp(group_effects)[1]
+        group_effects = np.ldexp(group_effects, -((e.min() + e.max()) // 2))
     try:
         with np.errstate(over="raise"):
             return _assemble(n, rows, [mem.size for mem in members], group_effects, n0_g)

@@ -372,7 +372,8 @@ def _single_faults(tree: HierTree):
             yield "wider", k, with_members(np.union1d(mem, outside[k % len(outside)]))
         if k:
             yield "renumber", k, arrays(paths=paths[:k] + [paths[k][:-1] + (paths[k][-1] + 1,)] + paths[k + 1 :])
-        if tree.depth >= 2 and tree.level[k] == tree.depth - 1 and tree.levels[-2].stop - tree.levels[-2].start > 1:
+        above_leaves = range(tree.levels[-2].start, tree.levels[-2].stop) if tree.depth >= 2 else ()
+        if k in above_leaves and len(above_leaves) > 1:
             keep = [j for j in range(len(paths)) if parent[j] != k]
             cut = [paths[j] for j in keep], [parent[j] for j in keep], [members[j] for j in keep]
             yield "cut", k, arrays(*cut)
@@ -408,7 +409,6 @@ def test_compiled_form_is_level_ordered_csr():
     t = two_level_overlap_tree()
     assert t.paths == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
     assert t.parent.tolist() == [-1, 0, 0, 1, 1, 2, 2]
-    assert t.level.tolist() == [0, 1, 1, 2, 2, 2, 2]
     assert t.m.tolist() == [2, 2, 2, 0, 0, 0, 0]
     assert t.mult.tolist() == [1, 2, 2, 4, 4, 4, 4] and t.mult.dtype == np.float64
     assert t.levels == [slice(1, 3), slice(3, 7)] and t.depth == 2
@@ -597,10 +597,14 @@ def test_forest_from_grid_rejects_a_bad_shape(shape, message):
 
 
 def test_forest_from_grid_builds_without_the_containment_search(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("tree_from_groups called")
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
 
-    monkeypatch.setattr(classification, "tree_from_groups", refuse)
+        return call
+
+    monkeypatch.setattr(classification, "tree_from_groups", refuse("tree_from_groups"))
+    monkeypatch.setattr(np, "argsort", refuse("np.argsort"))  # each group is a slice of the index grid
     forest = forest_from_grid((3, 2, 2))
     assert [tree.paths for tree in forest.trees] == [[(), (1,), (2,), (3,)], [(), (1,), (2,)], [(), (1,), (2,)]]
     assert forest.trees[2].members(2).tolist() == [1, 3, 5, 7, 9, 11]
@@ -608,7 +612,7 @@ def test_forest_from_grid_builds_without_the_containment_search(monkeypatch):
 
 def _grid_by_scan(shape: tuple[int, ...]) -> list:
     """forest_from_grid's trees as one scan per group builds them: the
-    reference for the argsort per dimension."""
+    reference for the slices of the index grid."""
     n = math.prod(shape)
     coords = np.unravel_index(np.arange(n), shape)
     return [tree_from_levels(n, [[((g + 1,), np.flatnonzero(c == g)) for g in range(size)]]) for c, size in zip(coords, shape)]

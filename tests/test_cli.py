@@ -55,17 +55,13 @@ class TestReaders:
     def test_rejects_out_of_range(self, tmp_path):
         f = tmp_path / "p.txt"
         write_lines(f, [0.1, 1.5])
-        from groupedbh.cli import InputError
-
-        with pytest.raises(InputError, match=r"\[0, 1\]"):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
             read_pvalues(f)
 
     def test_rejects_nan_line(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
         write_lines(f, [0.1, "nan", 0.3])
-        from groupedbh.cli import InputError
-
-        with pytest.raises(InputError, match=r"\[0, 1\]"):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
             read_pvalues(f)
         assert main(["test", "--pvalues", str(f), "--method", "flat", "--adaptive"]) == 2
         assert "[0, 1]" in capsys.readouterr().err
@@ -73,9 +69,7 @@ class TestReaders:
     def test_rejects_repeated_index(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("index,pvalue\n0,0.1\n1,0.9\n1,0.5\n")
-        from groupedbh.cli import InputError
-
-        with pytest.raises(InputError, match="index 1 appears twice"):
+        with pytest.raises(ValueError, match="index 1 appears twice"):
             read_pvalues(f)
 
     def test_index_column_with_a_gap_exits_2(self, tmp_path, capsys):
@@ -120,11 +114,9 @@ class TestReaders:
         # written from its surrogate) was a codec error with no path or line,
         # and on line 1 it makes no header, so no value is dropped unreported;
         # nor does a token that starts like a number (0.1x was skipped as one)
-        from groupedbh.cli import InputError
-
         f = tmp_path / "p.txt"
         f.write_bytes(text.encode(errors="surrogateescape"))
-        with pytest.raises(InputError, match=f"^{re.escape(str(f))}:{line}: "):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(f))}:{line}: "):
             read_pvalues(f)
         assert main(["test", "--pvalues", str(f), "--method", "flat", "--adaptive"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {f}:{line}: ")
@@ -206,15 +198,13 @@ class TestReaders:
         # the bulk parse must give what the per-line loop gives, the same
         # bits (-0.0 too) or the same error on the same line; with no chunk
         # plain, the loop reads all of the file after the header decision
-        from groupedbh.cli import InputError
-
         f = tmp_path / "p.txt"
         f.write_bytes(text.encode(errors="surrogateescape"))  # a lone surrogate: a byte that is not UTF-8
 
         def parse():
             try:
                 return read_pvalues(f).tobytes()
-            except InputError as exc:
+            except ValueError as exc:
                 return str(exc)
 
         bulk = parse()
@@ -255,13 +245,11 @@ class TestReaders:
 
     def test_truth_label_not_utf_8_exits_2_with_the_path(self, tmp_path, capsys):
         # printed the codec error, with no path: "'utf-8' codec can't decode byte 0xe9"
-        from groupedbh.cli import InputError
-
         pfile, truth = tmp_path / "p.txt", tmp_path / "t.txt"
         write_lines(pfile, [0.1, 0.2])
         truth.write_bytes(b"1\n0\xe9\n")
         message = f"{truth}: truth labels must be 0 or 1, one per line"
-        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_truth(truth)
         assert main(["test", "--pvalues", str(pfile), "--truth", str(truth)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -757,8 +745,10 @@ class TestCmdSimulate:
          (["--methods", "BH,HeirGBH,BH"], "repeated methods: ['BH']"),
          (["--grid", "0.5,0,0.5"], "repeated densities: [0.5]"),
          (["--grid", "0.5,x"], "cannot parse --grid '0.5,x'"),
-         (["--grid", "1.5"], "density grid values must lie in [0, 1]")],
-        ids=["negative-seed", "repeated-method", "repeated-density", "unparsable-grid", "grid-out-of-range"],
+         (["--grid", "1.5"], "density grid values must lie in [0, 1]"),
+         (["--grid", ""], "cannot parse --grid ''")],  # ran the 11-point default grid, exit 0
+        ids=["negative-seed", "repeated-method", "repeated-density", "unparsable-grid", "grid-out-of-range",
+             "empty-grid"],
     )
     def test_bad_seed_or_methods_exit_2(self, tmp_path, capsys, args, message):
         out = tmp_path / "x.csv"

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import re
 import sys
 from pathlib import Path
@@ -99,3 +100,39 @@ def test_the_dead_private_name_check_sees_a_leftover():
         "c": "from . import a\ndef g():\n    return a._Old\n",
     }
     assert _dead_private_names(sources) == ["a._unused", "a._loop", "b._truth"]
+
+
+def _exception_classes(source: str) -> list[str]:
+    """The classes a module defines with a base that is a builtin exception
+    or is named like one (…Error, …Exception, …Warning)."""
+
+    def is_exception(name: str) -> bool:
+        builtin = getattr(builtins, name, None)
+        named_like_one = name.endswith(("Error", "Exception", "Warning"))
+        return named_like_one or isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(is_exception(str(getattr(base, "id", getattr(base, "attr", None)))) for base in node.bases)
+    ]
+
+
+def test_no_module_defines_an_exception_class():
+    # the boundary is ValueError in the library and OSError for files; the CLI exits 2 on either
+    defined = {
+        path.name: found
+        for path in sorted(Path(groupedbh.__file__).parent.glob("*.py"))
+        if (found := _exception_classes(path.read_text()))
+    }
+    assert defined == {}
+
+
+def test_the_exception_class_check_sees_one():
+    source = (
+        "import numpy as np\nclass Plan:\n    pass\nclass InputError(ValueError):\n    pass\n"
+        "class Stop(KeyboardInterrupt):\n    pass\nclass Axis(np.exceptions.AxisError):\n    pass\n"
+        "class Mixed(Plan, LookupError):\n    pass\n"
+    )
+    assert _exception_classes(source) == ["InputError", "Stop", "Axis", "Mixed"]

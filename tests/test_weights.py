@@ -174,15 +174,36 @@ class TestOracleOneWay:
         "n, effects, truth",
         [(6, [1e-320, 1.0], [1, 1, 0, 1, 1, 0]),
          (6, [1e-300, 1e300], [1, 1, 0, 1, 1, 0]),
-         (34, [1e-307, 1e-307], [1] * 34)],
+         (30, [1e-307, 1e-307, 1e307], [1] * 30)],
         ids=["reciprocal", "weight", "normalizer-sum"],
     )
     def test_effects_that_overflow_raise(self, n, effects, truth):
         # [1e-320, 1.0] gave the weights [0, 0, 0, inf, inf, inf] with only a RuntimeWarning, so the
         # first group's nulls were always rejected; the normalizer's fsum raised an OverflowError
-        half = n // 2
         with pytest.raises(ValueError, match="^group effects out of range: .* overflows$"):
-            oracle_overlap_oneway_weights(n, [np.arange(half), np.arange(half, n)], effects, truth)
+            oracle_overlap_oneway_weights(n, np.array_split(np.arange(n), len(effects)), effects, truth)
+
+    def test_effects_that_overflow_only_through_their_common_scale_are_admitted(self):
+        # [1e-308, 1e-308] raised "group effects out of range", yet a common factor leaves the weights as they are
+        groups, truth = [[0, 1, 2], [2, 3, 4, 5]], np.array([1, 1, 0, 1, 1, 0], dtype=bool)
+        tiny = oracle_overlap_oneway_weights(6, groups, [1e-308, 1e-308], truth)
+        assert tiny.tobytes() == oracle_overlap_oneway_weights(6, groups, [1.0, 1.0], truth).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        effects=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5),
+        k=st.integers(-1000, 1000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_power_of_two_on_every_effect_keeps_the_weights_bits(self, effects, k, seed):
+        rng = np.random.default_rng(seed)
+        n = 12
+        groups = [rng.choice(n, size=rng.integers(1, n + 1), replace=False) for _ in effects]
+        groups[0] = np.union1d(groups[0], np.setdiff1d(np.arange(n), np.concatenate(groups)))  # cover 0..n-1
+        truth = rng.uniform(size=n) < 0.5
+        w = oracle_overlap_oneway_weights(n, groups, effects, truth)
+        scaled = oracle_overlap_oneway_weights(n, groups, np.ldexp(effects, k), truth)
+        assert scaled.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize(
         "effects, truth",
