@@ -21,6 +21,8 @@ from itertools import chain, compress, repeat
 
 import numpy as np
 
+from .stepup import _truth
+
 
 def _sorted_unique(arr: np.ndarray) -> np.ndarray:
     """Sorted distinct values of arr, which is sorted in place unless it
@@ -394,13 +396,16 @@ def validate_forest(forest: ClassificationForest) -> list[str]:
 
 def group_stats(tree: HierTree, k: int, is_null: np.ndarray) -> tuple[int, int, float]:
     """(size, null count, null proportion) of node k under known truth."""
-    members = tree.members(k)
-    n0 = int(np.asarray(is_null, dtype=bool)[members].sum())
-    return int(members.size), n0, n0 / members.size
+    k = _integer(k, "a node id")
+    if not 0 <= k < len(tree.paths):
+        raise IndexError(f"node id {k} out of range [0, {len(tree.paths)})")
+    size, n0 = int(tree.sizes[k]), int(_truth(is_null, tree.n)[tree.members(k)].sum())
+    return size, n0, n0 / size
 
 
 def leaf_memberships(forest: ClassificationForest, i: int) -> list[list[tuple[int, ...]]]:
     """Per-tree list of leaf paths whose member set contains index i."""
+    i = _integer(i, "a hypothesis index")
     if not 0 <= i < forest.n:
         raise IndexError(f"hypothesis index {i} out of range [0, {forest.n})")
     out = []

@@ -330,27 +330,16 @@ def _eeg_shaped_forest(times_per_electrode: int = 256) -> ClassificationForest:
     """Synthetic two-criterion forest shaped like an EEG study: 6 brain
     regions over 61 electrodes, each electrode holding a block of
     hypotheses; boundary electrodes belong to two adjacent regions."""
-    n_electrodes = 61
-    n = n_electrodes * times_per_electrode
-    core_per_region = 9  # 6 * 9 = 54 interior electrodes; 7 sit on margins
-    regions: list[list[int]] = [
-        list(range(r * core_per_region, (r + 1) * core_per_region)) for r in range(6)
-    ]
+    blocks = np.arange(61 * times_per_electrode).reshape(61, times_per_electrode)  # row e: electrode e's block
+    regions = [list(range(9 * r, 9 * r + 9)) for r in range(6)]  # 6 * 9 = 54 interior electrodes; 7 sit on margins
     for b, e in enumerate(range(54, 61)):
         regions[b % 6].append(e)
         regions[(b + 1) % 6].append(e)
-
-    def electrode_block(e):
-        return np.arange(e * times_per_electrode, (e + 1) * times_per_electrode)
-
-    level1 = []
-    level2 = []
-    for r, electrodes in enumerate(regions, start=1):
-        level1.append(((r,), np.concatenate([electrode_block(e) for e in sorted(electrodes)])))
-        for j, e in enumerate(sorted(electrodes), start=1):
-            level2.append(((r, j), electrode_block(e)))
-    tree = tree_from_levels(n, [level1, level2])
-    return ClassificationForest(n=n, trees=(tree, tree))
+    regions = [sorted(electrodes) for electrodes in regions]
+    level1 = [((r,), blocks[electrodes].ravel()) for r, electrodes in enumerate(regions, 1)]
+    level2 = [((r, j), blocks[e]) for r, electrodes in enumerate(regions, 1) for j, e in enumerate(electrodes, 1)]
+    tree = tree_from_levels(blocks.size, [level1, level2])
+    return ClassificationForest(n=tree.n, trees=(tree, tree))
 
 
 def cmd_gen_spec(args) -> int:

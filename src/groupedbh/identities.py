@@ -233,7 +233,7 @@ def _alternate_hier_effects(tree: HierTree, is_null: np.ndarray) -> dict[tuple[i
     0 or +inf gets that effect. Walks the nodes level by level and finds
     each node's parent and grandparent by path in its own dicts, not through
     the tree's parent array."""
-    is_null = np.asarray(is_null, dtype=bool)
+    is_null = _truth(is_null, tree.n)
     pi0 = float(is_null.mean())
     effects: dict[tuple[int, ...], float] = {(): pi0}
     odds: dict[tuple[int, ...], float] = {}
@@ -326,21 +326,18 @@ def run_sweep(
     and last the reductions and step-up cases. Each trial draws its
     configuration from its own stream, `simulate.replicate_rng(seed, kind,
     t)` with kind 0, 1 and 2 in that order (t = 0 for the last one). The
-    units of work run through `_pool.imap` longest first: the reductions
-    and step-up cases, then one adaptive trial each, then blocks of
-    _BLOCK_TRIALS consecutive oracle trials; they run on one forked worker
-    per CPU of this process's affinity mask, or here on one CPU, and their
-    reports are put back in the order above. So the reports are the same
-    bits on any number of CPUs, and a trial's reports do not depend on
-    ``trials``.
+    units of work, in that order, are blocks of _BLOCK_TRIALS consecutive
+    oracle trials, then one adaptive trial each, then the reductions and
+    step-up cases; they run through `_pool.imap`, on one forked worker per
+    CPU of this process's affinity mask, or here on one CPU. So the reports
+    are the same bits on any number of CPUs, and a trial's reports do not
+    depend on ``trials``.
     """
     trials, seed = _size(trials, "trials", 1), _size(seed, "seed")
     adaptive = [[(1, t)] for t in range(max(1, trials // 4))]
     oracle = [[(0, t) for t in range(lo, min(lo + _BLOCK_TRIALS, trials))] for lo in range(0, trials, _BLOCK_TRIALS)]
-    with _pool.imap(_sweep_block, (seed, monotone_trials, corrupt), [[(2, 0)], *adaptive, *oracle]) as results:
-        parts = list(results)
-    a = 1 + len(adaptive)  # where the oracle blocks start
-    return [report for part in (*parts[a:], *parts[1:a], parts[0]) for report in part]
+    with _pool.imap(_sweep_block, (seed, monotone_trials, corrupt), [*oracle, *adaptive, [(2, 0)]]) as results:
+        return [report for part in results for report in part]
 
 
 def _sweep_block(settings, block) -> list[IdentityReport]:

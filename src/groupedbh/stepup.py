@@ -35,8 +35,10 @@ def _check_inputs(pvalues: np.ndarray, weights: np.ndarray | None = None) -> Non
 
 
 def _check_length(values: np.ndarray, n: int, what: str) -> None:
-    """Raise ValueError unless ``values`` holds one entry per hypothesis."""
-    if values.shape != (n,):
+    """Raise ValueError unless ``values`` is a vector of one entry per hypothesis."""
+    if values.ndim != 1:
+        raise ValueError(f"length mismatch: {what} must be a vector of {n}, got shape {values.shape}")
+    if values.size != n:
         raise ValueError(f"length mismatch: {values.size} {what} for {n} hypotheses")
 
 
@@ -46,11 +48,13 @@ def _check_level(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
-def _truth(is_null, n: int) -> np.ndarray:
-    """Truth labels as a bool vector of one label per hypothesis."""
-    is_null = np.asarray(is_null, dtype=bool)
-    _check_length(is_null, n, "truth labels")
-    return is_null
+def _truth(is_null, n: int | None = None) -> np.ndarray:
+    """Truth labels as a bool vector of n labels (as many as given if n is None), each a bool or 0 or 1."""
+    is_null = np.asarray(is_null)
+    _check_length(is_null, is_null.size if n is None else n, "truth labels")
+    if is_null.dtype != bool and not np.all((is_null == 0) | (is_null == 1)):
+        raise ValueError("truth labels must be 0 or 1")
+    return is_null.astype(bool, copy=False)
 
 
 def _pvalues(pvalues, n: int) -> np.ndarray:

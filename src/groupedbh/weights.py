@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .classification import ClassificationForest, HierTree, _as_index_array, _size
-from .stepup import _check_inputs, _check_level, _pvalues, _truth
+from .stepup import _check_level, _pvalues, _truth
 
 
 def _assemble(
@@ -61,10 +61,6 @@ def _divide(norm, inv_sum: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _by_path(tree: HierTree, effects: np.ndarray) -> dict[tuple[int, ...], float]:
-    return dict(zip(tree.paths, effects.tolist()))
-
-
 def _pi0(is_null: np.ndarray) -> float:
     """Share of true nulls; 0.0 when there are no hypotheses."""
     return np.count_nonzero(is_null) / max(is_null.size, 1)
@@ -92,7 +88,7 @@ def _check_partitions(forest: ClassificationForest) -> None:
 
 def oracle_flat_weights(is_null: np.ndarray) -> np.ndarray:
     """Constant weight pi0 = (#nulls)/N for every hypothesis."""
-    is_null = np.asarray(is_null, dtype=bool)
+    is_null = _truth(is_null)
     return np.full(is_null.size, _pi0(is_null))
 
 
@@ -112,7 +108,7 @@ def oracle_overlap_oneway_weights(
     n = _size(n)
     is_null = _truth(is_null, n)
     group_effects = np.asarray(group_effects, dtype=float)
-    if len(groups) != group_effects.size:
+    if group_effects.shape != (len(groups),):
         raise ValueError("one effect per group required")
     if (group_effects <= 0).any() or not np.isfinite(group_effects).all():
         raise ValueError("group effects must be finite and positive")
@@ -156,7 +152,7 @@ def oracle_hier_effects(tree: HierTree, is_null: np.ndarray) -> dict[tuple[int, 
     forward recursion w_l = pi0 (1 - pi0) r_l / w_{l-1} with
     r_l = pi0_l / (1 - pi0_l), seeded at the root with the global null
     proportion."""
-    return _by_path(tree, _oracle_effects(tree, _truth(is_null, tree.n))[0])
+    return dict(zip(tree.paths, _oracle_effects(tree, _truth(is_null, tree.n))[0].tolist()))
 
 
 def oracle_hier_weights(tree: HierTree, is_null: np.ndarray) -> np.ndarray:
@@ -195,8 +191,7 @@ def storey_null_estimate(pvalues: np.ndarray, lam: float) -> float:
     """Storey-type null count estimate for one group of p-values,
     n_hat0 = (n - R(lambda) + 1) / (1 - lambda); always positive."""
     _check_level("lambda", lam)
-    pvalues = np.asarray(pvalues, dtype=float)
-    _check_inputs(pvalues)
+    pvalues = _pvalues(pvalues, np.size(pvalues))
     r = int(np.count_nonzero(pvalues <= lam))
     return (pvalues.size - r + 1) / (1.0 - lam)
 
@@ -232,7 +227,7 @@ def da_hier_effects(tree: HierTree, pvalues: np.ndarray, lam: float) -> dict[tup
     choice keeps every weight a non-decreasing function of every p-value,
     which the adaptive FDR guarantee rests on.
     """
-    return _by_path(tree, _da_effects(tree, _pvalues(pvalues, tree.n), lam)[0])
+    return dict(zip(tree.paths, _da_effects(tree, _pvalues(pvalues, tree.n), lam)[0].tolist()))
 
 
 def _da_leaf_weights(tree: HierTree, pvalues: np.ndarray, lam: float) -> np.ndarray:

@@ -579,6 +579,13 @@ def test_forest_from_grid():
         leaf_memberships(f, 6)
 
 
+@pytest.mark.parametrize("i", [2.5, True, "1"])
+def test_leaf_memberships_rejects_an_index_that_is_not_an_integer(i):
+    # 2.5 gave [[], []], and True was read as 1
+    with pytest.raises(ValueError, match="^a hypothesis index must be an integer"):
+        leaf_memberships(forest_from_grid((2, 3)), i)
+
+
 @pytest.mark.parametrize(
     "shape, message",
     [
@@ -648,6 +655,23 @@ def test_group_stats():
     k = t.levels[0].start  # the first level-1 group
     assert group_stats(t, k, is_null) == (8, 4, 0.5)
     assert (t.sizes[k], t.counts(is_null)[k]) == (8, 4)
+
+
+@pytest.mark.parametrize(
+    "k, truth, error, message",
+    [
+        (-1, [1, 0, 1, 0], IndexError, r"^node id -1 out of range \[0, 3\)$"),  # was a ZeroDivisionError
+        (9, [1, 0, 1, 0], IndexError, r"^node id 9 out of range \[0, 3\)$"),  # was numpy's IndexError
+        (2.5, [1, 0, 1, 0], ValueError, "^a node id must be an integer"),
+        (True, [1, 0, 1, 0], ValueError, "^a node id must be an integer"),
+        (1, [1, 0], ValueError, "^length mismatch: 2 truth labels for 4 hypotheses$"),  # passed silently
+    ],
+    ids=["negative", "past-the-end", "float", "bool", "short-truth"],
+)
+def test_group_stats_rejects_a_bad_node_or_truth(k, truth, error, message):
+    t = tree_from_levels(4, [[((1,), [0, 1]), ((2,), [2, 3])]])
+    with pytest.raises(error, match=message):
+        group_stats(t, k, np.array(truth))
 
 
 def test_member_run_compression_round_trip():

@@ -158,6 +158,11 @@ class TestOracleOneWay:
         with pytest.raises(ValueError, match="^one effect per group required$"):
             oracle_overlap_oneway_weights(4, [[0, 1], [2, 3]], np.array([1.0]), np.ones(4, dtype=bool))
 
+    def test_rejects_effects_that_are_not_a_vector(self):
+        # [[1.0]] for one group passed the count and raised numpy's TypeError
+        with pytest.raises(ValueError, match="^one effect per group required$"):
+            oracle_overlap_oneway_weights(2, [[0, 1]], np.array([[1.0]]), np.ones(2, dtype=bool))
+
     def test_rejects_nonpositive_effects(self):
         with pytest.raises(ValueError, match="positive"):
             oracle_overlap_oneway_weights(
