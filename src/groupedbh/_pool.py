@@ -21,7 +21,7 @@ def cpu_count() -> int:
 
 
 @contextlib.contextmanager
-def imap(fn, shared, items):
+def imap(fn, shared, items, depth: int | None = None):
     """Yield an iterator over fn(shared, item) for each of the sized
     ``items``, in order.
 
@@ -29,9 +29,10 @@ def imap(fn, shared, items):
     one at a time as the iterator is read. Otherwise they run on
     min(cpu_count(), len(items)) forked workers, which inherit fn, shared
     and every module loaded here rather than unpickle or import them again;
-    each item is pickled, and at most 2 x workers items are handed out
-    ahead of the consumer. The workers are forked before the pool starts its
-    own threads. When the block exits, also on an error, the items not yet
+    each item is pickled, and at most ``depth`` items (2 x workers by
+    default, which bounds the results held) are handed out ahead of the
+    consumer. The workers are forked before the pool starts its own
+    threads. When the block exits, also on an error, the items not yet
     started are dropped, the workers finish the ones they hold and exit, and
     are joined. No worker is killed: `multiprocessing.Pool.terminate` can
     kill one while it holds a lock of the result queue, and then hang on
@@ -45,7 +46,7 @@ def imap(fn, shared, items):
 
     pool = ProcessPoolExecutor(processes, multiprocessing.get_context("fork"), _start, ((fn, shared),))
     try:
-        yield _ordered(pool, iter(items), 2 * processes)
+        yield _ordered(pool, iter(items), 2 * processes if depth is None else depth)
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -84,6 +84,22 @@ class HierTree:
     indices: np.ndarray
 
     def __post_init__(self):
+        self._derive()
+        if problems := validate_tree(self):
+            raise ValueError("; ".join(problems))
+
+    @classmethod
+    def _valid(cls, n: int, paths: list, parent, indptr, indices) -> HierTree:
+        """The tree of arrays that their builder makes valid, built as the
+        constructor builds it but not checked by validate_tree again."""
+        tree = cls.__new__(cls)
+        tree.n, tree.paths, tree.parent, tree.indptr, tree.indices = n, paths, parent, indptr, indices
+        tree._derive()
+        return tree
+
+    def _derive(self) -> None:
+        """The arrays as int64, and the derived fields; ValueError for arrays
+        of shapes they cannot be derived from."""
         parent = self.parent = np.asarray(self.parent, dtype=np.int64)
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -110,8 +126,6 @@ class HierTree:
         self.mult = np.ones(k)
         for s in self.levels:
             self.mult[s] = self.mult[parent[s]] * self.m[parent[s]]
-        if problems := validate_tree(self):
-            raise ValueError("; ".join(problems))
 
     def members(self, k: int) -> np.ndarray:
         """Sorted member indices of node k."""
@@ -150,7 +164,7 @@ class ClassificationForest:
 def flat_tree(n: int) -> HierTree:
     """Depth-0 tree: one root group over all n indices."""
     n = _size(n)
-    return HierTree(n=n, paths=[()], parent=[-1], indptr=[0, n], indices=np.arange(n))
+    return HierTree._valid(n, [()], [-1], [0, n], np.arange(n))
 
 
 def tree_from_levels(n: int, levels: list[list[tuple[tuple[int, ...], np.ndarray]]]) -> HierTree:
@@ -400,7 +414,7 @@ def group_stats(tree: HierTree, k: int, is_null: np.ndarray) -> tuple[int, int, 
     if not 0 <= k < len(tree.paths):
         raise IndexError(f"node id {k} out of range [0, {len(tree.paths)})")
     size, n0 = int(tree.sizes[k]), int(_truth(is_null, tree.n)[tree.members(k)].sum())
-    return size, n0, n0 / size
+    return size, n0, n0 / max(size, 1)  # 0.0 for an empty node, which only a tree over N = 0 holds
 
 
 def leaf_memberships(forest: ClassificationForest, i: int) -> list[list[tuple[int, ...]]]:
@@ -543,7 +557,7 @@ def forest_from_dict(data: dict) -> ClassificationForest:
 
 def save_forest(forest: ClassificationForest, path) -> None:
     with open(path, "w") as fh:
-        json.dump(forest_to_dict(forest), fh, separators=(",", ":"))
+        fh.write(json.dumps(forest_to_dict(forest), separators=(",", ":")))  # dumps, unlike dump, runs the C encoder
         fh.write("\n")
 
 

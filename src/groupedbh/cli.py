@@ -21,7 +21,7 @@ from collections import Counter
 
 import numpy as np
 
-from . import _pool, identities, simulate
+from . import _pool
 from .classification import (
     ClassificationForest,
     _read_spec,
@@ -295,6 +295,8 @@ def _given(args, *own: str) -> tuple:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulate
+
     out, grid, plan = _given(args, "out", "grid")
     if grid is not None:
         try:
@@ -309,6 +311,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import identities
+
     out, sweep = _given(args, "out")
     reports = identities.run_sweep(**sweep)
     if out:
@@ -344,6 +348,8 @@ def _eeg_shaped_forest(times_per_electrode: int = 256) -> ClassificationForest:
 
 def cmd_gen_spec(args) -> int:
     if args.layout == "simulation":
+        from . import simulate
+
         tree = simulate.simulation_tree()
         forest = ClassificationForest(n=tree.n, trees=(tree,))
     else:  # "eeg": argparse admits no other layout

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _pool, simulate
 from .classification import ClassificationForest, HierTree, _size, flat_tree
-from .stepup import _truth, brute_force_bh, weighted_bh
+from .stepup import _check_length, _truth, brute_force_bh, weighted_bh
 from .weights import (
     _da_leaf_loo,
     _inverse_sum,
@@ -73,6 +73,7 @@ def check_condition1(weights: np.ndarray, is_null: np.ndarray, digest: str = "")
     contribute zero)."""
     weights = np.asarray(weights, dtype=float)
     n = weights.size
+    _check_length(weights, n, "weights")
     null_weights = weights[_truth(is_null, n)]
     with np.errstate(divide="ignore"):  # a zero weight gives +inf, so the check fails
         total = math.fsum(1.0 / null_weights)
@@ -164,6 +165,11 @@ def random_tree(
     k > 1 and ``max_overlap`` > 0, one ``integers`` per child for its extra
     members and, unless that is 0, one ``choice`` of them without
     replacement from the parent's members outside the chunk.
+
+    The tree is valid as drawn, so it is not checked again: a parent's
+    chunks partition its members, a child's extra members are more of its
+    parent's, the children are numbered 1..k, and every node above the
+    leaves gets at least one child.
     """
     n = _drawn_size(rng) if n is None else _size(n)
     depth = int(rng.integers(0, 4)) if depth is None else _size(depth, "depth")
@@ -194,7 +200,7 @@ def random_tree(
                 groups.append(members[taken])  # members are sorted, so the child's are too
         first = last
     indptr = np.cumsum([0] + [members.size for members in groups])
-    return HierTree(n=n, paths=paths, parent=parent, indptr=indptr, indices=np.concatenate(groups))
+    return HierTree._valid(n, paths, parent, indptr, np.concatenate(groups))
 
 
 def random_forest(rng: np.random.Generator, n: int | None = None, depth_one: bool = False) -> ClassificationForest:
@@ -326,18 +332,21 @@ def run_sweep(
     and last the reductions and step-up cases. Each trial draws its
     configuration from its own stream, `simulate.replicate_rng(seed, kind,
     t)` with kind 0, 1 and 2 in that order (t = 0 for the last one). The
-    units of work, in that order, are blocks of _BLOCK_TRIALS consecutive
-    oracle trials, then one adaptive trial each, then the reductions and
-    step-up cases; they run through `_pool.imap`, on one forked worker per
-    CPU of this process's affinity mask, or here on one CPU. So the reports
-    are the same bits on any number of CPUs, and a trial's reports do not
-    depend on ``trials``.
+    units of work are the reductions and step-up cases, the longest, then
+    blocks of _BLOCK_TRIALS consecutive oracle trials, then one adaptive
+    trial each; they run in that order through `_pool.imap`, every unit
+    handed out at once, on one forked worker per CPU of this process's
+    affinity mask, or here on one CPU. So no worker idles while another
+    runs the longest unit at the end, the reports are the same bits on any
+    number of CPUs, and a trial's reports do not depend on ``trials``.
     """
     trials, seed = _size(trials, "trials", 1), _size(seed, "seed")
     adaptive = [[(1, t)] for t in range(max(1, trials // 4))]
     oracle = [[(0, t) for t in range(lo, min(lo + _BLOCK_TRIALS, trials))] for lo in range(0, trials, _BLOCK_TRIALS)]
-    with _pool.imap(_sweep_block, (seed, monotone_trials, corrupt), [*oracle, *adaptive, [(2, 0)]]) as results:
-        return [report for part in results for report in part]
+    units = [[(2, 0)], *oracle, *adaptive]
+    with _pool.imap(_sweep_block, (seed, monotone_trials, corrupt), units, depth=len(units)) as results:
+        final, *parts = results
+    return [report for part in (*parts, final) for report in part]
 
 
 def _sweep_block(settings, block) -> list[IdentityReport]:

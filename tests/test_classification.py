@@ -1,13 +1,16 @@
 import hashlib
+import importlib.util
+import io
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from groupedbh import classification
+from groupedbh import classification, cli, simulate
 from groupedbh.classification import (
     ClassificationForest,
     HierTree,
@@ -28,7 +31,7 @@ from groupedbh.classification import (
     validate_forest,
     validate_tree,
 )
-from groupedbh.identities import random_tree
+from groupedbh.identities import random_forest, random_tree
 from groupedbh.weights import da_gen_weights, da_hier_weights
 
 
@@ -674,6 +677,12 @@ def test_group_stats_rejects_a_bad_node_or_truth(k, truth, error, message):
         group_stats(t, k, np.array(truth))
 
 
+def test_group_stats_of_an_empty_node():
+    # the null share of no hypotheses is 0.0, as weights._pi0 has it; was a ZeroDivisionError
+    assert group_stats(flat_tree(0), 0, np.zeros(0, dtype=bool)) == (0, 0, 0.0)
+    assert group_stats(tree_from_levels(0, [[((1,), [])]]), 1, []) == (0, 0, 0.0)
+
+
 def test_member_run_compression_round_trip():
     t = two_level_overlap_tree()
     f = ClassificationForest(n=12, trees=(t,))
@@ -694,6 +703,38 @@ def test_json_file_round_trip(tmp_path):
     back = load_forest(path)
     assert back.n == 12 and back.s_count == 2
     assert validate_forest(back) == []
+
+
+def _big_spec_forest() -> ClassificationForest:
+    """The forest of perfbench's test-1m spec: N = 10**6 in 100 overlapping
+    level-1 groups of 100 leaves each."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "gen_inputs.py"
+    )
+    gen_inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_inputs)
+    tree = tree_from_levels(gen_inputs.BIG_N, gen_inputs.big_tree_levels())
+    return ClassificationForest(n=tree.n, trees=(tree,))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _big_spec_forest,
+        cli._eeg_shaped_forest,
+        lambda: ClassificationForest(n=simulate.simulation_tree().n, trees=(simulate.simulation_tree(),)),
+        lambda: forest_from_grid((7, 9, 4)),
+        lambda: random_forest(np.random.default_rng(8)),
+    ],
+    ids=["test-1m", "eeg", "simulation", "grid-7x9x4", "random"],
+)
+def test_save_forest_writes_what_json_dump_writes(tmp_path, make):
+    # save_forest encodes with json.dumps, the C encoder, where it used json.dump's pure-Python one
+    forest = make()
+    save_forest(forest, tmp_path / "spec.json")
+    expected = io.StringIO()
+    json.dump(forest_to_dict(forest), expected, separators=(",", ":"))
+    assert (tmp_path / "spec.json").read_text() == expected.getvalue() + "\n"
 
 
 def test_spec_nested_past_the_decoder_limit_is_a_value_error(tmp_path):

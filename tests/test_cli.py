@@ -960,13 +960,16 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # scipy.stats alone costs about a second at start-up; only simulate
-    # needs scipy, and it imports scipy.special when it runs
+    # needs scipy, and it imports scipy.special when it runs. Each command
+    # loads its own modules when it runs: test loads neither the sweep's
+    # (identities, and hashlib for its digests) nor simulate
     pfile = tmp_path / "p.txt"
     write_lines(pfile, np.linspace(0.0, 1.0, 2**17).tolist())
     code = (
         "import sys, groupedbh.cli\n"
         "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'\n"
+        "                  or m in ('groupedbh.identities', 'groupedbh.simulate', 'hashlib'))\n"
         "print(loaded())\n"
         "groupedbh.cli.main(['test', '--pvalues', sys.argv[1], '--method', 'flat', '--adaptive',\n"
         "                    '--out', sys.argv[2]])\n"

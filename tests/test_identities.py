@@ -4,13 +4,21 @@ import json
 import math
 import multiprocessing
 import os
+import re
 from functools import partial
 
 import numpy as np
 import pytest
 
 from groupedbh import _pool, classification, identities
-from groupedbh.classification import ClassificationForest, flat_tree, tree_from_levels, validate_tree, validate_forest
+from groupedbh.classification import (
+    ClassificationForest,
+    HierTree,
+    flat_tree,
+    tree_from_levels,
+    validate_forest,
+    validate_tree,
+)
 from groupedbh.identities import (
     check_condition1,
     check_loo_bound,
@@ -86,11 +94,34 @@ def test_monotone_flags_a_decreasing_rule():
     assert good.passed
 
 
+def _assert_built_as_checked(tree):
+    """tree, which its builder did not check, has every field of the
+    HierTree the constructor checks and builds from its five arrays."""
+    checked = HierTree(n=tree.n, paths=tree.paths, parent=tree.parent, indptr=tree.indptr, indices=tree.indices)
+    assert (tree.n, tree.paths, tree.levels, tree.depth) == (checked.n, checked.paths, checked.levels, checked.depth)
+    for name in ("parent", "indptr", "indices", "sizes", "m", "leaves", "mult"):
+        got, want = getattr(tree, name), getattr(checked, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 def test_random_tree_is_valid():
     rng = np.random.default_rng(3)
     for _ in range(30):
         tree = random_tree(rng)
         assert validate_tree(tree) == []
+    for n in [*range(16), 499, 500]:
+        for depth in range(4):
+            for overlap in (0.0, 0.3, 1.0):
+                tree = random_tree(np.random.default_rng([n, depth]), n=n, depth=depth, max_overlap=overlap)
+                assert tree.depth == depth and validate_tree(tree) == [], (n, depth, overlap)
+                _assert_built_as_checked(tree)
+
+
+def test_flat_tree_is_valid():
+    for n in range(21):
+        tree = flat_tree(n)
+        assert tree.depth == 0 and validate_tree(tree) == [], n
+        _assert_built_as_checked(tree)
 
 
 def test_random_tree_equals_the_generic_builder():
@@ -335,6 +366,14 @@ def test_checks_reject_truth_of_wrong_length(size):
         check_loo_bound(lambda p: da_flat_weights(p, 0.5), np.full(3, 0.5), truth)
 
 
+@pytest.mark.parametrize("shape", [(4, 1), (2, 2)])
+def test_condition1_rejects_weights_that_are_not_a_vector(shape):
+    # a (4, 1) array raised numpy's TypeError, a (2, 2) one its IndexError
+    message = f"length mismatch: weights must be a vector of 4, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_condition1(np.ones(shape), np.ones(4, dtype=bool))
+
+
 def test_random_tree_draw_contract_is_pinned():
     # 200 trees drawn from one stream, and the generator state after them.
     # A change to either re-seeds every sweep, every acceptance criterion
@@ -394,26 +433,28 @@ def test_an_adaptive_trial_does_not_depend_on_the_trial_count():
 
 
 def _recorded_sweep(monkeypatch, **kw):
-    """run_sweep's reports, and the units of work it handed to _pool.imap,
-    which runs them here, in order."""
-    handed = []
+    """run_sweep's reports, the units of work it handed to _pool.imap,
+    which runs them here, in order, and the depth it asked for."""
+    handed, depths = [], []
 
     @contextlib.contextmanager
-    def imap(fn, shared, items):
+    def imap(fn, shared, items, depth=None):
         handed.extend(items)
+        depths.append(depth)
         yield (fn(shared, item) for item in items)
 
     monkeypatch.setattr(_pool, "imap", imap)
-    return run_sweep(**kw), handed
+    return run_sweep(**kw), handed, depths
 
 
 @pytest.mark.parametrize("trials", [7, 9])
 def test_sweep_runs_and_reports_in_one_order(monkeypatch, trials):
     kw = dict(seed=4, trials=trials, monotone_trials=2)
-    reports, blocks = _recorded_sweep(monkeypatch, **kw)
+    reports, blocks, depths = _recorded_sweep(monkeypatch, **kw)
     kinds = [kind for block in blocks for kind, _ in block]
-    assert blocks[-1] == [(2, 0)]  # the reductions and step-up cases, last
-    assert kinds == sorted(kinds)  # oracle trials before adaptive ones
+    assert blocks[0] == [(2, 0)]  # the reductions and step-up cases, the longest unit, first
+    assert depths == [len(blocks)]  # every unit in flight at once
+    assert kinds[1:] == sorted(kinds[1:])  # then oracle trials before adaptive ones
     trial_items = [(0, t) for t in range(trials)] + [(1, t) for t in range(max(1, trials // 4))] + [(2, 0)]
     assert sorted(item for block in blocks for item in block) == sorted(trial_items)
     assert len(blocks) == 1 + max(1, trials // 4) + math.ceil(trials / identities._BLOCK_TRIALS)
@@ -432,6 +473,18 @@ def test_sweep_builds_no_tree_through_the_generic_builder(monkeypatch):
     assert all(r.passed for r in run_sweep(seed=0, trials=4))
     with pytest.raises(AssertionError, match="_build_tree"):
         tree_from_levels(3, [])  # the patch is in place
+
+
+def test_sweep_checks_no_tree_it_draws_again(monkeypatch):
+    # random_tree and flat_tree draw only valid trees; the constructor still checks
+    def check(tree):
+        raise AssertionError("validate_tree ran")
+
+    monkeypatch.setattr(_pool, "cpu_count", lambda: 1)
+    monkeypatch.setattr(classification, "validate_tree", check)
+    assert all(r.passed for r in run_sweep(seed=0, trials=4))
+    with pytest.raises(AssertionError, match="validate_tree ran"):
+        HierTree(n=0, paths=[()], parent=[-1], indptr=[0, 0], indices=[])
 
 
 def _broken_weights(*args):

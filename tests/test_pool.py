@@ -68,6 +68,21 @@ def test_a_generator_is_drawn_in_order_and_at_most_two_per_worker_ahead(monkeypa
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("depth", [None, 3, 40])
+def test_depth_items_are_handed_out_before_the_first_result_is_read(monkeypatch, cpus, depth):
+    # 2 x workers by default; all 40 items with depth=40
+    monkeypatch.setattr(_pool, "cpu_count", lambda: cpus)
+    log = []
+    with _pool.imap(scaled, 10, Logged(log, 40), depth=depth) as results:
+        first = next(results)
+        handed = len(log)
+        rest = list(results)
+    assert handed == (2 * cpus if depth is None else depth)
+    assert [value for _, value in [first, *rest]] == [10 * i for i in range(40)]
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_an_error_drawing_an_item_reaches_the_caller(monkeypatch, cpus):
     monkeypatch.setattr(_pool, "cpu_count", lambda: cpus)
