@@ -30,16 +30,7 @@ from .classification import (
     tree_from_levels,
 )
 from .stepup import _check_inputs, _check_length, _check_level, outcome_metrics, weighted_bh
-from .weights import (
-    da_flat_weights,
-    da_gen_weights,
-    da_hier_weights,
-    da_sway_weights,
-    oracle_flat_weights,
-    oracle_gen_weights,
-    oracle_hier_weights,
-    oracle_sway_weights,
-)
+from .weights import _METHODS, _method_weights
 
 
 def read_pvalues(path) -> np.ndarray:
@@ -179,28 +170,19 @@ def _load_structure(args, n: int) -> ClassificationForest:
 def _compute_weights(args, pvalues, truth) -> np.ndarray:
     if not args.adaptive and truth is None:
         raise ValueError("oracle methods require --truth")
-    structure = ()
+    structure = None
     if args.method != "flat":
-        forest = _load_structure(args, pvalues.size)
-        structure = (forest,)
+        structure = _load_structure(args, pvalues.size)
         if args.method == "hier":
-            if forest.s_count != 1:
+            if structure.s_count != 1:
                 raise ValueError(
                     f"--method hier needs a spec with exactly one tree, {args.spec} has "
-                    f"{forest.s_count}; use --method gen for several"
+                    f"{structure.s_count}; use --method gen for several"
                 )
-            structure = forest.trees
-    # built per call, so wrappers rebound on these names (perfbench traces them) are called
-    adaptive_fn, oracle_fn = {
-        "flat": (da_flat_weights, oracle_flat_weights),
-        "hier": (da_hier_weights, oracle_hier_weights),
-        "sway": (da_sway_weights, oracle_sway_weights),
-        "gen": (da_gen_weights, oracle_gen_weights),
-    }[args.method]
-    if args.adaptive:
-        return adaptive_fn(*structure, pvalues, args.lam)
-    _check_level("lambda", args.lam)  # unused by oracle weights, but written into the header
-    return oracle_fn(*structure, truth)
+            (structure,) = structure.trees
+    if not args.adaptive:
+        _check_level("lambda", args.lam)  # unused by oracle weights, but written into the header
+    return _method_weights(args.method, args.adaptive, structure, pvalues, truth, args.lam)
 
 
 def cmd_test(args) -> int:
@@ -331,9 +313,11 @@ def cmd_validate(args) -> int:
 
 
 def _eeg_shaped_forest(times_per_electrode: int = 256) -> ClassificationForest:
-    """Synthetic two-criterion forest shaped like an EEG study: 6 brain
-    regions over 61 electrodes, each electrode holding a block of
-    hypotheses; boundary electrodes belong to two adjacent regions."""
+    """Synthetic forest shaped like an EEG study's location criterion: 6
+    brain regions over 61 electrodes, each electrode holding a block of
+    hypotheses; boundary electrodes belong to two adjacent regions. That one
+    tree is given as both trees, so `gen` on it gives the `hier` weights of
+    the tree; there is no second (time) criterion yet."""
     blocks = np.arange(61 * times_per_electrode).reshape(61, times_per_electrode)  # row e: electrode e's block
     regions = [list(range(9 * r, 9 * r + 9)) for r in range(6)]  # 6 * 9 = 54 interior electrodes; 7 sit on margins
     for b, e in enumerate(range(54, 61)):
@@ -368,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test = sub.add_parser("test", help="run a weighted BH test on p-values")
     p_test.add_argument("--pvalues", required=True)
     p_test.add_argument("--spec", help="classification spec JSON (hier/sway/gen)")
-    p_test.add_argument("--method", default="flat", choices=["flat", "hier", "sway", "gen"])
+    p_test.add_argument("--method", default="flat", choices=list(_METHODS))
     p_test.add_argument("--adaptive", action="store_true", help="estimate weights from the data")
     p_test.add_argument("--truth", help="0/1 labels, 1 = true null (required for oracle)")
     p_test.add_argument("--alpha", type=float, default=0.05)

@@ -20,14 +20,16 @@ import numpy as np
 from . import _pool
 from .classification import HierTree, _size, tree_from_levels
 from .stepup import _check_level, outcome_metrics, weighted_bh
-from .weights import (
-    da_flat_weights,
-    da_hier_weights,
-    oracle_flat_weights,
-    oracle_hier_weights,
-)
+from .weights import _method_weights
 
-METHODS = ("BH", "AdaptiveBH", "HeirGBH", "DAHeirGBH")
+# the study's method names, as (kind, adaptive) of the weights' method table
+_ALIASES = {
+    "BH": ("flat", False),
+    "AdaptiveBH": ("flat", True),
+    "HeirGBH": ("hier", False),
+    "DAHeirGBH": ("hier", True),
+}
+METHODS = tuple(_ALIASES)
 
 
 def _grid(points: int) -> tuple[float, ...]:
@@ -90,9 +92,11 @@ class SimulationPlan:
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 problems.append(f"repeated {name}: {repeated}")
-        unknown = set(self.methods) - set(METHODS)
+        if not self.methods:
+            problems.append("methods must not be empty")
+        unknown = set(self.methods) - set(_ALIASES)
         if unknown:
-            problems.append(f"unknown methods: {sorted(unknown)}")
+            problems.append(f"unknown methods: {sorted(unknown)} (known: {', '.join(_ALIASES)})")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -177,17 +181,6 @@ def simulation_tree(m: int = SimulationPlan.m, n: int = SimulationPlan.n) -> Hie
     return tree_from_levels(m * n, [level1, level2])
 
 
-def _method_weights(method, tree, pvalues, is_null, plan):
-    if method == "BH":
-        return oracle_flat_weights(is_null)
-    if method == "AdaptiveBH":
-        return da_flat_weights(pvalues, plan.lam)
-    if method == "HeirGBH":
-        return oracle_hier_weights(tree, is_null)
-    # "DAHeirGBH": a SimulationPlan with any other name cannot be built
-    return da_hier_weights(tree, pvalues, plan.lam)
-
-
 def replicate_rng(seed: int, point_index: int, replicate: int) -> np.random.Generator:
     """Deterministic per-replicate stream: the master seed is combined with
     (grid point, replicate) through a SeedSequence spawn key, so replicates
@@ -251,7 +244,7 @@ def _replicate_block(plan_tree: tuple[SimulationPlan, HierTree], block: tuple[in
         pvalues = pvalues_from_statistics(x)
         is_null = theta.reshape(-1) == 0
         for k, meth in enumerate(plan.methods):
-            w = _method_weights(meth, tree, pvalues, is_null, plan)
+            w = _method_weights(*_ALIASES[meth], tree, pvalues, is_null, plan.lam)
             metrics = outcome_metrics(weighted_bh(pvalues, w, plan.alpha), is_null)
             out[:, k, r - lo] = metrics.fdp, metrics.power
     return out

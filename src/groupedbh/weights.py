@@ -290,3 +290,25 @@ def da_gen_weights(forest: ClassificationForest, pvalues: np.ndarray, lam: float
     per-tree hierarchical weights."""
     pvalues = _pvalues(pvalues, forest.n)
     return forest.s_count / _inverse_sum(_da_leaf_weights(tree, pvalues, lam) for tree in forest.trees)
+
+
+# ---------------------------------------------------------------------------
+# the methods
+
+# kind -> (oracle, adaptive) weight function, by name: looked up on the module
+# at each call, so a wrapper rebound on the name (perfbench traces them) is called
+_METHODS = {
+    "flat": ("oracle_flat_weights", "da_flat_weights"),
+    "hier": ("oracle_hier_weights", "da_hier_weights"),
+    "sway": ("oracle_sway_weights", "da_sway_weights"),
+    "gen": ("oracle_gen_weights", "da_gen_weights"),
+}
+
+
+def _method_weights(kind: str, adaptive: bool, structure, pvalues: np.ndarray, is_null, lam: float) -> np.ndarray:
+    """The weights of method ``kind``: adaptive ones from the p-values and
+    lambda, oracle ones from the truth. ``structure`` is one tree for
+    ``hier`` and a forest for ``sway`` and ``gen``; ``flat`` ignores it."""
+    weights = globals()[_METHODS[kind][adaptive]]
+    on = () if kind == "flat" else (structure,)
+    return weights(*on, pvalues, lam) if adaptive else weights(*on, is_null)

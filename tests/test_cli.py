@@ -743,12 +743,13 @@ class TestCmdSimulate:
         "args, message",
         [(["--seed", "-1"], "seed must be >= 0"),
          (["--methods", "BH,HeirGBH,BH"], "repeated methods: ['BH']"),
+         (["--methods", "BH,XBH"], "unknown methods: ['XBH'] (known: BH, AdaptiveBH, HeirGBH, DAHeirGBH)"),
          (["--grid", "0.5,0,0.5"], "repeated densities: [0.5]"),
          (["--grid", "0.5,x"], "cannot parse --grid '0.5,x'"),
          (["--grid", "1.5"], "density grid values must lie in [0, 1]"),
          (["--grid", ""], "cannot parse --grid ''")],  # ran the 11-point default grid, exit 0
-        ids=["negative-seed", "repeated-method", "repeated-density", "unparsable-grid", "grid-out-of-range",
-             "empty-grid"],
+        ids=["negative-seed", "repeated-method", "unknown-method", "repeated-density", "unparsable-grid",
+             "grid-out-of-range", "empty-grid"],
     )
     def test_bad_seed_or_methods_exit_2(self, tmp_path, capsys, args, message):
         out = tmp_path / "x.csv"

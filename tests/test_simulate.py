@@ -10,8 +10,8 @@ from groupedbh.classification import validate_tree
 from groupedbh.simulate import (
     DEFAULT_GRID,
     SimulationPlan,
+    _ALIASES,
     _blocks,
-    _method_weights,
     generate_statistics,
     generate_theta,
     pvalues_from_statistics,
@@ -21,6 +21,7 @@ from groupedbh.simulate import (
     write_summary_csv,
 )
 from groupedbh.stepup import outcome_metrics, weighted_bh
+from groupedbh.weights import _method_weights
 
 
 def test_default_grid():
@@ -70,7 +71,7 @@ class TestPlanValidation:
         assert len(str(raised.value).split("; ")) == 5
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown"):
+        with pytest.raises(ValueError, match=r"^unknown methods: \['XYZ'\] \(known: BH, AdaptiveBH, HeirGBH, DAHeirGBH\)$"):
             SimulationPlan(methods=("XYZ",))
 
     def test_negative_seed(self):
@@ -109,6 +110,8 @@ class TestPlanValidation:
             # failed only once a replicate ran, as p-values outside [0, 1]
             ({"mu": math.nan}, "mu must be finite, got nan"),
             ({"mu": -math.inf}, "mu must be finite, got -inf"),
+            # ran a study of no methods and wrote a header-only CSV
+            ({"methods": ()}, "methods must not be empty"),
         ],
     )
     def test_layout_and_signal_must_be_sound(self, fields, message):
@@ -334,7 +337,7 @@ class TestReplicateBlocks:
                 pvalues = pvalues_from_statistics(x)
                 is_null = theta.reshape(-1) == 0
                 for meth in plan.methods:
-                    w = _method_weights(meth, tree, pvalues, is_null, plan)
+                    w = _method_weights(*_ALIASES[meth], tree, pvalues, is_null, plan.lam)
                     metrics = outcome_metrics(weighted_bh(pvalues, w, plan.alpha), is_null)
                     fdp, power = summary.replicate_records[(meth, density)]
                     assert (fdp[r], power[r]) == (metrics.fdp, metrics.power)
