@@ -24,13 +24,14 @@ import numpy as np
 from .stepup import _truth
 
 
-def _sorted_unique(arr: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of arr, which is sorted in place unless it
-    already rises; a sort and a neighbour compare, far cheaper than
-    ``np.unique`` on large integer arrays."""
+def _sorted_unique(arr: np.ndarray, kind: str | None = None) -> np.ndarray:
+    """Sorted distinct values of arr, which is sorted in place (by
+    ``ndarray.sort(kind=kind)``) unless it already rises; a sort and a
+    neighbour compare, far cheaper than ``np.unique`` on large integer
+    arrays."""
     if (arr[1:] > arr[:-1]).all():
         return arr
-    arr.sort()
+    arr.sort(kind=kind)
     keep = np.ones(arr.size, dtype=bool)
     keep[1:] = arr[1:] != arr[:-1]
     return arr[keep]
@@ -378,7 +379,8 @@ def validate_tree(tree: HierTree) -> list[str]:
     uncovered = []
     for nodes in tree.levels:
         parents = slice(int(parent[nodes.start]), int(parent[nodes.stop - 1]) + 1)
-        union = _sorted_unique(keys(nodes, parent[nodes]))  # each child's members, keyed under its parent
+        # each child's members, keyed under its parent: sorted runs, which timsort ("stable") merges
+        union = _sorted_unique(keys(nodes, parent[nodes]), kind="stable")
         # made second, for a lower peak; the root's keys are its members
         held = keys(parents, np.arange(parents.start, parents.stop)) if parents.start else indices[: indptr[1]]
         if union.size != held.size or (union != held).any():

@@ -371,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--grid", help="an integer point count, else a comma list of 1-pi0 values (0.5 is one point)"
     )
-    p_sim.add_argument("--methods", type=lambda names: tuple(names.split(",")))
+    p_sim.add_argument(  # a blank list is no method, which the plan rejects
+        "--methods", type=lambda names: tuple(name.strip() for name in names.split(",")) if names.strip() else ()
+    )
     p_sim.set_defaults(func=cmd_simulate)
 
     p_val = sub.add_parser("validate", help="run the algebraic identity sweep", argument_default=argparse.SUPPRESS)

@@ -408,6 +408,52 @@ def test_every_single_fault_is_reported_as_before():
     assert digests == SINGLE_FAULTS
 
 
+def _checked(arrays: dict) -> HierTree:
+    """The tree of a random draw's arrays, built through the constructor, which checks it."""
+    return HierTree(**arrays)
+
+
+def _tree_arrays(tree: HierTree) -> dict:
+    return dict(n=tree.n, paths=tree.paths, parent=tree.parent, indptr=tree.indptr, indices=tree.indices)
+
+
+def _sort_cases():
+    """Builds of valid trees and forests, and of invalid tree arrays."""
+    yield from (lambda s=s: _checked(_tree_arrays(random_tree(np.random.default_rng(s)))) for s in range(40))
+    yield lambda: forest_from_grid((7, 9, 4))
+    yield _big_spec_forest
+    yield from (lambda s=s, k=k: _checked(_perturbed_tree(s, k)) for s in range(10) for k in PERTURBATIONS)
+    for seed in range(10):
+        yield from (lambda a=a: _checked(a) for _, _, a in _single_faults(random_tree(np.random.default_rng(seed))))
+
+
+def _built(build):
+    """The trees that build() returns, or the messages of its ValueError."""
+    try:
+        made = build()
+    except ValueError as exc:
+        return str(exc).split("; ")
+    return list(made.trees) if isinstance(made, ClassificationForest) else [made]
+
+
+def test_stable_sort_of_sibling_keys_keeps_every_tree_and_message(monkeypatch):
+    # validate_tree sorts a level's (parent, member) keys, runs that are each
+    # sorted, with kind="stable", which merges them; np.unique, a sort of its
+    # own, is the reference
+    built = [_built(build) for build in _sort_cases()]
+    monkeypatch.setattr(classification, "_sorted_unique", lambda arr, kind=None: np.unique(arr))
+    reference = [_built(build) for build in _sort_cases()]
+    assert len(built) == len(reference) == 860
+    assert sum(isinstance(got[0], str) for got in built) == 805  # invalid builds
+    for got, expected in zip(built, reference):
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            if isinstance(b, str):
+                assert a == b
+            else:
+                _assert_same_arrays(a, b)
+
+
 def test_compiled_form_is_level_ordered_csr():
     t = two_level_overlap_tree()
     assert t.paths == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]

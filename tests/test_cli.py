@@ -653,11 +653,9 @@ class TestCmdTest:
         assert tables[0].count(b"# method=flat\n") == 1
         assert tables[0].count(b"\n") == 8 + pvalues.size
 
-    def test_failed_write_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_failed_write_exits_2(self, tmp_path, monkeypatch, capsys, no_child_left):
         # 4 spans of the table, formatted on forked workers, which must all
         # be gone when main returns
-        import multiprocessing
-
         pfile = tmp_path / "p.txt"
         write_lines(pfile, np.linspace(0.0, 1.0, 2**17).tolist())
         assert 2**17 // cli._SPAN_ROWS > 2
@@ -677,7 +675,7 @@ class TestCmdTest:
         assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
         header, first_block = writes  # nothing is written after the failed block
         assert header.startswith("# method=flat\n") and first_block.startswith("0,0.0,")
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     @pytest.mark.parametrize(
         "option, message", [(["--alpha", "2"], "alpha"), (["--lambda", "1.5"], "lambda")]
@@ -747,9 +745,12 @@ class TestCmdSimulate:
          (["--grid", "0.5,0,0.5"], "repeated densities: [0.5]"),
          (["--grid", "0.5,x"], "cannot parse --grid '0.5,x'"),
          (["--grid", "1.5"], "density grid values must lie in [0, 1]"),
-         (["--grid", ""], "cannot parse --grid ''")],  # ran the 11-point default grid, exit 0
+         (["--grid", ""], "cannot parse --grid ''"),  # ran the 11-point default grid, exit 0
+         (["--methods", ""], "error: methods must not be empty\n"),  # reported "unknown methods: ['']"
+         (["--methods", " , "], "unknown methods: ['']"),
+         (["--methods", "BH, XBH "], "unknown methods: ['XBH']")],
         ids=["negative-seed", "repeated-method", "unknown-method", "repeated-density", "unparsable-grid",
-             "grid-out-of-range", "empty-grid"],
+             "grid-out-of-range", "empty-grid", "empty-methods", "blank-method", "spaced-unknown-method"],
     )
     def test_bad_seed_or_methods_exit_2(self, tmp_path, capsys, args, message):
         out = tmp_path / "x.csv"
@@ -806,6 +807,13 @@ class TestCmdSimulate:
             seed=7, replicates=3, rho_l1=0.1, rho_l2=0.2, alpha=0.04, lam=0.3,
             one_minus_pi0_grid=(0.2, 0.4), methods=("HeirGBH", "BH"),
         )]
+
+    def test_method_names_are_stripped_as_grid_values_are(self, tmp_path, monkeypatch):
+        # "BH, AdaptiveBH" exited 2 with unknown methods: [' AdaptiveBH']
+        plans = _capture_plans(monkeypatch)
+        argv = ["simulate", "--out", str(tmp_path / "x.csv"), "--grid", "0.5, 1", "--methods", " BH, AdaptiveBH "]
+        assert main(argv) == 0
+        assert plans == [simulate.SimulationPlan(one_minus_pi0_grid=(0.5, 1.0), methods=("BH", "AdaptiveBH"))]
 
     def test_grid_point_count_is_the_default_grid_formula(self, tmp_path, monkeypatch):
         plans = _capture_plans(monkeypatch)
@@ -993,22 +1001,47 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert run.stderr.split() == ["0", "False"] * 3
 
 
+def run_main_counting_forks(argv, cpus):
+    """Run groupedbh.cli.main(argv) in a fresh process on one CPU or on all
+    this one may use; the run, and what the process saw when main returned:
+    its exit code, its os.fork calls, which of multiprocessing,
+    concurrent.futures and its process pool it loaded, whether it loaded
+    scipy, and whether a child process was left. scipy.special loads
+    concurrent.futures (through numpy.testing), not its process pool."""
+    code = (
+        "import json, os, sys, groupedbh.cli\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "rc = groupedbh.cli.main(json.loads(sys.argv[1]))\n"
+        "try:\n"
+        "    child_left = os.waitpid(-1, os.WNOHANG) is not None\n"
+        "except ChildProcessError:\n"
+        "    child_left = False\n"
+        "pools = [m for m in ('multiprocessing', 'concurrent.futures', 'concurrent.futures.process') if m in sys.modules]\n"
+        "scipy = any(m.partition('.')[0] == 'scipy' for m in sys.modules)\n"
+        "print(json.dumps(dict(rc=rc, forks=len(forks), pools=pools, scipy=scipy, child_left=child_left)))\n"
+    )
+    mask = os.sched_getaffinity(0)
+    run = run_python("-c", code, json.dumps(argv), cpus={min(mask)} if cpus == "one" else mask)
+    assert (run.returncode, run.stderr) == (0, ""), run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def workers(cpus, units):
+    """The workers a pool starts for ``units`` items of work."""
+    count = min(len(os.sched_getaffinity(0)) if cpus == "all" else 1, units)
+    return count if count > 1 else 0
+
+
 @pytest.mark.parametrize("rows, cpus", [(2**17, "one"), (2**15, "all")], ids=["one-cpu", "one-span"])
 def test_serial_table_loads_no_multiprocessing(tmp_path, rows, cpus):
     # a table on one CPU, or of one span, is written from this process
     pfile, out = tmp_path / "p.txt", tmp_path / "out.csv"
     write_lines(pfile, np.linspace(0.0, 1.0, rows).tolist())
     assert rows // cli._SPAN_ROWS == (1 if cpus == "all" else 4)
-    code = (
-        "import sys, groupedbh.cli\n"
-        "rc = groupedbh.cli.main(['test', '--pvalues', sys.argv[1], '--method', 'flat', '--adaptive',\n"
-        "                         '--out', sys.argv[2]])\n"
-        "print(rc, 'multiprocessing' in sys.modules)\n"
-    )
-    mask = os.sched_getaffinity(0)
-    run = run_python("-c", code, str(pfile), str(out), cpus={min(mask)} if cpus == "one" else mask)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["0", "False"]
+    argv = ["test", "--pvalues", str(pfile), "--method", "flat", "--adaptive", "--out", str(out)]
+    seen = run_main_counting_forks(argv, cpus)
+    assert seen == dict(rc=0, forks=0, pools=[], scipy=False, child_left=False)
     assert out.read_text().count("\n") == 8 + rows
 
 
@@ -1018,34 +1051,33 @@ def test_serial_table_loads_no_multiprocessing(tmp_path, rows, cpus):
 def test_serial_simulate_loads_no_multiprocessing(tmp_path, replicates, cpus):
     # a study on one CPU, or of one block of replicates, runs in this process
     out = tmp_path / "sim.csv"
-    code = (
-        "import sys, groupedbh.cli\n"
-        "rc = groupedbh.cli.main(['simulate', '--out', sys.argv[1], '--grid', '1',\n"
-        "                         '--replicates', sys.argv[2], '--methods', 'BH'])\n"
-        "print(rc, 'multiprocessing' in sys.modules)\n"
-    )
-    mask = os.sched_getaffinity(0)
-    run = run_python("-c", code, str(out), replicates,
-                     cpus={min(mask)} if cpus == "one" else mask)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["0", "False"]
+    argv = ["simulate", "--out", str(out), "--grid", "1", "--replicates", replicates, "--methods", "BH"]
+    seen = run_main_counting_forks(argv, cpus)
+    assert seen == dict(rc=0, forks=0, pools=["concurrent.futures"], scipy=True, child_left=False)
     assert out.read_text().count("\n") == 2
+
+
+@pytest.mark.parametrize("command", ["test", "simulate"])
+def test_work_on_all_cpus_forks_workers_and_loads_no_multiprocessing(tmp_path, command):
+    # 4 spans of a table, 2 blocks of replicates: one worker each, up to one per CPU
+    pfile, out = tmp_path / "p.txt", tmp_path / "out.csv"
+    scipy = command == "simulate"
+    if scipy:
+        argv, units = ["simulate", "--out", str(out), "--grid", "1", "--replicates", "40", "--methods", "BH"], 2
+    else:
+        write_lines(pfile, np.linspace(0.0, 1.0, 2**17).tolist())
+        argv, units = ["test", "--pvalues", str(pfile), "--method", "flat", "--adaptive", "--out", str(out)], 4
+    seen = run_main_counting_forks(argv, "all")
+    pools = ["concurrent.futures"] if scipy else []
+    assert seen == dict(rc=0, forks=workers("all", units), pools=pools, scipy=scipy, child_left=False)
 
 
 @pytest.mark.parametrize("cpus", ["one", "all"])
 def test_validate_loads_no_scipy_and_on_one_cpu_no_multiprocessing(tmp_path, cpus):
-    # the sweep's checks run on forked workers only when there are CPUs for them
+    # the sweep's 5 units of work run on forked workers only when there are CPUs for them
     out = tmp_path / "report.jsonl"
-    code = (
-        "import sys, groupedbh.cli\n"
-        "rc = groupedbh.cli.main(['validate', '--trials', '8', '--out', sys.argv[1]])\n"
-        "print(rc, any(m.partition('.')[0] == 'scipy' for m in sys.modules), 'multiprocessing' in sys.modules)\n"
-    )
-    mask = os.sched_getaffinity(0)
-    run = run_python("-c", code, str(out), cpus={min(mask)} if cpus == "one" else mask)
-    assert run.returncode == 0, run.stderr
-    workers = cpus == "all" and len(mask) > 1
-    assert run.stdout.split()[-3:] == ["0", "False", str(workers)]
+    seen = run_main_counting_forks(["validate", "--trials", "8", "--out", str(out)], cpus)
+    assert seen == dict(rc=0, forks=workers(cpus, 5), pools=[], scipy=False, child_left=False)
     assert out.read_text().count("\n") == 5 * 8 + 8 * 2 + 5
 
 

@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import re
 from functools import partial
@@ -409,7 +408,7 @@ def test_sweep_reports_are_pinned():
 @pytest.mark.parametrize(
     "seed, corrupt", [(0, False), (12, False), (12, True)], ids=["seed-0", "seed-12", "corrupt"]
 )
-def test_sweep_is_the_same_on_one_cpu_and_on_two(monkeypatch, seed, corrupt):
+def test_sweep_is_the_same_on_one_cpu_and_on_two(monkeypatch, seed, corrupt, no_child_left):
     # every item draws from its own stream, wherever it runs
     sweeps = []
     for cpus in (1, 2):
@@ -417,7 +416,7 @@ def test_sweep_is_the_same_on_one_cpu_and_on_two(monkeypatch, seed, corrupt):
         reports = run_sweep(seed=seed, trials=24, monotone_trials=5, corrupt=corrupt)
         sweeps.append(json.dumps([r.to_dict() for r in reports]))
     assert sweeps[0] == sweeps[1]
-    assert multiprocessing.active_children() == []
+    no_child_left()
 
 
 def test_an_adaptive_trial_does_not_depend_on_the_trial_count():
@@ -491,13 +490,13 @@ def _broken_weights(*args):
     raise ValueError(f"broken weights in process {os.getpid()}")
 
 
-def test_sweep_raises_a_worker_error_and_stops_the_workers(monkeypatch):
+def test_sweep_raises_a_worker_error_and_stops_the_workers(monkeypatch, no_child_left):
     monkeypatch.setattr(_pool, "cpu_count", lambda: 2)
     monkeypatch.setattr(identities, "oracle_gen_weights", _broken_weights)
     with pytest.raises(ValueError, match="broken weights in process") as raised:
         run_sweep(seed=0, trials=8)
     assert int(str(raised.value).split()[-1]) != os.getpid()  # raised in a worker
-    assert multiprocessing.active_children() == []
+    no_child_left()
 
 
 def test_sweep_reproducible():

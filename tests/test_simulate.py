@@ -342,9 +342,7 @@ class TestReplicateBlocks:
                     fdp, power = summary.replicate_records[(meth, density)]
                     assert (fdp[r], power[r]) == (metrics.fdp, metrics.power)
 
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
-        import multiprocessing
-
+    def test_worker_error_reaches_the_caller(self, monkeypatch, no_child_left):
         parent = os.getpid()
         draw = simulate.generate_statistics
 
@@ -356,4 +354,4 @@ class TestReplicateBlocks:
         monkeypatch.setattr(simulate, "generate_statistics", fail_in_worker)
         with pytest.raises(ZeroDivisionError, match="raised in a worker"):
             self.study(monkeypatch, 2)
-        assert multiprocessing.active_children() == []
+        no_child_left()
